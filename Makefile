@@ -9,9 +9,9 @@ GO ?= go
 BENCH_LABEL ?= $(shell date -u +%Y-%m-%d)
 SOAK_DURATION ?= 30s
 
-.PHONY: ci vet build race test bench bench-smoke trace-smoke fuzz-smoke strategy-smoke layout-smoke parsim-smoke stream-smoke matrix-smoke soak-smoke results
+.PHONY: ci vet build race test bench bench-smoke trace-smoke fuzz-smoke strategy-smoke layout-smoke stream-smoke matrix-smoke soak-smoke results loc
 
-ci: vet build race test bench-smoke trace-smoke fuzz-smoke strategy-smoke layout-smoke parsim-smoke stream-smoke matrix-smoke
+ci: vet build race test bench-smoke trace-smoke fuzz-smoke strategy-smoke layout-smoke stream-smoke matrix-smoke
 
 vet:
 	$(GO) vet ./...
@@ -63,19 +63,6 @@ trace-smoke:
 fuzz-smoke:
 	$(GO) run ./cmd/cobra-verify -seed 1 -n 1000 -fault-every 5
 
-# Parallel-simulator gate: the machine and memory packages (the window
-# engine's home) under the race detector, then the trace-smoke artifact
-# regenerated at -sim-workers 4 and byte-compared against a serial run —
-# the end-to-end determinism check the unit tests argue for.
-parsim-smoke:
-	$(GO) test -race -count=1 ./internal/machine/ ./internal/mem/
-	$(GO) run ./cmd/cobra-run -workload phased -strategy adaptive \
-		-trace results/parsim-serial.json > /dev/null
-	$(GO) run ./cmd/cobra-run -workload phased -strategy adaptive \
-		-sim-workers 4 -trace results/parsim-w4.json > /dev/null
-	cmp results/parsim-serial.json results/parsim-w4.json
-	rm -f results/parsim-serial.json results/parsim-w4.json
-
 # Live-telemetry gate: a phased adaptive session runs against an
 # in-process cobrad with its SSE stream followed to completion under the
 # race detector; the streamed decision transitions must replay to
@@ -122,3 +109,8 @@ results:
 	$(GO) run ./cmd/cobra-npb -table 1 -progress=false > results/table1.txt
 	$(GO) run ./cmd/cobra-npb -figure all -progress=false > results/figures567.txt
 	REGEN_GOLDEN=1 $(GO) test -run TestGoldenPhasedTrace .
+
+# Non-test Go lines outside perfbench/ (the benchmark's own module): the
+# program's size, tracked from change to change.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^perfbench/' | xargs cat | wc -l

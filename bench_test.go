@@ -309,37 +309,3 @@ func BenchmarkSimulatorThroughputTraced(b *testing.B) {
 	b.ReportMetric(float64(instr), "sim_instrs/op")
 	b.ReportMetric(float64(events), "trace_events/op")
 }
-
-// BenchmarkSimulatorThroughputParallel measures the parallel window
-// engine on an 8-CPU machine at several sim-worker counts, with workers=1
-// (the serial engine) as the interleaved A/B baseline. Results are
-// byte-identical across all counts — the sub-benchmarks differ only in
-// host-side execution strategy, so the ratio is pure engine overhead or
-// speedup. On multi-core hosts the record phase (functional execution,
-// the majority of per-instruction work) runs concurrently; on a single
-// host core the numbers bound the window machinery's overhead instead.
-func BenchmarkSimulatorThroughputParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			w := workload.Daxpy(workload.DaxpyParams{WorkingSetBytes: 512 << 10, OuterReps: 4})
-			b.ResetTimer()
-			var instr int64
-			for i := 0; i < b.N; i++ {
-				bc := workload.SMPConfig(8)
-				bc.Machine.SimWorkers = workers
-				inst, err := workload.Build(w, bc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := inst.Run(); err != nil {
-					b.Fatal(err)
-				}
-				instr = 0
-				for c := 0; c < 8; c++ {
-					instr += inst.Ctx.M.CPU(c).InstRetired
-				}
-			}
-			b.ReportMetric(float64(instr), "sim_instrs/op")
-		})
-	}
-}

@@ -53,8 +53,7 @@ func main() {
 		bindNode  = flag.Int("bind-node", 0, "home node for -placement bind")
 		affinity  = flag.String("affinity", "", `thread-to-CPU pinning "cpu,cpu,..." (one per thread; default identity)`)
 		migrate   = flag.String("migrate", "", `mid-run CPU migration "cycle:cpu:node"`)
-		simw     = flag.Int("sim-workers", 0, "simulator worker goroutines (parallel window engine; 0/1 = serial, byte-identical results)")
-		patches  = flag.Bool("show-patches", false, "list the binary patches COBRA deployed")
+		patches   = flag.Bool("show-patches", false, "list the binary patches COBRA deployed")
 
 		traceFile    = flag.String("trace", "", "write a cycle-domain Chrome trace_event JSON to FILE (Perfetto-loadable)")
 		traceSamples = flag.Bool("trace-samples", false, "with -trace: one instant event per perfmon sample (dense)")
@@ -69,16 +68,15 @@ func main() {
 	flag.Parse()
 
 	spec := serve.Spec{
-		Workload:   *name,
-		Threads:    *threads,
-		Machine:    *machine,
-		Strategy:   *strategy,
-		ClassS:     classS,
-		DaxpyWS:    *ws,
-		DaxpyReps:  *reps,
-		SimWorkers: *simw,
-		Placement:  *placement,
-		BindNode:   *bindNode,
+		Workload:  *name,
+		Threads:   *threads,
+		Machine:   *machine,
+		Strategy:  *strategy,
+		ClassS:    classS,
+		DaxpyWS:   *ws,
+		DaxpyReps: *reps,
+		Placement: *placement,
+		BindNode:  *bindNode,
 	}
 	if err := parseScenarioFlags(&spec, *topology, *affinity, *migrate); err != nil {
 		log.Fatal(err)

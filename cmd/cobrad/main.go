@@ -54,7 +54,6 @@ func main() {
 		ledgerDir   = flag.String("ledger-dir", "", "run ledger directory shared with cobra-run -incremental (empty = none)")
 		maxSessions = flag.Int("max-sessions", 0, "retained session records (0 = 1024); oldest finished evicted first")
 		drain       = flag.Duration("drain-timeout", 30*time.Second, "shutdown drain deadline before in-flight sessions are force-cancelled")
-		simWorkers  = flag.Int("sim-workers", 0, "default sim_workers for sessions that don't set one (parallel window engine; 0/1 = serial, byte-identical results)")
 		streamSubs  = flag.Int("stream-subs", 0, "max concurrent SSE subscribers per event stream (0 = 32); excess answered 429")
 	)
 	flag.Parse()
@@ -66,7 +65,6 @@ func main() {
 		MaxTimeout:        *maxTimeout,
 		LedgerDir:         *ledgerDir,
 		MaxSessions:       *maxSessions,
-		SimWorkers:        *simWorkers,
 		StreamSubscribers: *streamSubs,
 		Logf:              log.Printf,
 	})

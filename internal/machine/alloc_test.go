@@ -124,57 +124,3 @@ func TestZeroAllocsLoadStorePathWithObserver(t *testing.T) {
 		t.Fatalf("load/store path with observer allocates %.2f objects per bundle group, want 0", avg)
 	}
 }
-
-// The steady-state parallel window path — one record phase across worker
-// goroutines plus one serial replay of the logged groups — must also be
-// allocation-free: it runs thousands of times per simulated second, and
-// the whole point of the engine is throughput. Log buffers, staging maps
-// and the conflict map are pre-sized and recycled; this pins that.
-func TestZeroAllocsSteadyWindowPath(t *testing.T) {
-	img := ia64.NewImage()
-	a := ia64.NewAsm(img, "ldst-win")
-	a.Label("top")
-	a.Emit(ia64.Instr{Op: ia64.OpLd, R1: 11, R2: 8})
-	a.Emit(ia64.Instr{Op: ia64.OpSt, R2: 9, R3: 11})
-	a.Emit(ia64.Instr{Op: ia64.OpAdd, R1: 12, R2: 12, R3: 11})
-	a.Br(ia64.BrAlways, 0, "top")
-	entry, err := a.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(2)
-	cfg.Mem.MemBytes = 32 << 20
-	cfg.SimWorkers = 2
-	cfg.MaxInstrPerRun = 1 << 60
-	m, err := New(cfg, img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := 0; id < 2; id++ {
-		src := m.Memory().MustAlloc("src", 4096, 128)
-		dst := m.Memory().MustAlloc("dst", 4096, 128)
-		m.StartThread(id, entry, id+1, func(rf *ia64.RegFile) {
-			rf.SetGR(8, int64(src))
-			rf.SetGR(9, int64(dst))
-		})
-	}
-	p := m.ensurePar()
-	p.beginRun()
-	p.startWorkers()
-	defer p.stopWorkers()
-	active := []int{0, 1}
-	var retired int64
-	window := func() {
-		p.recordPhase(active)
-		if _, err := p.replayWindow(active, &retired); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 8; i++ {
-		window() // warm: decode caches, chunks, log capacity, conflict map
-	}
-	avg := testing.AllocsPerRun(50, window)
-	if avg != 0 {
-		t.Fatalf("steady-state window path allocates %.2f objects per window, want 0", avg)
-	}
-}

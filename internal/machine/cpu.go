@@ -30,15 +30,6 @@ type CPU struct {
 	m      *Machine
 	dec    []ia64.Instr
 	decGen uint64
-
-	// wx, when non-nil, diverts this CPU's execution into the parallel
-	// window engine: memory operations and taken branches go through the
-	// window context (recording a functional log, or rebuilding register
-	// state from one) instead of the coherence domain and PMU, which only
-	// the serial replay may touch. Real CPUs keep wx nil, so the serial
-	// hot path pays one predictable branch per diverted site — the same
-	// cost class as the interrupt-poll guard.
-	wx *windowCtx
 }
 
 func newCPU(m *Machine, id int) *CPU {
@@ -100,11 +91,7 @@ func (c *CPU) stepBundle() (int64, error) {
 	if c.Halted {
 		return 0, nil
 	}
-	if c.wx == nil || c.wx.mode == wxRecord {
-		// Rebuild mode must keep decoding the image generation the log
-		// was recorded against, even if a patch has landed since.
-		c.refillDecode()
-	}
+	c.refillDecode()
 	startCycle := c.Cycle
 	c.Cycle++ // issue cost of the group
 
@@ -133,12 +120,6 @@ func (c *CPU) stepBundle() (int64, error) {
 		}
 	}
 
-	if c.wx != nil {
-		// Shadow execution: the serial replay accounts InstRetired and the
-		// PMU events at the exact serial point when the group commits.
-		c.wx.endGroup(c, retired)
-		return retired, nil
-	}
 	c.InstRetired += retired
 	c.PMU.Add(hpm.EvInstRetired, retired)
 	c.PMU.Add(hpm.EvCPUCycles, c.Cycle-startCycle)
@@ -192,57 +173,24 @@ func (c *CPU) exec(in ia64.Instr, pc int) error {
 			kind = mem.LoadBias
 		}
 		addr := uint64(rf.GR(in.R2))
-		if c.wx != nil {
-			v, err := c.wx.load(addr, pc, kind)
-			if err != nil {
-				return err
-			}
-			rf.SetGR(in.R1, int64(v))
-			break
-		}
 		c.access(addr, kind, pc)
 		rf.SetGR(in.R1, c.m.memory.ReadI64(addr))
 	case ia64.OpLdf:
 		addr := uint64(rf.GR(in.R2))
-		if c.wx != nil {
-			v, err := c.wx.load(addr, pc, mem.LoadFP)
-			if err != nil {
-				return err
-			}
-			rf.SetFR(in.R1, math.Float64frombits(v))
-			break
-		}
 		c.access(addr, mem.LoadFP, pc)
 		rf.SetFR(in.R1, c.m.memory.ReadF64(addr))
 	case ia64.OpSt:
 		addr := uint64(rf.GR(in.R2))
-		if c.wx != nil {
-			if err := c.wx.store(addr, pc, uint64(rf.GR(in.R3))); err != nil {
-				return err
-			}
-			break
-		}
 		c.access(addr, mem.Store, pc)
 		c.m.memory.WriteI64(addr, rf.GR(in.R3))
 	case ia64.OpStf:
 		addr := uint64(rf.GR(in.R2))
-		if c.wx != nil {
-			if err := c.wx.store(addr, pc, math.Float64bits(rf.FR(in.R3))); err != nil {
-				return err
-			}
-			break
-		}
 		c.access(addr, mem.Store, pc)
 		c.m.memory.WriteF64(addr, rf.FR(in.R3))
 	case ia64.OpLfetch:
 		addr := uint64(rf.GR(in.R2))
 		// lfetch is non-faulting: silently drop out-of-memory targets.
-		inRange := addr >= c.m.memory.PageSize() && addr+8 <= c.m.memory.Size()
-		if c.wx != nil {
-			c.wx.lfetch(addr, pc, in.Hint == ia64.HintExcl, inRange)
-			break
-		}
-		if inRange {
+		if addr >= c.m.memory.PageSize() && addr+8 <= c.m.memory.Size() {
 			kind := mem.PrefShrd
 			if in.Hint == ia64.HintExcl {
 				kind = mem.PrefExcl
@@ -347,10 +295,6 @@ func (c *CPU) branch(in ia64.Instr, pc int) {
 	}
 	if taken {
 		c.PC = int(in.Imm)
-		if c.wx != nil {
-			c.wx.branch(pc, c.PC)
-			return
-		}
 		c.PMU.RecordBranch(pc, c.PC)
 		c.PMU.Add(hpm.EvTakenBranches, 1)
 	}

@@ -32,20 +32,12 @@ type Config struct {
 	// runaway loop in generated code (0 = default of 4e9).
 	MaxInstrPerRun int64
 
-	// SimWorkers is the number of host worker goroutines that shard per-CPU
-	// execution inside RunAll using bounded-window lockstep (parallel.go);
-	// 0 or 1 selects the serial causal engine. Both engines produce
-	// byte-identical simulations, so the field is excluded from JSON: a
-	// session's scheduler/ledger content hash must not depend on which
-	// engine ran it, and every historical hash is preserved.
-	SimWorkers int `json:"-"`
-
 	// Migrations schedules mid-run affinity changes: at AtCycle the CPU's
 	// NUMA node mapping is remapped to Node, modelling an OS scheduler
 	// migrating a pinned thread across nodes. Migration changes simulated
-	// timing (and, through first-touch, page homes), so — unlike
-	// SimWorkers — it is part of the scenario and contributes to content
-	// hashes; omitempty keeps every migration-free legacy hash stable.
+	// timing (and, through first-touch, page homes), so it is part of the
+	// scenario and contributes to content hashes; omitempty keeps every
+	// migration-free legacy hash stable.
 	Migrations []Migration `json:",omitempty"`
 }
 
@@ -103,10 +95,6 @@ type Machine struct {
 	interrupt      func() error
 	interruptEvery int64
 	sinceInterrupt int64
-
-	// par is the lazily-built parallel window engine (nil until the first
-	// RunAll that can use it; see cfg.SimWorkers and parallel.go).
-	par *parEngine
 }
 
 // New builds a machine for cfg executing img.
@@ -298,16 +286,13 @@ func (m *Machine) StartThread(cpu int, entry int, threadID int, setup func(rf *i
 	c.PC = entry
 	c.ThreadID = threadID
 	c.Halted = false
-	if m.par != nil {
-		// A timer may wake a CPU mid-run (fork-join phase starts); its
-		// shadow must resync before recording again.
-		m.par.scs[cpu].dirty = true
-	}
 }
 
 // RunAll executes the given CPUs until all halt, firing timers in causal
 // order (timers due at equal cycles fire in registration order). It returns
-// the number of instructions retired during the run.
+// the number of instructions retired during the run. It is the causal
+// engine: each step issues one bundle group on the runnable CPU with the
+// smallest (cycle, id).
 //
 // Calling RunAll with a non-empty set of CPUs that are all already halted
 // while timers are pending is an error: no CPU will ever advance simulated
@@ -328,40 +313,6 @@ func (m *Machine) RunAll(active []int) (int64, error) {
 		}
 	}
 	var retired int64
-	if m.cfg.SimWorkers > 1 && len(active) > 1 {
-		err := m.runParallel(active, &retired)
-		return retired, err
-	}
-	if _, err := m.runSerial(active, -1, &retired); err != nil {
-		return retired, err
-	}
-	m.emitRunEnd(retired)
-	return retired, nil
-}
-
-// emitRunEnd publishes the machine-level observability events of one
-// completed run. Only the all-halted exit of a run reaches it, in both
-// the serial and parallel engines, so a run emits exactly once.
-func (m *Machine) emitRunEnd(retired int64) {
-	if m.obs == nil {
-		return
-	}
-	m.obsRetired += retired
-	if t := m.obs.Trace(); t != nil {
-		t.Counter("retired", 0, m.GlobalCycle(),
-			map[string]float64{"instructions": float64(m.obsRetired)})
-	}
-	m.obs.Metrics().Counter("machine.runs").Inc()
-}
-
-// runSerial is the causal engine: it always steps the runnable CPU with
-// the smallest (cycle, id), firing due timers first, until every active
-// CPU halts (returns done=true). A non-negative maxGroups bounds how many
-// issue groups are stepped before returning done=false — the bound only
-// decides when stepping stops, never what a step computes, so a bounded
-// stretch is byte-identical to the same span of an unbounded run. The
-// parallel engine uses bounded stretches to run spans it cannot window.
-func (m *Machine) runSerial(active []int, maxGroups int64, retired *int64) (bool, error) {
 	for {
 		best := -1
 		runnable := 0
@@ -377,7 +328,8 @@ func (m *Machine) runSerial(active []int, maxGroups int64, retired *int64) (bool
 			}
 		}
 		if best == -1 {
-			return true, nil
+			m.emitRunEnd(retired)
+			return retired, nil
 		}
 		c := m.cpus[best]
 		if runnable == 1 {
@@ -386,25 +338,19 @@ func (m *Machine) runSerial(active []int, maxGroups int64, retired *int64) (bool
 			// without rescanning the active set. It breaks back to the
 			// outer loop to fire a due timer, whose Fn may wake other CPUs.
 			for !c.Halted && (m.timerNext == 0 || c.Cycle < m.timerNext) {
-				if maxGroups == 0 {
-					return false, nil
-				}
 				n, err := c.stepBundle()
-				*retired += n
+				retired += n
 				if err != nil {
-					return false, err
+					return retired, err
 				}
-				if *retired > m.cfg.MaxInstrPerRun {
-					return false, fmt.Errorf("machine: instruction budget %d exceeded (runaway loop? PC=%d on CPU %d)",
+				if retired > m.cfg.MaxInstrPerRun {
+					return retired, fmt.Errorf("machine: instruction budget %d exceeded (runaway loop? PC=%d on CPU %d)",
 						m.cfg.MaxInstrPerRun, c.PC, best)
 				}
 				if m.interrupt != nil {
 					if err := m.pollInterrupt(n); err != nil {
-						return false, fmt.Errorf("machine: run interrupted: %w", err)
+						return retired, fmt.Errorf("machine: run interrupted: %w", err)
 					}
-				}
-				if maxGroups > 0 {
-					maxGroups--
 				}
 			}
 			if !c.Halted {
@@ -412,31 +358,40 @@ func (m *Machine) runSerial(active []int, maxGroups int64, retired *int64) (bool
 			}
 			continue
 		}
-		if maxGroups == 0 {
-			return false, nil
-		}
 		// Fire any timer due before the next step.
 		if m.timerNext != 0 && m.timerNext <= bc {
 			m.fireTimers(bc)
 		}
 		n, err := c.stepBundle()
 		if err != nil {
-			return false, err
+			return retired, err
 		}
-		*retired += n
-		if *retired > m.cfg.MaxInstrPerRun {
-			return false, fmt.Errorf("machine: instruction budget %d exceeded (runaway loop? PC=%d on CPU %d)",
+		retired += n
+		if retired > m.cfg.MaxInstrPerRun {
+			return retired, fmt.Errorf("machine: instruction budget %d exceeded (runaway loop? PC=%d on CPU %d)",
 				m.cfg.MaxInstrPerRun, c.PC, best)
 		}
 		if m.interrupt != nil {
 			if err := m.pollInterrupt(n); err != nil {
-				return false, fmt.Errorf("machine: run interrupted: %w", err)
+				return retired, fmt.Errorf("machine: run interrupted: %w", err)
 			}
 		}
-		if maxGroups > 0 {
-			maxGroups--
-		}
 	}
+}
+
+// emitRunEnd publishes the machine-level observability events of one
+// completed run. Only the all-halted exit of RunAll reaches it, so a run
+// emits exactly once.
+func (m *Machine) emitRunEnd(retired int64) {
+	if m.obs == nil {
+		return
+	}
+	m.obsRetired += retired
+	if t := m.obs.Trace(); t != nil {
+		t.Counter("retired", 0, m.GlobalCycle(),
+			map[string]float64{"instructions": float64(m.obsRetired)})
+	}
+	m.obs.Metrics().Counter("machine.runs").Inc()
 }
 
 // Run executes a single CPU until it halts.

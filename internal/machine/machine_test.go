@@ -1,7 +1,9 @@
 package machine
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -398,22 +400,131 @@ func TestRunAllDeterministic(t *testing.T) {
 	}
 }
 
+// TestOutOfImageFetchFaults: CPU 1 runs a short loop and falls off the end
+// of the image while CPU 0 is still summing. RunAll stops with the fetch
+// error, and the causal engine leaves CPU 0 at the issue-group boundary it
+// had reached: mid-loop at the loop top, its partial sum consistent with
+// its cursor, its clock no earlier than the faulting CPU's. The faulting
+// group's instructions are counted nowhere.
+func TestOutOfImageFetchFaults(t *testing.T) {
+	img := ia64.NewImage()
+	entry := asmSumLoop(img)
+	a := ia64.NewAsm(img, "fall")
+	a.Emit(ia64.Instr{Op: ia64.OpMovToLCI, Imm: 700})
+	a.Label("top")
+	a.Emit(ia64.Instr{Op: ia64.OpAddI, R1: 11, R2: 11, Imm: 1})
+	a.Br(ia64.BrCloop, 0, "top")
+	fall, err := a.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m := testMachine(t, img, 2)
+	const n = 4096
+	base := m.Memory().MustAlloc("a", 8*n, 128)
+	for i := 0; i < n; i++ {
+		m.Memory().WriteI64(base+uint64(8*i), int64(i))
+	}
+	m.StartThread(0, entry, 1, func(rf *ia64.RegFile) {
+		rf.SetGR(8, int64(base))
+		rf.SetGR(10, 4000)
+	})
+	m.StartThread(1, fall, 2, nil)
+
+	retired, err := m.RunAll([]int{0, 1})
+	want := fmt.Sprintf("machine: CPU 1 fetched out-of-image PC %d", img.Len())
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	c0, c1 := m.CPU(0), m.CPU(1)
+	if c0.Halted || c1.Halted {
+		t.Fatalf("halted = %v/%v, want both CPUs left running", c0.Halted, c1.Halted)
+	}
+	if c1.PC != img.Len() || c1.RF.GR(11) != 701 {
+		t.Fatalf("cpu1 pc/r11 = %d/%d, want %d/701", c1.PC, c1.RF.GR(11), img.Len())
+	}
+	if c1.Cycle > c0.Cycle {
+		t.Fatalf("faulting cpu1 at cycle %d ran ahead of cpu0 at %d", c1.Cycle, c0.Cycle)
+	}
+	done := (c0.RF.GR(8) - int64(base)) / 8
+	if c0.PC != entry+2 || c0.RF.GR(9) != done*(done-1)/2 {
+		t.Fatalf("cpu0 pc=%d r9=%d after %d iterations, want pc %d and sum %d",
+			c0.PC, c0.RF.GR(9), done, entry+2, done*(done-1)/2)
+	}
+	if retired != c0.InstRetired+c1.InstRetired {
+		t.Fatalf("RunAll retired %d, CPUs retired %d+%d", retired, c0.InstRetired, c1.InstRetired)
+	}
+	// The exact serial outcome: 65 cold-missing iterations on cpu0 by the
+	// time cpu1's 701 loop iterations run out.
+	if done != 65 || c0.Cycle != 825 || c0.InstRetired != 262 ||
+		c1.Cycle != 701 || c1.InstRetired != 1401 {
+		t.Fatalf("iterations/cycles/retired = %d/%d,%d/%d,%d, want 65/825,701/262,1401",
+			done, c0.Cycle, c1.Cycle, c0.InstRetired, c1.InstRetired)
+	}
+}
+
+// TestUnalignedLoadsSum: loads at addresses that straddle 8-byte words —
+// and once a backing-store chunk boundary — read the little-endian bytes
+// they cover, so a sum over misaligned words equals the sum the host
+// computes from the same bytes. CPU 0 sums the aligned words beside it.
+func TestUnalignedLoadsSum(t *testing.T) {
+	img := ia64.NewImage()
+	entry := asmSumLoop(img)
+	m := testMachine(t, img, 2)
+
+	const words = 512
+	region := m.Memory().MustAlloc("a", 2<<20, 1<<20)
+	start := region + 1<<20 - 8*words/2 // the array spans a chunk boundary
+	buf := make([]byte, 8*words+8)
+	for i := 0; i < words+1; i++ {
+		v := int64(i)*0x0102030405 + 7
+		m.Memory().WriteI64(start+uint64(8*i), v)
+		binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
+	}
+	var aligned, unaligned int64
+	for i := 0; i < words; i++ {
+		aligned += int64(binary.LittleEndian.Uint64(buf[8*i:]))
+		unaligned += int64(binary.LittleEndian.Uint64(buf[8*i+4:]))
+	}
+
+	for id, base := range []uint64{start, start + 4} {
+		m.StartThread(id, entry, id+1, func(rf *ia64.RegFile) {
+			rf.SetGR(8, int64(base))
+			rf.SetGR(10, words-1)
+		})
+	}
+	if _, err := m.RunAll([]int{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.CPU(0).RF.GR(9); got != aligned {
+		t.Fatalf("aligned sum = %d, want %d", got, aligned)
+	}
+	if got := m.CPU(1).RF.GR(9); got != unaligned {
+		t.Fatalf("unaligned sum = %d, want %d", got, unaligned)
+	}
+}
+
 func TestRunawayLoopDetected(t *testing.T) {
 	img := ia64.NewImage()
 	a := ia64.NewAsm(img, "spin")
 	a.Label("top")
 	a.Br(ia64.BrAlways, 0, "top")
 	entry, _ := a.Close()
-	cfg := DefaultConfig(1)
-	cfg.Mem.MemBytes = 1 << 20
-	cfg.MaxInstrPerRun = 10000
-	m, err := New(cfg, img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.StartThread(0, entry, 1, nil)
-	if _, err := m.Run(0); err == nil {
-		t.Fatal("runaway loop not detected")
+	// One CPU takes RunAll's single-runnable fast path, two the causal pick.
+	for _, active := range [][]int{{0}, {0, 1}} {
+		cfg := DefaultConfig(len(active))
+		cfg.Mem.MemBytes = 1 << 20
+		cfg.MaxInstrPerRun = 10000
+		m, err := New(cfg, img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range active {
+			m.StartThread(id, entry, id+1, nil)
+		}
+		if _, err := m.RunAll(active); err == nil || !strings.Contains(err.Error(), "instruction budget 10000 exceeded") {
+			t.Fatalf("%d CPUs: runaway loop not detected: %v", len(active), err)
+		}
 	}
 }
 

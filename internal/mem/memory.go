@@ -172,31 +172,6 @@ func (m *Memory) ReadI64(addr uint64) int64 {
 	return int64(m.readU64(addr))
 }
 
-// ReadU64 reads 8 little-endian bytes as a raw bit pattern. The parallel
-// simulation engine stages and validates values as uint64 bits so integer
-// and floating-point traffic share one code path; reads never materialize
-// chunks, which is what makes concurrent window-recording readers safe
-// against a quiescent backing store.
-func (m *Memory) ReadU64(addr uint64) uint64 {
-	return m.readU64(addr)
-}
-
-// WriteU64 writes 8 bytes as a raw bit pattern — the deterministic commit
-// half of ReadU64, applied only on the serial replay path.
-func (m *Memory) WriteU64(addr uint64, v uint64) {
-	m.writeU64(addr, v)
-}
-
-// InRange reports whether an 8-byte access at addr falls inside the
-// mapped address space (above the unmapped null page, below the top of
-// memory). Out-of-range demand accesses panic in check; the window
-// recorder screens addresses with InRange first so a bad address is
-// re-executed — and faults — on the serial engine instead of inside a
-// worker goroutine.
-func (m *Memory) InRange(addr uint64) bool {
-	return addr >= m.pageSize && addr+8 <= m.size
-}
-
 // WriteI64 writes a little-endian int64.
 func (m *Memory) WriteI64(addr uint64, v int64) {
 	m.writeU64(addr, uint64(v))

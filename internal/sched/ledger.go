@@ -2,7 +2,9 @@ package sched
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -47,16 +49,21 @@ func (l *Ledger) path(key string) string {
 }
 
 // Get looks up a recorded value by job key, decoding it into out (a
-// pointer). It returns (false, nil) for a plain miss. A truncated,
-// corrupt or mismatched entry — e.g. the trailing write of a run killed
-// mid-flight — is recovered, not fatal: the bad file is quarantined
-// (renamed to <key>.json.corrupt so the next run re-executes the cell and
-// the evidence survives for triage), and Get reports (false, err) where
-// err describes the recovery so callers can log it and continue.
+// pointer). It returns (false, nil) for a plain miss: no entry file. A
+// truncated, corrupt or mismatched entry — e.g. the trailing write of a
+// run killed mid-flight — is recovered, not fatal: the bad file is
+// quarantined (renamed to <key>.json.corrupt so the next run re-executes
+// the cell and the evidence survives for triage), and Get reports
+// (false, err) where err describes the recovery so callers can log it and
+// continue. An entry that cannot be read at all (permissions, I/O) is
+// also (false, err), but stays in place: its contents may be intact.
 func (l *Ledger) Get(key string, out any) (bool, error) {
 	data, err := os.ReadFile(l.path(key))
-	if err != nil {
+	if errors.Is(err, fs.ErrNotExist) {
 		return false, nil
+	}
+	if err != nil {
+		return false, fmt.Errorf("ledger entry %s unreadable (%w): left in place, re-executing", key, err)
 	}
 	var e entry
 	if err := json.Unmarshal(data, &e); err != nil {

@@ -1,8 +1,12 @@
 package sched
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"syscall"
 	"testing"
 )
 
@@ -59,6 +63,48 @@ func TestLedgerCorruptEntryIsAMiss(t *testing.T) {
 	}
 	if err == nil {
 		t.Fatal("corrupt entry produced no diagnostic")
+	}
+}
+
+// TestLedgerUnreadableEntryIsReported: an entry that exists but cannot be
+// read (here a directory in its place, EISDIR — reproducible even as
+// root, unlike a permission bit) is not a silent miss. Get reports it,
+// leaves it where it is, and a Run logs it through Logf and re-executes
+// the cell.
+func TestLedgerUnreadableEntryIsReported(t *testing.T) {
+	led, err := OpenLedger(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := KeyOf("unreadable")
+	if err := os.Mkdir(led.path(key), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var got payload
+	for i := 0; i < 2; i++ {
+		hit, err := led.Get(key, &got)
+		if hit || err == nil {
+			t.Fatalf("Get #%d = %v, %v; want false and a read error", i+1, hit, err)
+		}
+		if !strings.Contains(err.Error(), key) || !errors.Is(err, syscall.EISDIR) {
+			t.Fatalf("read error does not name the entry or wrap its cause: %v", err)
+		}
+		if fi, err := os.Stat(led.path(key)); err != nil || !fi.IsDir() {
+			t.Fatalf("unreadable entry was moved (stat err=%v)", err)
+		}
+		if _, err := os.Stat(led.path(key) + ".corrupt"); !os.IsNotExist(err) {
+			t.Fatalf("unreadable entry was quarantined (stat err=%v)", err)
+		}
+	}
+
+	var logs []string
+	res := Run([]Job[int]{{Key: key, Name: "cell", Run: func() (int, error) { return 7, nil }}},
+		Options{Ledger: led, Logf: func(f string, a ...any) { logs = append(logs, fmt.Sprintf(f, a...)) }})
+	if res[0].Err != nil || res[0].Cached || res[0].Value != 7 {
+		t.Fatalf("result = %+v, want a fresh execution returning 7", res[0])
+	}
+	if len(logs) != 1 || !strings.Contains(logs[0], key) {
+		t.Fatalf("logs = %q, want one line naming the entry", logs)
 	}
 }
 

@@ -66,11 +66,6 @@ type Config struct {
 	// memory guard that keeps a hammered server from growing without
 	// bound.
 	MaxSessions int
-	// SimWorkers is the default sim_workers for sessions that do not set
-	// one: the simulator's parallel window engine worker count. Results
-	// and ledger keys are identical at any value, so operators can turn
-	// it on fleet-wide without invalidating recorded measurements.
-	SimWorkers int
 	// StreamSubscribers bounds concurrent SSE subscribers on the
 	// server-wide /eventsz stream and on each session's event stream
 	// (<= 0 means obs.DefaultBusSubscribers). The bound is what keeps a
@@ -240,9 +235,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.metric(func(m *obs.Registry) { m.Counter("serve.rejected_invalid").Inc() })
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
-	}
-	if req.Spec.SimWorkers == 0 {
-		req.Spec.SimWorkers = s.cfg.SimWorkers
 	}
 	req.Spec.Normalize()
 	if err := req.Spec.Validate(); err != nil {

@@ -458,6 +458,7 @@ func TestRequestValidation(t *testing.T) {
 	}{
 		{"malformed", `{"workload": `},
 		{"unknown field", `{"workload": "daxpy", "wrokload": "typo"}`},
+		{"removed sim_workers field", `{"workload": "daxpy", "sim_workers": 2}`},
 		{"unknown workload", `{"workload": "quicksort"}`},
 		{"threads too high", `{"workload": "daxpy", "threads": 64}`},
 		{"negative threads", `{"workload": "daxpy", "threads": -1}`},
@@ -483,16 +484,25 @@ func TestRequestValidation(t *testing.T) {
 		{"migration cpu out of range", `{"workload": "daxpy", "machine": "numa", "threads": 2, "migrate_at": 100, "migrate_cpu": 5, "migrate_node": 0}`},
 		{"migration without cycle", `{"workload": "daxpy", "machine": "numa", "migrate_cpu": 1}`},
 	}
+	// Rejections whose message must name the offending field.
+	names := map[string]string{
+		"unknown field":             `unknown field "wrokload"`,
+		"removed sim_workers field": `unknown field "sim_workers"`,
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := http.Post(ts.URL+"/sessions", "application/json", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer resp.Body.Close()
 			if resp.StatusCode != http.StatusBadRequest {
 				b, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
 				t.Fatalf("status %d, body %s, want 400", resp.StatusCode, b)
+			}
+			e := decodeBody[errorBody](t, resp)
+			if want := names[tc.name]; !strings.Contains(e.Error, want) {
+				t.Fatalf("error %q does not name the field (want %q)", e.Error, want)
 			}
 		})
 	}
@@ -635,62 +645,6 @@ func TestSessionRetentionEviction(t *testing.T) {
 		r := postJSON(t, ts.URL+"/sessions/"+id+"/cancel", nil)
 		r.Body.Close()
 		waitTerminal(t, ts.URL, id)
-	}
-}
-
-// TestSessionSimWorkersByteIdentical: the same session run serially and
-// under the parallel window engine returns byte-identical result
-// documents and shares one ledger key. Also checks the server-wide
-// Config.SimWorkers default is applied to sessions that don't set one.
-func TestSessionSimWorkersByteIdentical(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, SimWorkers: 4})
-	base := map[string]any{
-		"workload": "daxpy", "threads": 4, "daxpy_ws": 16 << 10, "daxpy_reps": 5,
-		"strategy": "adaptive",
-	}
-	fetch := func(extra map[string]any) (SessionInfo, []byte) {
-		body := map[string]any{}
-		for k, v := range base {
-			body[k] = v
-		}
-		for k, v := range extra {
-			body[k] = v
-		}
-		info := submit(t, ts.URL, body)
-		done := waitTerminal(t, ts.URL, info.ID)
-		if done.State != StateDone {
-			t.Fatalf("state = %s (err %q)", done.State, done.Error)
-		}
-		resp, err := http.Get(ts.URL + "/sessions/" + info.ID + "/result")
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("result: %v status %d", err, resp.StatusCode)
-		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		return info, b
-	}
-
-	// sim_workers -1 opts out of the server default and forces serial.
-	// (Validate rejects -1, so normalize it here the way handleSubmit
-	// would have to; instead submit an explicit 1 — serial engine.)
-	serialInfo, serialRes := fetch(map[string]any{"sim_workers": 1})
-	for _, w := range []int{2, 8} {
-		info, res := fetch(map[string]any{"sim_workers": w})
-		if info.Key != serialInfo.Key {
-			t.Errorf("sim_workers=%d forked the ledger key: %s != %s", w, info.Key, serialInfo.Key)
-		}
-		if !bytes.Equal(res, serialRes) {
-			t.Errorf("sim_workers=%d result differs from serial:\nparallel: %s\nserial:   %s", w, res, serialRes)
-		}
-	}
-	// No sim_workers in the request: the server default (4) applies, and
-	// the result is still byte-identical to serial.
-	defInfo, defRes := fetch(nil)
-	if defInfo.Key != serialInfo.Key {
-		t.Errorf("server-default sim_workers forked the ledger key")
-	}
-	if !bytes.Equal(defRes, serialRes) {
-		t.Errorf("server-default sim_workers result differs from serial")
 	}
 }
 

@@ -53,21 +53,16 @@ func TestSoak(t *testing.T) {
 	})
 
 	// A small rotation of specs: repeats hit the ledger, distinct sizes
-	// exercise the build cache, the adaptive entry exercises COBRA, and the
-	// sim_workers entries run the parallel window engine under soak load.
-	// The last entry repeats the second spec at sim_workers=4: both hash to
-	// one ledger key (worker count is execution strategy, not machine
-	// model), so the soak also exercises serial and parallel runs sharing
-	// a ledger entry.
+	// exercise the build cache, and the adaptive entry exercises COBRA.
+	// The fifth entry duplicates the second, so two rotation slots race
+	// on one ledger key.
 	specs := []map[string]any{
 		{"workload": "daxpy", "threads": 1, "daxpy_ws": 8 << 10, "daxpy_reps": 3},
 		{"workload": "daxpy", "threads": 2, "daxpy_ws": 16 << 10, "daxpy_reps": 3},
 		{"workload": "daxpy", "threads": 4, "daxpy_ws": 32 << 10, "daxpy_reps": 2,
 			"strategy": "adaptive", "artifacts": map[string]bool{"metrics": true, "events": true}},
-		{"workload": "daxpy", "threads": 2, "daxpy_ws": 24 << 10, "daxpy_reps": 2,
-			"sim_workers": 2},
-		{"workload": "daxpy", "threads": 2, "daxpy_ws": 16 << 10, "daxpy_reps": 3,
-			"sim_workers": 4},
+		{"workload": "daxpy", "threads": 2, "daxpy_ws": 24 << 10, "daxpy_reps": 2},
+		{"workload": "daxpy", "threads": 2, "daxpy_ws": 16 << 10, "daxpy_reps": 3},
 		// Scenario-matrix cells: an irregular workload on an asymmetric
 		// topology under each non-default placement policy, plus one
 		// mid-run migration — the declarative machine-shape plane under

@@ -59,13 +59,6 @@ type Spec struct {
 	DaxpyWS int64 `json:"daxpy_ws,omitempty"`
 	// DaxpyReps is the DAXPY outer repetition count; 0 defaults to 100.
 	DaxpyReps int `json:"daxpy_reps,omitempty"`
-	// SimWorkers is the host worker-goroutine count for the simulator's
-	// parallel window engine; 0 or 1 runs the serial engine. Results are
-	// byte-identical at any value, so it deliberately does NOT contribute
-	// to the session's ledger content hash (machine.Config excludes it
-	// from hashing): the same session at different worker counts shares
-	// one ledger entry.
-	SimWorkers int `json:"sim_workers,omitempty"`
 }
 
 // NodeSpec declares one NUMA node of an explicit topology: its CPU count
@@ -81,13 +74,12 @@ type NodeSpec struct {
 // runtime, which is what lets cobrad promise that a bounded queue of
 // validated sessions cannot OOM the process.
 const (
-	// MaxThreads was 16 until the parallel window engine made big-machine
-	// configs affordable; 32 opens the 16- and 32-CPU NUMA topologies.
-	MaxThreads    = 32
-	MaxSimWorkers = 32
-	MinDaxpyWS    = 4 << 10
-	MaxDaxpyWS    = 64 << 20
-	MaxDaxpyReps  = 100_000
+	// MaxThreads admits the 16- and 32-CPU NUMA topologies, which the
+	// serial causal engine runs like any smaller machine.
+	MaxThreads   = 32
+	MinDaxpyWS   = 4 << 10
+	MaxDaxpyWS   = 64 << 20
+	MaxDaxpyReps = 100_000
 	// MinTopologyMemMB is the floor on total declared capacity when every
 	// node of a topology is capacity-bounded: a session's arrays have to
 	// fit somewhere, so an all-bounded topology below this is rejected as
@@ -151,9 +143,6 @@ func (s *Spec) Validate() error {
 	}
 	if err := s.validateScenario(); err != nil {
 		return err
-	}
-	if s.SimWorkers < 0 || s.SimWorkers > MaxSimWorkers {
-		return fmt.Errorf("sim_workers %d out of range [0, %d]", s.SimWorkers, MaxSimWorkers)
 	}
 	switch s.Strategy {
 	case "off", "monitor", "noprefetch", "excl", "adaptive", "bias",
@@ -362,8 +351,6 @@ func (s *Spec) buildConfig() (workload.BuildConfig, error) {
 			{AtCycle: s.MigrateAt, CPU: s.MigrateCPU, Node: s.MigrateNode},
 		}
 	}
-	// Execution strategy, not machine model: hashed-out of the ledger key.
-	bc.Machine.SimWorkers = s.SimWorkers
 	switch s.Strategy {
 	case "off":
 	case "monitor":

@@ -70,76 +70,12 @@ func TestSpecEngineKeyStability(t *testing.T) {
 	}
 }
 
-// TestSpecSimWorkers: sim_workers validates in [0, MaxSimWorkers],
-// propagates to the machine config, and — because it selects an execution
-// strategy rather than a machine model — never perturbs the session's
-// ledger content hash: the same spec at any worker count shares one
-// ledger entry.
-func TestSpecSimWorkers(t *testing.T) {
-	base := &Spec{Workload: "daxpy"}
-	base.Normalize()
-	if err := base.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	baseKey, err := base.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{1, 2, 8, MaxSimWorkers} {
-		s := &Spec{Workload: "daxpy", SimWorkers: w}
-		s.Normalize()
-		if err := s.Validate(); err != nil {
-			t.Fatalf("sim_workers=%d: %v", w, err)
-		}
-		bc, err := s.buildConfig()
-		if err != nil {
-			t.Fatalf("sim_workers=%d: %v", w, err)
-		}
-		if bc.Machine.SimWorkers != w {
-			t.Fatalf("sim_workers=%d: machine config got %d", w, bc.Machine.SimWorkers)
-		}
-		key, err := s.Key()
-		if err != nil {
-			t.Fatalf("sim_workers=%d: %v", w, err)
-		}
-		if key != baseKey {
-			t.Fatalf("sim_workers=%d forked the ledger key: %s != %s", w, key, baseKey)
-		}
-	}
-	for _, w := range []int{-1, MaxSimWorkers + 1} {
-		s := &Spec{Workload: "daxpy", SimWorkers: w}
-		s.Normalize()
-		if err := s.Validate(); err == nil {
-			t.Fatalf("sim_workers=%d validated, want range error", w)
-		}
-	}
-}
-
-// TestSpecSimWorkersKeyStability: machine.Config must exclude SimWorkers
-// from its JSON encoding (json:"-"), which is what KeyOf hashes — the
-// mechanism behind the key equality asserted above.
-func TestSpecSimWorkersKeyStability(t *testing.T) {
-	s := &Spec{Workload: "daxpy", SimWorkers: 8}
-	s.Normalize()
-	bc, err := s.buildConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(bc.Machine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(strings.ToLower(string(b)), "simworkers") {
-		t.Fatalf("machine config leaks SimWorkers into content hashes: %s", b)
-	}
-}
-
 // TestSpecBigNUMATopologies: the 16- and 32-CPU NUMA machines opened by
 // the MaxThreads bump validate and build end-to-end with the expected
 // CPU count.
 func TestSpecBigNUMATopologies(t *testing.T) {
 	for _, n := range []int{16, 32} {
-		s := &Spec{Workload: "daxpy", Threads: n, Machine: "numa", SimWorkers: 4}
+		s := &Spec{Workload: "daxpy", Threads: n, Machine: "numa"}
 		s.Normalize()
 		if err := s.Validate(); err != nil {
 			t.Fatalf("numa threads=%d: %v", n, err)

@@ -27,7 +27,6 @@ const (
 	ModeRollback                    // in-place nop deployed mid-run, rolled back later
 	ModeVariantSwitch               // resident variant table, dispatch switched mid-phase
 	ModeVariantRollback             // variant table switched, then restored to original
-	ModeParallelSim                 // parallel window engine vs serial engine, no patch
 	ModeLayout                      // BOLT-style reordered block copy dispatched mid-run
 	ModeLayoutRollback              // reordered copy dispatched, then restored mid-run
 	ModePlacement                   // asymmetric NUMA under each placement policy, no patch
@@ -39,13 +38,9 @@ func AllModes() []Mode {
 	return []Mode{
 		ModeInPlaceNop, ModeInPlaceExcl, ModeTraceNop, ModeTraceExcl, ModeRollback,
 		ModeVariantSwitch, ModeVariantRollback, ModeLayout, ModeLayoutRollback,
-		ModeParallelSim, ModePlacement, ModeMigration,
+		ModePlacement, ModeMigration,
 	}
 }
-
-// parallelSimWorkers are the sim_workers values ModeParallelSim runs the
-// program under, each compared bit-identically against the serial run.
-var parallelSimWorkers = []int{2, 4, 8}
 
 // policyLabel names a placement policy in mode-result labels (the empty
 // string is the first-touch default).
@@ -72,8 +67,6 @@ func (m Mode) String() string {
 		return "variant-switch"
 	case ModeVariantRollback:
 		return "variant-rollback"
-	case ModeParallelSim:
-		return "parallel-sim"
 	case ModeLayout:
 		return "layout"
 	case ModeLayoutRollback:
@@ -290,10 +283,9 @@ func scenarioNodes(threads int) []mem.NodeConfig {
 // setupRun builds a runEnv for p. Allocation order is fixed and memory
 // contents re-derive from the seed, so every environment of the same
 // program is bit-identically initialized and the simulator's determinism
-// makes architectural outcomes comparable across runs. simWorkers > 1
-// selects the parallel window engine (ModeParallelSim); 0 is serial.
-// A non-nil sc swaps the SMP model for the asymmetric NUMA scenario.
-func setupRun(p *Program, simWorkers int, sc *numaScenario) (*runEnv, error) {
+// makes architectural outcomes comparable across runs. A non-nil sc
+// swaps the SMP model for the asymmetric NUMA scenario.
+func setupRun(p *Program, sc *numaScenario) (*runEnv, error) {
 	img := p.Img.Clone()
 	mcfg := machine.DefaultConfig(p.Cfg.Threads)
 	if sc != nil {
@@ -305,7 +297,6 @@ func setupRun(p *Program, simWorkers int, sc *numaScenario) (*runEnv, error) {
 	}
 	mcfg.Mem.MemBytes = 16 << 20
 	mcfg.MaxInstrPerRun = maxInstrPerRun
-	mcfg.SimWorkers = simWorkers
 	m, err := machine.New(mcfg, img)
 	if err != nil {
 		return nil, err
@@ -497,15 +488,11 @@ func armLayoutTimers(m *machine.Machine, patcher *cobra.Patcher, img *ia64.Image
 // runProgram executes p on a fresh machine, optionally live-patching it
 // mid-run per plan, and snapshots the final architectural state.
 func runProgram(p *Program, plan *patchPlan) (*runOutcome, error) {
-	return runScenario(p, plan, 0, nil)
+	return runScenario(p, plan, nil)
 }
 
-func runProgramWorkers(p *Program, plan *patchPlan, simWorkers int) (*runOutcome, error) {
-	return runScenario(p, plan, simWorkers, nil)
-}
-
-func runScenario(p *Program, plan *patchPlan, simWorkers int, sc *numaScenario) (*runOutcome, error) {
-	env, err := setupRun(p, simWorkers, sc)
+func runScenario(p *Program, plan *patchPlan, sc *numaScenario) (*runOutcome, error) {
+	env, err := setupRun(p, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -675,36 +662,6 @@ func VerifySeed(cfg GenConfig, modes []Mode, faults []FaultKind) SeedReport {
 		switchAt = deployAt + 1
 	}
 	for _, mode := range modes {
-		if mode == ModeParallelSim {
-			// Not a patch mode: the same unpatched program runs on the
-			// parallel window engine at several worker counts, and every
-			// run must be bit-identical to the serial baseline — register
-			// files, memory words, and the cycle/retired totals (the
-			// window engine replays timing exactly, not approximately).
-			for _, w := range parallelSimWorkers {
-				run, err := runProgramWorkers(p, nil, w)
-				if err != nil {
-					rep.Err = fmt.Sprintf("parallel-sim-w%d: %s", w, err)
-					return rep
-				}
-				rep.InvariantChecks += run.invariantChecks
-				rep.InvariantViolations = append(rep.InvariantViolations, run.invariantViolations...)
-				mismatches := diffStates(base.state, run.state, diffLimit)
-				if run.totalCycles != base.totalCycles {
-					mismatches = append(mismatches, fmt.Sprintf("total cycles: got %d want %d", run.totalCycles, base.totalCycles))
-				}
-				if run.retired != base.retired {
-					mismatches = append(mismatches, fmt.Sprintf("retired: got %d want %d", run.retired, base.retired))
-				}
-				rep.Modes = append(rep.Modes, ModeResult{
-					Mode:       fmt.Sprintf("parallel-sim-w%d", w),
-					Cycles:     run.totalCycles,
-					Deployed:   true, // nothing to deploy; satisfies the battery's check
-					Mismatches: mismatches,
-				})
-			}
-			continue
-		}
 		if mode == ModePlacement {
 			// Not a patch mode: the unpatched program runs on an asymmetric
 			// NUMA topology under every placement policy. Placement moves
@@ -717,7 +674,7 @@ func VerifySeed(cfg GenConfig, modes []Mode, faults []FaultKind) SeedReport {
 				if pol == mem.PlaceBind {
 					sc.bindNode = len(scenarioNodes(p.Cfg.Threads)) - 1
 				}
-				run, err := runScenario(p, nil, 0, sc)
+				run, err := runScenario(p, nil, sc)
 				if err != nil {
 					rep.Err = fmt.Sprintf("placement-%s: %s", policyLabel(pol), err)
 					return rep
@@ -747,7 +704,7 @@ func VerifySeed(cfg GenConfig, modes []Mode, faults []FaultKind) SeedReport {
 			// up to the moment it fires: the deploy deadline from an
 			// unpatched run on the same topology, the migration deadline
 			// from a patched-but-unmigrated run.
-			pre, err := runScenario(p, nil, 0, &numaScenario{placement: mem.PlaceFirstTouch})
+			pre, err := runScenario(p, nil, &numaScenario{placement: mem.PlaceFirstTouch})
 			if err != nil {
 				rep.Err = "migration-baseline: " + err.Error()
 				return rep
@@ -760,7 +717,7 @@ func VerifySeed(cfg GenConfig, modes []Mode, faults []FaultKind) SeedReport {
 			}
 			swAt, rbAt = depAt+1, depAt+2
 			patched, err := runScenario(p, &patchPlan{mode: mode, deployAt: depAt, switchAt: swAt, rollbackAt: rbAt},
-				0, &numaScenario{placement: mem.PlaceFirstTouch})
+				&numaScenario{placement: mem.PlaceFirstTouch})
 			if err != nil {
 				rep.Err = "migration-patched-baseline: " + err.Error()
 				return rep
@@ -778,7 +735,7 @@ func VerifySeed(cfg GenConfig, modes []Mode, faults []FaultKind) SeedReport {
 				},
 			}
 		}
-		run, err := runScenario(p, &patchPlan{mode: mode, deployAt: depAt, switchAt: swAt, rollbackAt: rbAt}, 0, sc)
+		run, err := runScenario(p, &patchPlan{mode: mode, deployAt: depAt, switchAt: swAt, rollbackAt: rbAt}, sc)
 		if err != nil {
 			rep.Err = mode.String() + ": " + err.Error()
 			return rep

@@ -201,7 +201,7 @@ func RunFault(p *Program, baseline *archState, kind FaultKind) (res FaultResult)
 		}
 	}()
 
-	env, err := setupRun(p, 0, nil)
+	env, err := setupRun(p, nil)
 	if err != nil {
 		res.Err = err.Error()
 		return res

@@ -125,7 +125,7 @@ func TestOracleDetectsSemanticCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		env, err := setupRun(p, 0, nil)
+		env, err := setupRun(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,9 +198,8 @@ func TestRunCorpusSmoke(t *testing.T) {
 	if sum.Programs != 6 {
 		t.Fatalf("programs = %d, want 6", sum.Programs)
 	}
-	// parallel-sim is one mode but runs once per worker count, and
 	// placement is one mode but runs once per placement policy.
-	wantRuns := 6*(1+len(AllModes())+len(parallelSimWorkers)-1+3-1) + 2*len(AllFaults())
+	wantRuns := 6*(1+len(AllModes())+3-1) + 2*len(AllFaults())
 	if sum.Runs != wantRuns {
 		t.Fatalf("runs = %d, want %d", sum.Runs, wantRuns)
 	}

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/machine"
@@ -57,39 +56,6 @@ func TestIrregularWorkloadsVerify(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestIrregularParallelSimByteIdentical: the parallel window engine must
-// reproduce the serial engine's measurement — cycles and every memory
-// counter — bit for bit on the irregular kernels, whose data-dependent
-// access streams are the hardest case for windowed replay.
-func TestIrregularParallelSimByteIdentical(t *testing.T) {
-	for _, tc := range irregularCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			serial := NUMAConfig(4)
-			ms, err := measure(tc.build(), serial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			parallel := NUMAConfig(4)
-			parallel.Machine.SimWorkers = 4
-			mp, err := measure(tc.build(), parallel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ms, mp) {
-				t.Fatalf("parallel-sim diverged:\nserial:   %+v\nparallel: %+v", ms, mp)
-			}
-		})
-	}
-}
-
-func measure(w *Workload, bc BuildConfig) (Measurement, error) {
-	inst, err := Build(w, bc)
-	if err != nil {
-		return Measurement{}, err
-	}
-	return inst.Measure()
 }
 
 // TestIrregularAffinityPreservesResults: pinning threads to reversed CPUs
