@@ -77,12 +77,12 @@ func layoutSmokeConfig() cobra.Config {
 	return cfg
 }
 
-// launchBranchy builds the full stack (machine, openmp, cobra with the
-// layout engine) and launches the kernel `launches` times — dispatch into
+// launchBranchy builds the full stack (machine, openmp, cobra under cfg)
+// and launches the kernel `launches` times — dispatch into
 // a deployed copy happens at the region entry, so the reordered code only
 // runs when the kernel is re-entered, exactly like a workload calling its
 // parallel region once per repetition.
-func launchBranchy(t *testing.T, reps int64, launches int) (cobra.Config, *cobra.Runtime, *machine.Machine, uint64) {
+func launchBranchy(t *testing.T, reps int64, launches int, cfg cobra.Config) (cobra.Config, *cobra.Runtime, *machine.Machine, uint64) {
 	t.Helper()
 	const threads = 4
 	img := ia64.NewImage()
@@ -102,7 +102,6 @@ func launchBranchy(t *testing.T, reps int64, launches int) (cobra.Config, *cobra
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := layoutSmokeConfig()
 	cb := cobra.New(m, cfg)
 	rt.OnFork = func(tid, cpu int) { cb.MonitorThread(tid, cpu) }
 	for i := 0; i < launches; i++ {
@@ -123,7 +122,7 @@ func launchBranchy(t *testing.T, reps int64, launches int) (cobra.Config, *cobra
 // evidence attached, keep the decision lifecycle legal, pass self-check,
 // and preserve the kernel's architectural result.
 func TestLayoutDeploysOnBranchyKernel(t *testing.T) {
-	cfg, cb, m, base := launchBranchy(t, 400, 60)
+	cfg, cb, m, base := launchBranchy(t, 400, 60, layoutSmokeConfig())
 
 	if got := cb.Stats().PatchesApplied; got == 0 {
 		t.Fatal("layout engine never deployed on the branchy kernel")
@@ -171,7 +170,7 @@ func TestLayoutDeploysOnBranchyKernel(t *testing.T) {
 // code cache must hold exactly one layout copy — re-engagement is a
 // dispatch switch, never a redeploy.
 func TestLayoutJudgesAndKeepsDispatchStable(t *testing.T) {
-	cfg, cb, m, _ := launchBranchy(t, 400, 120)
+	cfg, cb, m, _ := launchBranchy(t, 400, 120, layoutSmokeConfig())
 	img := m.Image()
 
 	layouts := 0
