@@ -74,10 +74,12 @@ stream-smoke:
 	$(GO) test -race -count=1 -run 'TestStreamEquivalence|TestStreamResume|TestEventszStream' ./internal/serve/
 
 # Strategy-engine matrix: every registered engine (prefetch, multiversion,
-# causal) drives the phased re-adaptation workload with the decision-log
-# lifecycle audited for legality, the multiversion engine required to
-# switch a resident variant, and the causal engine required to pair its
-# what-if prediction with the realized IPC.
+# causal, layout) drives the phased re-adaptation workload with the
+# decision-log lifecycle audited for legality, the multiversion engine
+# required to switch a resident variant, and the causal engine required
+# to pair its what-if prediction with the realized IPC. The digest test
+# pins cycles, Stats, decision log and non-patch trace of 13 (workload,
+# engine) cells and demands one patch trace instant per decision.
 strategy-smoke:
 	$(GO) test -count=1 ./internal/strategy/
 

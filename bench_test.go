@@ -57,7 +57,7 @@ func BenchmarkFig2Codegen(b *testing.B) {
 
 func benchFigure3(b *testing.B, panel byte) {
 	for i := 0; i < b.N; i++ {
-		cells, err := experiment.Figure3(panel, benchDaxpyScale())
+		cells, err := experiment.Figure3Sched(panel, benchDaxpyScale(), experiment.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func BenchmarkFig3bDaxpyPrefetchExcl(b *testing.B)         { benchFigure3(b, 'b'
 
 func BenchmarkTable1StaticCounts(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiment.Table1(npb.ClassS)
+		rows, err := experiment.Table1Sched(npb.ClassS, experiment.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -108,7 +108,7 @@ var (
 func npbSweep(b *testing.B, m experiment.MachineKind) *experiment.NPBResult {
 	b.Helper()
 	npbOnce[m].Do(func() {
-		npbResult[m], npbErr[m] = experiment.RunNPB(m, npb.ClassS, nil)
+		npbResult[m], npbErr[m] = experiment.RunNPBSched(m, npb.ClassS, nil, experiment.Options{})
 	})
 	if npbErr[m] != nil {
 		b.Fatal(npbErr[m])

@@ -158,10 +158,11 @@ func main() {
 			if inst == nil {
 				fmt.Println("  (patch list unavailable for a ledger-cached run)")
 			} else {
-				for _, p := range inst.Cobra.ActivePatches() {
+				for _, vs := range inst.Cobra.ActiveDeployments() {
+					v := vs.ActiveVariant()
 					fmt.Printf("  patch: region [%d,%d] in %s: %d prefetches -> %s (trace entry %d)\n",
-						p.Region.Start, p.Region.End, p.Region.FuncName,
-						p.RewrittenPrefetches, p.Rewrite, p.TraceEntry)
+						vs.Region.Start, vs.Region.End, vs.Region.FuncName,
+						v.RewrittenPrefetches, v.Rewrite, v.TraceEntry)
 				}
 			}
 		}

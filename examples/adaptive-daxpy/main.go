@@ -15,16 +15,17 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/cobra"
+	"repro/internal/workload"
 )
 
 func main() {
 	fmt.Println("phase 1: cache-resident window (coherent misses dominate)")
 	fmt.Println("phase 2: streaming the full array (prefetching essential)")
-	bc := core.SMPConfig(4)
-	cfg := core.DefaultCobraConfig(core.StrategyAdaptive)
+	bc := workload.SMPConfig(4)
+	cfg := cobra.DefaultConfig(cobra.StrategyAdaptive)
 	bc.Cobra = &cfg
-	inst, err := core.Build(core.PhasedDaxpy(core.PhasedDaxpyParams{}), bc)
+	inst, err := workload.Build(workload.PhasedDaxpy(workload.PhasedDaxpyParams{}), bc)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,17 +10,19 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/cobra"
+	"repro/internal/npb"
+	"repro/internal/workload"
 )
 
-func run(strategy *core.CobraConfig) core.Measurement {
-	w, err := core.NPB("lu", core.ClassS, 0)
+func run(strategy *cobra.Config) workload.Measurement {
+	w, err := npb.Build("lu", npb.Params{Class: npb.ClassS})
 	if err != nil {
 		log.Fatal(err)
 	}
-	bc := core.NUMAConfig(8)
+	bc := workload.NUMAConfig(8)
 	bc.Cobra = strategy
-	inst, err := core.Build(w, bc)
+	inst, err := workload.Build(w, bc)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,7 +35,7 @@ func run(strategy *core.CobraConfig) core.Measurement {
 
 func main() {
 	base := run(nil)
-	cfg := core.DefaultCobraConfig(core.StrategyNoprefetch)
+	cfg := cobra.DefaultConfig(cobra.StrategyNoprefetch)
 	// On cc-NUMA the DEAR coherent-latency filter must sit above the
 	// remote memory latency (§4's two-level filtering).
 	cfg.CoherentLatency = 420

@@ -8,14 +8,15 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/cobra"
+	"repro/internal/workload"
 )
 
-func measure(strategy *core.CobraConfig) (core.Measurement, *core.Instance) {
-	w := core.Daxpy(core.DaxpyParams{WorkingSetBytes: 128 << 10, OuterReps: 100})
-	bc := core.SMPConfig(4)
+func measure(strategy *cobra.Config) (workload.Measurement, *workload.Instance) {
+	w := workload.Daxpy(workload.DaxpyParams{WorkingSetBytes: 128 << 10, OuterReps: 100})
+	bc := workload.SMPConfig(4)
 	bc.Cobra = strategy
-	inst, err := core.Build(w, bc)
+	inst, err := workload.Build(w, bc)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,18 +33,19 @@ func main() {
 	fmt.Printf("  coherent snoops: %d dirty, %d ownership-steals, %d upgrades\n\n",
 		base.Mem.BusRdHitm, base.Mem.BusRdInvalAllHitm, base.Mem.BusUpgrades)
 
-	for _, s := range []core.Strategy{core.StrategyNoprefetch, core.StrategyExcl} {
-		cfg := core.DefaultCobraConfig(s)
+	for _, s := range []cobra.Strategy{cobra.StrategyNoprefetch, cobra.StrategyExcl} {
+		cfg := cobra.DefaultConfig(s)
 		m, inst := measure(&cfg)
 		fmt.Printf("COBRA %-14s %d cycles (%.1f%% vs baseline)\n",
 			s.String()+":", m.Cycles, 100*float64(base.Cycles-m.Cycles)/float64(base.Cycles))
 		fmt.Printf("  samples=%d triggers=%d patches=%d prefetches rewritten=%d traces=%d\n",
 			m.Cobra.SamplesSeen, m.Cobra.Triggers, m.Cobra.PatchesApplied,
 			m.Cobra.PrefetchesNopped+m.Cobra.PrefetchesExcl, m.Cobra.TracesEmitted)
-		for _, p := range inst.Cobra.ActivePatches() {
+		for _, vs := range inst.Cobra.ActiveDeployments() {
+			v := vs.ActiveVariant()
 			fmt.Printf("  patch: loop [%d,%d] in %s -> %s (%d lfetch sites, trace @%d)\n",
-				p.Region.Start, p.Region.End, p.Region.FuncName, p.Rewrite,
-				p.RewrittenPrefetches, p.TraceEntry)
+				vs.Region.Start, vs.Region.End, vs.Region.FuncName, v.Rewrite,
+				v.RewrittenPrefetches, v.TraceEntry)
 		}
 		fmt.Println()
 	}

@@ -109,11 +109,11 @@ func TestPatcherInPlaceAndRollback(t *testing.T) {
 	img, memory, region, pfs := buildLoopImage(t)
 	_ = memory
 	p := NewPatcher(img, false)
-	patch, err := p.Deploy(region, pfs, RewriteNop)
+	patch, err := deployOne(p, region, pfs, RewriteNop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if patch.RewrittenPrefetches != 3 || patch.TraceEntry != -1 {
+	if patch.Variants[0].RewrittenPrefetches != 3 || patch.Variants[0].TraceEntry != -1 {
 		t.Fatalf("patch = %+v", patch)
 	}
 	for _, pc := range pfs {
@@ -121,7 +121,7 @@ func TestPatcherInPlaceAndRollback(t *testing.T) {
 			t.Fatalf("slot %d = %v, want nop", pc, in.Op)
 		}
 	}
-	if err := p.Rollback(patch); err != nil {
+	if err := p.Switch(patch, -1); err != nil {
 		t.Fatal(err)
 	}
 	for _, pc := range pfs {
@@ -135,7 +135,7 @@ func TestPatcherExclRewriteKeepsOperands(t *testing.T) {
 	img, _, region, pfs := buildLoopImage(t)
 	p := NewPatcher(img, false)
 	before := img.Fetch(pfs[1])
-	if _, err := p.Deploy(region, pfs[1:2], RewriteExcl); err != nil {
+	if _, err := deployOne(p, region, pfs[1:2], RewriteExcl); err != nil {
 		t.Fatal(err)
 	}
 	after := img.Fetch(pfs[1])
@@ -148,15 +148,15 @@ func TestPatcherTraceDeploy(t *testing.T) {
 	img, _, region, pfs := buildLoopImage(t)
 	lenBefore := img.Len()
 	p := NewPatcher(img, true)
-	patch, err := p.Deploy(region, pfs, RewriteNop)
+	patch, err := deployOne(p, region, pfs, RewriteNop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if patch.TraceEntry < lenBefore {
-		t.Fatalf("trace entry %d not in code cache (image was %d slots)", patch.TraceEntry, lenBefore)
+	if patch.Variants[0].TraceEntry < lenBefore {
+		t.Fatalf("trace entry %d not in code cache (image was %d slots)", patch.Variants[0].TraceEntry, lenBefore)
 	}
 	// Entry slot redirected to the trace.
-	if in := img.Fetch(region.Start); in.Op != ia64.OpBr || in.Br != ia64.BrAlways || int(in.Imm) != patch.TraceEntry {
+	if in := img.Fetch(region.Start); in.Op != ia64.OpBr || in.Br != ia64.BrAlways || int(in.Imm) != patch.Variants[0].TraceEntry {
 		t.Fatalf("entry not redirected: %+v", in)
 	}
 	// Original body otherwise untouched (prefetches still there).
@@ -167,7 +167,7 @@ func TestPatcherTraceDeploy(t *testing.T) {
 	}
 	// Trace: backward branch relocated to trace-local head; prefetches
 	// rewritten; ends with a branch back after the region.
-	traceFn, ok := img.FuncAt(patch.TraceEntry)
+	traceFn, ok := img.FuncAt(patch.Variants[0].TraceEntry)
 	if !ok {
 		t.Fatal("trace not registered in function table")
 	}
@@ -196,7 +196,7 @@ func TestPatcherTraceDeploy(t *testing.T) {
 		t.Fatalf("trace exit targets %d, want %d", exitBr.Imm, region.End+1)
 	}
 	// Rollback restores the entry word.
-	if err := p.Rollback(patch); err != nil {
+	if err := p.Switch(patch, -1); err != nil {
 		t.Fatal(err)
 	}
 	if in := img.Fetch(region.Start); in.IsBranch() {
@@ -207,7 +207,7 @@ func TestPatcherTraceDeploy(t *testing.T) {
 func TestDeployRejectsEmptySelection(t *testing.T) {
 	img, _, region, _ := buildLoopImage(t)
 	p := NewPatcher(img, false)
-	if _, err := p.Deploy(region, nil, RewriteNop); err == nil {
+	if _, err := deployOne(p, region, nil, RewriteNop); err == nil {
 		t.Fatal("deploy with no slots succeeded")
 	}
 }
@@ -215,11 +215,11 @@ func TestDeployRejectsEmptySelection(t *testing.T) {
 func TestDeploySkipsAlreadyPatchedSlots(t *testing.T) {
 	img, _, region, pfs := buildLoopImage(t)
 	p := NewPatcher(img, false)
-	if _, err := p.Deploy(region, pfs, RewriteNop); err != nil {
+	if _, err := deployOne(p, region, pfs, RewriteNop); err != nil {
 		t.Fatal(err)
 	}
 	// All lfetches already gone: second deploy must fail cleanly.
-	if _, err := p.Deploy(region, pfs, RewriteExcl); err == nil {
+	if _, err := deployOne(p, region, pfs, RewriteExcl); err == nil {
 		t.Fatal("second deploy over nopped slots succeeded")
 	}
 }

@@ -62,17 +62,17 @@ func TestRewriteBiasApplicability(t *testing.T) {
 func TestPatcherDeploysBiasInPlace(t *testing.T) {
 	img, _, region, ldPC := buildIntRMWImage(t)
 	p := NewPatcher(img, false)
-	patch, err := p.Deploy(region, []int{ldPC}, RewriteBias)
+	patch, err := deployOne(p, region, []int{ldPC}, RewriteBias)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if patch.RewrittenPrefetches != 1 {
-		t.Fatalf("rewritten = %d", patch.RewrittenPrefetches)
+	if patch.Variants[0].RewrittenPrefetches != 1 {
+		t.Fatalf("rewritten = %d", patch.Variants[0].RewrittenPrefetches)
 	}
 	if in := img.Fetch(ldPC); in.Hint != ia64.HintBias {
 		t.Fatalf("load hint = %v, want .bias", in.Hint)
 	}
-	if err := p.Rollback(patch); err != nil {
+	if err := p.Switch(patch, -1); err != nil {
 		t.Fatal(err)
 	}
 	if in := img.Fetch(ldPC); in.Hint != ia64.HintNone {
@@ -83,7 +83,7 @@ func TestPatcherDeploysBiasInPlace(t *testing.T) {
 func TestPatcherDeploysBiasTrace(t *testing.T) {
 	img, _, region, ldPC := buildIntRMWImage(t)
 	p := NewPatcher(img, true)
-	patch, err := p.Deploy(region, []int{ldPC}, RewriteBias)
+	patch, err := deployOne(p, region, []int{ldPC}, RewriteBias)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestPatcherDeploysBiasTrace(t *testing.T) {
 	if in := img.Fetch(ldPC); in.Hint != ia64.HintNone {
 		t.Fatal("trace deploy modified the original load")
 	}
-	fn, ok := img.FuncAt(patch.TraceEntry)
+	fn, ok := img.FuncAt(patch.Variants[0].TraceEntry)
 	if !ok {
 		t.Fatal("trace not registered")
 	}
@@ -105,8 +105,8 @@ func TestPatcherDeploysBiasTrace(t *testing.T) {
 		t.Fatal("no biased load in the trace")
 	}
 	// ActiveKey relocation points into the trace.
-	if patch.ActiveKey.Head < fn.Entry || patch.ActiveKey.BranchPC >= fn.End {
-		t.Fatalf("ActiveKey %+v outside trace [%d,%d)", patch.ActiveKey, fn.Entry, fn.End)
+	if patch.Variants[0].ActiveKey.Head < fn.Entry || patch.Variants[0].ActiveKey.BranchPC >= fn.End {
+		t.Fatalf("ActiveKey %+v outside trace [%d,%d)", patch.Variants[0].ActiveKey, fn.Entry, fn.End)
 	}
 }
 

@@ -32,7 +32,7 @@ func buildLfetchLoop(t *testing.T) (*ia64.Image, Region, int) {
 // contract of the rollback cooldown: the CooldownUntil evidence recorded
 // with a rolled_back decision must equal the cycle of the earliest
 // optimizer pass at which the region's cooldown has expired. Before the
-// fix, the per-pass decrement ran after evaluatePatches in the same pass
+// fix, the per-pass decrement ran after the judgement in the same pass
 // that set the cooldown, so the region became deployable one full
 // OptimizeInterval before the cycle the decision log advertised.
 func TestCooldownUntilMatchesEarliestRedeploy(t *testing.T) {
@@ -52,14 +52,14 @@ func TestCooldownUntilMatchesEarliestRedeploy(t *testing.T) {
 		obs:     o,
 	}
 
-	patch, err := r.patcher.Deploy(region, []int{lfetchSlot}, RewriteNop)
+	patch, err := deployOne(r.patcher, region, []int{lfetchSlot}, RewriteNop)
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
 	// An absurd baseline guarantees the judgement regresses: the synthetic
 	// windows retire nothing, so activeAgg.IPC() is 0.
-	r.regions[region.Key] = &RegionState{Patch: patch, Rewrite: RewriteNop, Baseline: 10}
-	// The patch bypassed deployOptimizations; record its lifecycle prefix
+	r.regions[region.Key] = &RegionState{Deployment: patch, Rewrite: RewriteNop, Baseline: 10}
+	// The patch bypassed the lifecycle's deploy path; record its prefix
 	// so the replayed state machine starts from a legal deployed state.
 	o.Decisions().Record(0, uint64(region.Key.Head), 0, obs.StateCandidate, "test", obs.Evidence{})
 	o.Decisions().Record(0, uint64(region.Key.Head), 0, obs.StateDeployed, "test", obs.Evidence{})
@@ -83,7 +83,7 @@ func TestCooldownUntilMatchesEarliestRedeploy(t *testing.T) {
 			}
 			continue
 		}
-		// After the pass's decrement, cooldown==0 means deployOptimizations
+		// After the pass's decrement, cooldown==0 means the lifecycle
 		// would have accepted the region this pass.
 		if st.Cooldown == 0 {
 			clearedAt = now

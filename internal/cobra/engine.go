@@ -8,21 +8,61 @@ import (
 )
 
 // Engine is a pluggable optimization strategy: the policy layer between
-// profiling and patching. Each optimizer pass the runtime calls Judge
-// with the fresh profile window (re-evaluate outstanding patches,
-// commit/abandon), and Propose when the coherent-pressure trigger fired
-// over the rolling horizon (generate and deploy new candidates). All
-// machine state is reached through the Control facade, so an engine can
-// live outside this package (see internal/strategy).
+// profiling and patching. The patch lifecycle itself — eligibility,
+// deployment, judgement, rollback, the counters and every decision-log
+// record and trace instant — belongs to Control; an engine only answers
+// its questions. All machine state is reached through the Control
+// facade, so an engine can live outside this package (see
+// internal/strategy).
 type Engine interface {
 	// Name is the registry name the engine was built under.
 	Name() string
-	// Judge re-evaluates every outstanding patch against its pre-patch
-	// baselines. Called every pass, before the trigger decision.
-	Judge(c *Control, win Window, now int64)
-	// Propose reacts to a fired trigger: select regions from the horizon
-	// aggregate agg and deploy new optimizations.
-	Propose(c *Control, agg Window, now int64)
+	// Propose reacts to a fired trigger: which regions to deploy, with
+	// which rewrites or variants, in priority order, given the trigger
+	// horizon aggregate agg. Proposals should name Eligible regions only.
+	Propose(c *Control, agg Window) []Proposal
+	// OnRegress answers what a deployed region whose judgement regressed
+	// does next.
+	OnRegress(c *Control, st *RegionState) Regression
+	// Decorate adds the engine's own fields to the evidence of a decision
+	// about deployed region k.
+	Decorate(k LoopKey, st *RegionState, ev *obs.Evidence)
+}
+
+// Harvester is an optional Engine extension for engines that accumulate
+// profile state across windows: Control calls Harvest once per optimizer
+// pass, before judging.
+type Harvester interface {
+	Harvest(c *Control)
+}
+
+// Proposal is one deployment an engine asks Control to attempt.
+type Proposal struct {
+	Key LoopKey
+	// Reason is the candidate decision's reason; Control records
+	// "escalate" instead when the region's last decision was a rollback.
+	Reason string
+	// Specs is the version table to deploy; its first variant is
+	// dispatched. Nil re-engages the region's resident table with one
+	// dispatch switch instead — no candidate, no redeploy.
+	Specs []VariantSpec
+	// Block, when set, deploys nothing and ends the region's lifecycle
+	// with this reason.
+	Block string
+	// Evidence carries the engine's own fields for the candidate decision.
+	Evidence obs.Evidence
+}
+
+// Regression is an engine's answer to a regressed judgement.
+type Regression struct {
+	// To is the resident variant to dispatch instead; -1 restores the
+	// original code and starts the cooldown.
+	To int
+	// Reason is the switched or rolled_back decision's reason.
+	Reason string
+	// Block, with To == -1, also bars the region from further patching,
+	// with this reason.
+	Block string
 }
 
 // EngineFactory builds an engine instance for one runtime.
@@ -71,33 +111,44 @@ func init() {
 	RegisterEngine("prefetch", func(Config) Engine { return prefetchEngine{} })
 }
 
-// prefetchEngine is the historical built-in policy — nop / lfetch.excl /
-// ld8.bias rewrites chosen by the Strategy precedence, destructive
-// patch/rollback lifecycle — extracted behind the Engine interface. It
-// delegates to the runtime's original evaluatePatches and
-// deployOptimizations bodies, so its behavior is bit-identical to the
-// pre-registry control loop (the results/ goldens pin this).
+// prefetchEngine is the historical built-in policy: nop / lfetch.excl /
+// ld8.bias rewrites chosen by the Strategy precedence, one trace (or one
+// in-place rewrite) per deployment, dropped on regression. Adaptive mode
+// escalates a rolled-back region to the next rewrite; a fixed strategy
+// blocks it.
 type prefetchEngine struct{}
 
 func (prefetchEngine) Name() string { return "prefetch" }
 
-func (prefetchEngine) Judge(c *Control, win Window, now int64) {
-	c.r.evaluatePatches(win, now)
+func (prefetchEngine) Propose(c *Control, agg Window) []Proposal {
+	loads := c.CandidateLoads()
+	var out []Proposal
+	for _, k := range c.EligibleKeys(loads) {
+		rw, ok := c.r.chooseRewrite(c.Region(k))
+		if !ok {
+			// A rolled-back region with no rewrite left to try ends the
+			// lifecycle.
+			out = append(out, Proposal{Key: k, Block: "rewrites_exhausted"})
+			continue
+		}
+		slots := c.r.selectPrefetches(c.r.analyzer.RegionFor(k), loads[k], rw)
+		out = append(out, Proposal{Key: k, Reason: "trigger", Specs: []VariantSpec{{Rewrite: rw, Slots: slots}}})
+	}
+	return out
 }
 
-func (prefetchEngine) Propose(c *Control, agg Window, now int64) {
-	c.r.deployOptimizations(agg, now)
+func (prefetchEngine) OnRegress(c *Control, _ *RegionState) Regression {
+	if c.r.cfg.Strategy != StrategyAdaptive {
+		return Regression{To: -1, Reason: "regressed", Block: "fixed_strategy"}
+	}
+	return Regression{To: -1, Reason: "regressed"}
 }
 
-// SortLoopKeys orders loop keys by full (Head, BranchPC) identity —
-// engines must iterate candidate maps in this order so map iteration
-// never leaks into trace or decision emission.
-func SortLoopKeys(keys []LoopKey) { sortLoopKeys(keys) }
+func (prefetchEngine) Decorate(LoopKey, *RegionState, *obs.Evidence) {}
 
-// Control is the machine-state facade handed to strategy engines: the
+// Control is the machine-state facade handed to strategy engines — the
 // profiling, analysis and patching components plus the per-region
-// adaptive state, with helpers for the bookkeeping every engine needs
-// (window accumulation, baselines, counters) so policies stay policy.
+// adaptive state — and the owner of the patch lifecycle (lifecycle.go).
 type Control struct {
 	r *Runtime
 }
@@ -114,17 +165,8 @@ func (c *Control) Profiler() *Profiler { return c.r.prof }
 // Analyzer exposes binary analysis (regions, prefetch sites, segments).
 func (c *Control) Analyzer() *Analyzer { return c.r.analyzer }
 
-// Patcher exposes the binary patcher (in-place, trace, variant table).
+// Patcher exposes the binary patcher.
 func (c *Control) Patcher() *Patcher { return c.r.patcher }
-
-// Observer returns the observability sink (nil-safe accessors).
-func (c *Control) Observer() *obs.Observer { return c.r.obs }
-
-// WindowOrdinal is the ordinal of the profiling window being processed.
-func (c *Control) WindowOrdinal() int { return c.r.windows }
-
-// GlobalIPC is the smoothed whole-program IPC baseline.
-func (c *Control) GlobalIPC() float64 { return c.r.globalEMA }
 
 // Region returns the adaptive state of a loop, creating it on first use.
 func (c *Control) Region(k LoopKey) *RegionState {
@@ -136,30 +178,38 @@ func (c *Control) Region(k LoopKey) *RegionState {
 	return st
 }
 
-// PatchedKeys returns the keys of regions with a live patch, in address
-// order (map order must never leak into traces or decision logs).
-func (c *Control) PatchedKeys() []LoopKey {
-	var keys []LoopKey
-	for k, st := range c.r.regions {
-		if st.Patch == nil || len(st.Patch.Slots) == 0 {
-			continue
+// Eligible reports whether loop k may enter the lifecycle now: it is a
+// loop of the original binary (never one of our own copies), it is not
+// live, cooling down or blocked — and no other key on the same loop head
+// is live or blocked. Two backward branches can share one head, and the
+// decision log is keyed by head, so a head is in at most one lifecycle
+// at a time. Decided from runtime state only: the log may be disabled.
+func (c *Control) Eligible(k LoopKey) bool {
+	if c.r.patcher.InCodeCache(k.Head) || c.r.patcher.InCodeCache(k.BranchPC) || !c.r.analyzer.ValidLoop(k) {
+		return false
+	}
+	if st := c.Region(k); st.Live() || st.Cooldown > 0 || st.Blocked {
+		return false
+	}
+	for other, st := range c.r.regions {
+		if other.Head == k.Head && other != k && (st.Live() || st.Blocked) {
+			return false
 		}
-		keys = append(keys, k)
+	}
+	return true
+}
+
+// EligibleKeys returns the Eligible keys of loads in address order (map
+// order must never leak into traces or decision logs).
+func (c *Control) EligibleKeys(loads map[LoopKey][]Delinquent) []LoopKey {
+	var keys []LoopKey
+	for k := range loads {
+		if c.Eligible(k) {
+			keys = append(keys, k)
+		}
 	}
 	sortLoopKeys(keys)
 	return keys
-}
-
-// AnyUnjudged reports whether any live patch still awaits its first
-// judgement — engines stage deployments behind it so a regressing
-// rewrite is caught before it is compounded.
-func (c *Control) AnyUnjudged() bool {
-	for _, st := range c.r.regions {
-		if st.Patch != nil && len(st.Patch.Slots) > 0 && !st.Judged {
-			return true
-		}
-	}
-	return false
 }
 
 // CandidateLoads maps each hot loop to the delinquent loads it contains
@@ -193,105 +243,3 @@ func (c *Control) CandidateLoads() map[LoopKey][]Delinquent {
 func (c *Control) SelectPrefetches(region Region, loads []Delinquent, rw Rewrite) []int {
 	return c.r.selectPrefetches(region, loads, rw)
 }
-
-// ObserveWindow folds one profile window into a patched region's
-// judgement aggregates and reports whether enough loop-active windows
-// accumulated to judge. Active windows are those in which the patched
-// loop actually ran (phase-fair comparison); the global aggregate
-// catches patches that speed their own loop while slowing a downstream
-// phase.
-func (c *Control) ObserveWindow(st *RegionState, win Window) bool {
-	st.GlobalAgg.Cycles += win.Cycles
-	st.GlobalAgg.Instr += win.Instr
-	if c.r.prof.LoopActivity(st.Patch.ActiveKey) >= c.r.cfg.MinLoopSamples {
-		st.ActiveWindows++
-		st.ActiveAgg.Samples += win.Samples
-		st.ActiveAgg.Cycles += win.Cycles
-		st.ActiveAgg.Instr += win.Instr
-		st.ActiveAgg.L2Misses += win.L2Misses
-		st.ActiveAgg.BusHitm += win.BusHitm
-	}
-	return st.ActiveWindows >= c.r.cfg.EvaluateWindows
-}
-
-// Regressed applies the rollback criterion to the accumulated judgement
-// aggregates: the patch regressed if either the loop-active IPC or the
-// whole-program IPC fell more than the tolerance below its baseline.
-func (c *Control) Regressed(st *RegionState) bool {
-	tol := c.r.cfg.RollbackTolerance
-	return st.ActiveAgg.IPC() < st.Baseline*(1-tol) ||
-		st.GlobalAgg.IPC() < st.GlobalBase*(1-tol)
-}
-
-// JudgeEvidence builds the decision-log evidence for a judgement of st.
-func (c *Control) JudgeEvidence(st *RegionState) obs.Evidence {
-	return obs.Evidence{
-		BaselineIPC:       st.Baseline,
-		PatchedIPC:        st.ActiveAgg.IPC(),
-		GlobalBaselineIPC: st.GlobalBase,
-		GlobalIPC:         st.GlobalAgg.IPC(),
-		Tolerance:         c.r.cfg.RollbackTolerance,
-		ActiveWindows:     st.ActiveWindows,
-		Rewrite:           st.Rewrite.String(),
-	}
-}
-
-// ResetJudgement marks st judged and clears the aggregates so the next
-// judgement period starts fresh.
-func (c *Control) ResetJudgement(st *RegionState) {
-	st.Judged = true
-	st.ActiveWindows = 0
-	st.ActiveAgg = Window{}
-	st.GlobalAgg = Window{}
-}
-
-// ArmJudgement (re)arms the judgement of a freshly deployed or switched
-// patch: baselines are (re)anchored on the unbiased pre-patch EMAs, with
-// the trigger window as fallback when the loop was never profiled
-// unpatched.
-func (c *Control) ArmJudgement(st *RegionState, win Window, now int64) {
-	st.Baseline = st.PreIPC
-	if st.Baseline == 0 {
-		st.Baseline = win.IPC()
-	}
-	st.GlobalBase = c.r.globalEMA
-	st.Judged = false
-	st.ActiveWindows = 0
-	st.ActiveAgg = Window{}
-	st.GlobalAgg = Window{}
-	st.DeployedAt = now
-}
-
-// ArmCooldown starts the post-rollback cooldown of st and returns the
-// cycle at which the region becomes deployable again (the CooldownUntil
-// evidence the decision log advertises).
-func (c *Control) ArmCooldown(st *RegionState, now int64) int64 {
-	st.Cooldown = c.r.cfg.EvaluateWindows
-	return now + int64(st.Cooldown)*c.r.cfg.OptimizeInterval
-}
-
-// CountDeploy charges a deployment to the activity counters.
-func (c *Control) CountDeploy(patch *Patch, rw Rewrite) {
-	c.r.stats.patchesApplied.Inc()
-	if patch.TraceEntry >= 0 {
-		c.r.stats.tracesEmitted.Inc()
-	}
-	switch rw {
-	case RewriteNop:
-		c.r.stats.prefetchesNopped.Add(int64(patch.RewrittenPrefetches))
-	case RewriteExcl:
-		c.r.stats.prefetchesExcl.Add(int64(patch.RewrittenPrefetches))
-	case RewriteBias:
-		c.r.stats.loadsBiased.Add(int64(patch.RewrittenPrefetches))
-	}
-}
-
-// CountRollback charges a rollback to the activity counters.
-func (c *Control) CountRollback() { c.r.stats.patchesRolledBack.Inc() }
-
-// CountSwitch charges a variant switch to the activity counters.
-func (c *Control) CountSwitch() { c.r.stats.variantSwitches.Inc() }
-
-// CountTraces charges n emitted code-cache traces (multi-version deploys
-// emit several per patch event).
-func (c *Control) CountTraces(n int) { c.r.stats.tracesEmitted.Add(int64(n)) }

@@ -275,8 +275,7 @@ func (a *Analyzer) BuildLayout(r Region, edges map[BranchEdge]int64) LayoutSpec 
 // physically next block of the new placement — including the region exit
 // after the final block, since the copy lives at the end of the image —
 // a br.sptk connector re-establishes the original control flow. The
-// region entry is not redirected: DeployLayout and VariantSet.Switch own
-// dispatch.
+// region entry is not redirected: Switch owns dispatch.
 func (p *Patcher) emitLayout(r Region, spec LayoutSpec) (Variant, error) {
 	n := len(spec.Blocks)
 	if n == 0 || len(spec.Order) != n {
@@ -362,27 +361,6 @@ func (p *Patcher) emitLayout(r Region, spec LayoutSpec) (Variant, error) {
 			Head:     newPC(hb),
 			BranchPC: newPC(lb) + (r.Key.BranchPC - spec.Blocks[lb].Start),
 		},
+		Layout: &spec,
 	}, nil
-}
-
-// DeployLayout emits the reordered copy of r as a resident single-
-// variant set: undispatched (Active() == -1) until Switch(vs, 0) engages
-// it, restorable with Switch(vs, -1). Judging, re-engagement and
-// rollback thus cost one journaled one-word entry patch each, identical
-// to multi-version dispatch. Requires trace mode — the copy has nowhere
-// to live in an in-place patcher.
-func (p *Patcher) DeployLayout(r Region, spec LayoutSpec) (*VariantSet, error) {
-	if !p.useTrace {
-		return nil, fmt.Errorf("cobra: layout deployment requires the trace cache")
-	}
-	if p.entryRedirected(r) {
-		return nil, fmt.Errorf("cobra: region [%d,%d] entry already in code cache: %w", r.Start, r.End, ErrAlreadyPatched)
-	}
-	vs := &VariantSet{Region: r, active: -1, entrySaved: p.img.Fetch(r.Start)}
-	v, err := p.emitLayout(r, spec)
-	if err != nil {
-		return nil, err
-	}
-	vs.Variants = append(vs.Variants, v)
-	return vs, nil
 }

@@ -159,7 +159,7 @@ func TestEmitLayoutConnectorsAndRemap(t *testing.T) {
 	spec := an.BuildLayout(region, edges)
 
 	p := NewPatcher(img, true)
-	set, err := p.DeployLayout(region, spec)
+	set, err := p.DeployVariants(region, []VariantSpec{{Rewrite: RewriteLayout, Layout: &spec}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestDeployLayoutSwitchRoundTrip(t *testing.T) {
 	origEntry := img.Fetch(region.Start)
 
 	p := NewPatcher(img, true)
-	set, err := p.DeployLayout(region, spec)
+	set, err := p.DeployVariants(region, []VariantSpec{{Rewrite: RewriteLayout, Layout: &spec}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,9 +235,9 @@ func TestDeployLayoutSwitchRoundTrip(t *testing.T) {
 	if in.Op != ia64.OpBr || in.Br != ia64.BrAlways || int(in.Imm) != set.Variants[0].TraceEntry {
 		t.Fatalf("entry after engage = %+v, want br -> %d", in, set.Variants[0].TraceEntry)
 	}
-	ap := set.ActivePatch()
-	if ap == nil || ap.Rewrite != RewriteLayout || ap.ActiveKey != set.Variants[0].ActiveKey {
-		t.Fatalf("ActivePatch = %+v, want layout rewrite with trace-relative key", ap)
+	av := set.ActiveVariant()
+	if av == nil || av.Rewrite != RewriteLayout || av.Layout == nil || len(av.Layout.Blocks) != len(spec.Blocks) {
+		t.Fatalf("ActiveVariant = %+v, want the layout copy with its spec", av)
 	}
 	if err := p.Switch(set, -1); err != nil {
 		t.Fatal(err)
@@ -259,7 +259,7 @@ func TestDeployLayoutRequiresTraceCache(t *testing.T) {
 		{From: off.skipBr, To: off.hot}: 1,
 	})
 	p := NewPatcher(img, false)
-	if _, err := p.DeployLayout(region, spec); err == nil {
+	if _, err := p.DeployVariants(region, []VariantSpec{{Rewrite: RewriteLayout, Layout: &spec}}); err == nil {
 		t.Fatal("in-place patcher accepted a layout deployment")
 	}
 }

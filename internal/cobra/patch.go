@@ -7,7 +7,7 @@ import (
 	"repro/internal/ia64"
 )
 
-// Sentinel causes of Deploy / DeployVariants / Switch failures, so
+// Sentinel causes of DeployVariants / Switch failures, so
 // strategy engines and cobra-verify triage can branch on cause with
 // errors.Is instead of string matching.
 var (
@@ -77,26 +77,6 @@ func (r Rewrite) apply(in ia64.Instr) ia64.Instr {
 	return in
 }
 
-// Patch records one deployed optimization so it can be rolled back.
-type Patch struct {
-	Region  Region
-	Rewrite Rewrite
-	// Slots actually rewritten (in-place mode: the lfetch slots; trace
-	// mode: the redirected entry slot).
-	Slots []int
-	// saved holds the original instructions of Slots.
-	saved []ia64.Instr
-	// TraceEntry is the code-cache entry when deployed as a trace.
-	TraceEntry int
-	// ActiveKey is the loop key the patched loop reports through the BTB
-	// after deployment: the original key for in-place patches, the
-	// trace-relative key after a trace redirection. The controller uses it
-	// to evaluate the patch only in windows where the loop actually ran.
-	ActiveKey LoopKey
-	// RewrittenPrefetches counts lfetch sites changed.
-	RewrittenPrefetches int
-}
-
 // Patcher deploys and rolls back binary optimizations. In trace mode it
 // copies the region into a code cache appended to the image, rewrites the
 // prefetches in the copy, relocates intra-region branch targets, and
@@ -104,6 +84,7 @@ type Patch struct {
 // "optimized binary traces are stored in a trace cache in the same address
 // space ... the binary program is then patched and redirected to the
 // optimized traces". In-place mode rewrites the lfetch words directly.
+// Either way a deployment is a VariantSet, and Switch moves it.
 type Patcher struct {
 	img      *ia64.Image
 	useTrace bool
@@ -126,7 +107,7 @@ func NewPatcher(img *ia64.Image, useTrace bool) *Patcher {
 	return &Patcher{img: img, useTrace: useTrace, cacheStart: img.Len()}
 }
 
-// patchSlot is the single point through which the patcher rewrites image
+// patchSlot is the single point through which Switch rewrites image
 // slots (see patchHook).
 func (p *Patcher) patchSlot(pc int, in ia64.Instr) (ia64.Instr, error) {
 	if p.patchHook != nil {
@@ -138,41 +119,6 @@ func (p *Patcher) patchSlot(pc int, in ia64.Instr) (ia64.Instr, error) {
 // InCodeCache reports whether pc lies in patcher-emitted code.
 func (p *Patcher) InCodeCache(pc int) bool { return pc >= p.cacheStart }
 
-// Deploy applies rewrite to the given lfetch slots of region r.
-func (p *Patcher) Deploy(r Region, lfetchSlots []int, rw Rewrite) (*Patch, error) {
-	if len(lfetchSlots) == 0 {
-		return nil, fmt.Errorf("cobra: nothing to rewrite in region [%d,%d]: %w", r.Start, r.End, ErrNoRewritableSlots)
-	}
-	if p.useTrace {
-		return p.deployTrace(r, lfetchSlots, rw)
-	}
-	return p.deployInPlace(r, lfetchSlots, rw)
-}
-
-func (p *Patcher) deployInPlace(r Region, slots []int, rw Rewrite) (*Patch, error) {
-	patch := &Patch{Region: r, Rewrite: rw}
-	for _, pc := range slots {
-		in := p.img.Fetch(pc)
-		if !rw.applicable(in) {
-			continue // already rewritten by an earlier pass
-		}
-		old, err := p.patchSlot(pc, rw.apply(in))
-		if err != nil {
-			p.rollbackSlots(patch)
-			return nil, err
-		}
-		patch.Slots = append(patch.Slots, pc)
-		patch.saved = append(patch.saved, old)
-		patch.RewrittenPrefetches++
-	}
-	if patch.RewrittenPrefetches == 0 {
-		return nil, fmt.Errorf("cobra: no applicable instruction among %d slots: %w", len(slots), ErrNoRewritableSlots)
-	}
-	patch.TraceEntry = -1
-	patch.ActiveKey = r.Key
-	return patch, nil
-}
-
 // entryRedirected reports whether the region entry already dispatches
 // into patcher-emitted code.
 func (p *Patcher) entryRedirected(r Region) bool {
@@ -182,7 +128,7 @@ func (p *Patcher) entryRedirected(r Region) bool {
 
 // emitTrace builds one rewritten copy of [r.Start, r.End] and appends it
 // to the code cache, returning its variant descriptor. The region entry
-// is not redirected — deployTrace and VariantSet.Switch own dispatch.
+// is not redirected — Switch owns dispatch.
 func (p *Patcher) emitTrace(r Region, slots []int, rw Rewrite) (Variant, error) {
 	rewriteAt := map[int]bool{}
 	for _, pc := range slots {
@@ -227,77 +173,4 @@ func (p *Patcher) emitTrace(r Region, slots []int, rw Rewrite) (Variant, error) 
 		},
 		RewrittenPrefetches: rewritten,
 	}, nil
-}
-
-// deployTrace emits the optimized copy of [r.Start, r.End] into the code
-// cache and redirects r.Start to it.
-func (p *Patcher) deployTrace(r Region, slots []int, rw Rewrite) (*Patch, error) {
-	if p.entryRedirected(r) {
-		return nil, fmt.Errorf("cobra: region [%d,%d] entry already in code cache: %w", r.Start, r.End, ErrAlreadyPatched)
-	}
-	preLen := p.img.Len()
-	preTraces := p.nTraces
-	v, err := p.emitTrace(r, slots, rw)
-	if err != nil {
-		return nil, err
-	}
-	// Redirect: one-word patch at the region entry.
-	old, err := p.patchSlot(r.Start, ia64.Instr{Op: ia64.OpBr, Br: ia64.BrAlways, Imm: int64(v.TraceEntry)})
-	if err != nil {
-		// The redirect never landed, so the emitted copy is unreachable —
-		// but unlike a rolled-back trace it was never live either, and
-		// leaving it would leak the trace, its function-table entry and the
-		// bumped trace counter on every failed deploy. Cut the image back
-		// to its pre-emit length and reclaim the name.
-		p.img.RemoveTail(preLen)
-		p.nTraces = preTraces
-		return nil, err
-	}
-	return &Patch{
-		Region: r, Rewrite: rw,
-		Slots: []int{r.Start}, saved: []ia64.Instr{old},
-		TraceEntry:          v.TraceEntry,
-		ActiveKey:           v.ActiveKey,
-		RewrittenPrefetches: v.RewrittenPrefetches,
-	}, nil
-}
-
-// Rollback restores the original instructions of a deployed patch. Trace
-// copies remain in the code cache (unreachable), as on a real system.
-func (p *Patcher) Rollback(patch *Patch) error {
-	return p.rollbackSlots(patch)
-}
-
-// rollbackSlots restores the saved instructions of a patch, newest slot
-// first. On success the slot lists are cleared; on partial failure the
-// entries that could not be restored keep their saved originals (in the
-// original slot order) so the caller can retry the rollback later —
-// unconditionally clearing them would lose the only copy of the original
-// words and leave the region permanently corrupted.
-func (p *Patcher) rollbackSlots(patch *Patch) error {
-	var firstErr error
-	var failedSlots []int
-	var failedSaved []ia64.Instr
-	for i := len(patch.Slots) - 1; i >= 0; i-- {
-		if _, err := p.patchSlot(patch.Slots[i], patch.saved[i]); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			failedSlots = append(failedSlots, patch.Slots[i])
-			failedSaved = append(failedSaved, patch.saved[i])
-		}
-	}
-	if firstErr != nil {
-		// The loop collected failures in reverse; flip back to slot order.
-		for i, j := 0, len(failedSlots)-1; i < j; i, j = i+1, j-1 {
-			failedSlots[i], failedSlots[j] = failedSlots[j], failedSlots[i]
-			failedSaved[i], failedSaved[j] = failedSaved[j], failedSaved[i]
-		}
-		patch.Slots = failedSlots
-		patch.saved = failedSaved
-		return firstErr
-	}
-	patch.Slots = nil
-	patch.saved = nil
-	return nil
 }

@@ -74,13 +74,16 @@ func (c statCounters) snapshot() Stats {
 }
 
 // RegionState tracks one optimized (or previously optimized) loop for
-// the adaptive controller. It is the evidence record strategy engines
-// judge over; engine-specific state (variant tables, predictions) lives
+// the adaptive controller: its deployment and the evidence the lifecycle
+// judges it by. Engine-specific state (predictions, edge profiles) lives
 // in the engines themselves, keyed by LoopKey.
 type RegionState struct {
-	Patch    *Patch
-	Rewrite  Rewrite
-	Baseline float64 // pre-patch IPC (loop-active windows)
+	// Deployment is the region's version table: live while a variant is
+	// dispatched, resident at the original code after a rollback (an
+	// engine may re-engage it), nil before the first deployment.
+	Deployment *VariantSet
+	Rewrite    Rewrite // the live (or last live) variant's rewrite
+	Baseline   float64 // pre-patch IPC (loop-active windows)
 	// ActiveWindows counts post-patch windows in which the patched loop
 	// actually executed; ActiveAgg accumulates their profile. Judging only
 	// loop-active windows keeps the before/after comparison phase-fair in
@@ -101,12 +104,15 @@ type RegionState struct {
 	Judged    bool // at least one post-deployment judgement happened
 	TriedNop  bool
 	TriedExcl bool
-	Blocked   bool // regressed under a fixed strategy: never re-patch
+	Blocked   bool // lifecycle ended: never re-patch
 	Cooldown  int
-	// DeployedAt is the cycle the current patch was deployed — the start
+	// DeployedAt is the cycle the live variant was dispatched — the start
 	// of the patch-active span in the trace.
 	DeployedAt int64
 }
+
+// Live reports whether a variant of the region is dispatched.
+func (st *RegionState) Live() bool { return st.Deployment != nil && st.Deployment.Active() >= 0 }
 
 // Runtime is one COBRA instance attached to a running machine: the
 // optimization thread (a simulated-time timer), the per-working-thread
@@ -231,12 +237,13 @@ func (r *Runtime) Explain() string {
 	return b.String()
 }
 
-// ActivePatches returns the currently deployed patches.
-func (r *Runtime) ActivePatches() []*Patch {
-	var out []*Patch
+// ActiveDeployments returns the deployments with a dispatched variant,
+// in region order.
+func (r *Runtime) ActiveDeployments() []*VariantSet {
+	var out []*VariantSet
 	for _, st := range r.regions {
-		if st.Patch != nil && len(st.Patch.Slots) > 0 {
-			out = append(out, st.Patch)
+		if st.Live() {
+			out = append(out, st.Deployment)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -291,7 +298,7 @@ func (r *Runtime) optimizePass(now int64) {
 	tr := r.obs.Trace()
 
 	// Age region cooldowns at the top of the pass, before this pass's
-	// evaluation can start a new one. Decrementing after evaluatePatches
+	// evaluation can start a new one. Decrementing after the judgement
 	// consumed one window of a fresh cooldown in the very pass that set it,
 	// so a region rolled back with EvaluateWindows=N could redeploy after
 	// N-1 intervals while the decision log's CooldownUntil evidence claimed
@@ -352,7 +359,7 @@ func (r *Runtime) optimizePass(now int64) {
 			st = &RegionState{}
 			r.regions[ls.Key] = st
 		}
-		if st.Patch == nil && win.Cycles > 0 {
+		if !st.Live() && win.Cycles > 0 {
 			if st.PreIPC == 0 {
 				st.PreIPC = win.IPC()
 			} else {
@@ -361,16 +368,14 @@ func (r *Runtime) optimizePass(now int64) {
 		}
 	}
 
-	// Continuous re-adaptation: every outstanding patch is periodically
-	// re-judged against its pre-patch baseline metric and rolled back on
-	// regression, whichever strategy deployed it. Only windows in which
-	// the patched loop actually ran count towards the judgement. The
-	// policy is the strategy engine's: the default prefetch engine
-	// blacklists a rolled-back region under fixed strategies and
-	// escalates to the other rewrite in adaptive mode.
+	// Continuous re-adaptation: every live deployment is periodically
+	// re-judged against its pre-patch baseline metric, whichever engine
+	// deployed it. What a regression does next is the engine's policy:
+	// the default prefetch engine blocks a rolled-back region under fixed
+	// strategies and escalates to the other rewrite in adaptive mode.
 	eng := r.engineOrDefault()
 	ctl := r.Control()
-	eng.Judge(ctl, win, now)
+	ctl.judge(eng, win, now)
 
 	evaluated := len(r.horizon) == triggerHorizon && agg.Samples > 0
 	fired := evaluated &&
@@ -385,7 +390,7 @@ func (r *Runtime) optimizePass(now int64) {
 	if fired {
 		r.stats.triggers.Inc()
 		if r.cfg.Strategy != StrategyOff {
-			eng.Propose(ctl, agg, now)
+			ctl.propose(eng, agg, now)
 		}
 	}
 
@@ -431,208 +436,6 @@ func (r *Runtime) optimizePass(now int64) {
 	r.windows++
 	r.lastPass = now
 	r.prof.ResetWindow()
-}
-
-func (r *Runtime) evaluatePatches(win Window, now int64) {
-	// Iterate regions in address order: map order would scramble the trace
-	// and decision log across otherwise-identical runs (judgements are
-	// per-region independent, so ordering cannot change outcomes).
-	var keys []LoopKey
-	for k, st := range r.regions {
-		if st.Patch == nil || len(st.Patch.Slots) == 0 {
-			continue
-		}
-		keys = append(keys, k)
-	}
-	if len(keys) == 0 {
-		return
-	}
-	sortLoopKeys(keys)
-	tr := r.obs.Trace()
-	dl := r.obs.Decisions()
-
-	ctl := r.Control()
-	for _, k := range keys {
-		st := r.regions[k]
-		if !ctl.ObserveWindow(st, win) {
-			continue
-		}
-		regressed := ctl.Regressed(st)
-		var ev obs.Evidence
-		if tr != nil || dl != nil {
-			ev = ctl.JudgeEvidence(st)
-		}
-		ctl.ResetJudgement(st) // keep judging periodically
-		if regressed {
-			// Regression: roll the patch back and remember what failed so
-			// re-adaptation can escalate to the other rewrite.
-			if err := r.patcher.Rollback(st.Patch); err == nil {
-				r.stats.patchesRolledBack.Inc()
-			}
-			st.Patch = nil
-			ev.CooldownUntil = ctl.ArmCooldown(st, now)
-			if tr != nil {
-				tr.Span("patch", fmt.Sprintf("active %s @%#x", ev.Rewrite, k.Head),
-					obs.TIDPatch, st.DeployedAt, now, map[string]any{"region": k.Head})
-				tr.Instant("patch", fmt.Sprintf("rolled back @%#x", k.Head),
-					obs.TIDPatch, now, map[string]any{
-						"region": k.Head, "baseline_ipc": ev.BaselineIPC,
-						"patched_ipc": ev.PatchedIPC,
-					})
-			}
-			dl.Record(now, uint64(k.Head), r.windows, obs.StateRolledBack, "regressed", ev)
-			if r.cfg.Strategy != StrategyAdaptive {
-				st.Blocked = true // fixed strategy: leave the loop alone
-				dl.Record(now, uint64(k.Head), r.windows, obs.StateBlocked, "fixed_strategy", ev)
-				if tr != nil {
-					tr.Instant("patch", fmt.Sprintf("blocked @%#x", k.Head),
-						obs.TIDPatch, now, map[string]any{"region": k.Head})
-				}
-			}
-		} else {
-			reason := "within_tolerance"
-			if ev.PatchedIPC >= ev.BaselineIPC {
-				reason = "improved"
-			}
-			if tr != nil {
-				tr.Instant("patch", fmt.Sprintf("kept @%#x", k.Head),
-					obs.TIDPatch, now, map[string]any{
-						"region": k.Head, "baseline_ipc": ev.BaselineIPC,
-						"patched_ipc": ev.PatchedIPC,
-					})
-			}
-			dl.Record(now, uint64(k.Head), r.windows, obs.StateKept, reason, ev)
-		}
-	}
-}
-
-// deployOptimizations implements §4's selection pipeline. win is the
-// trigger-horizon aggregate; now anchors trace events and decisions.
-func (r *Runtime) deployOptimizations(win Window, now int64) {
-	ctl := r.Control()
-	// DEAR pinpoints coherent misses on the load side; sharing induced
-	// purely by prefetch/store traffic (DAXPY's boundary pathology) shows
-	// up in the BUS_* counters but not in the DEAR — CandidateLoads falls
-	// back to the paper's loop-boundary heuristic in that case.
-	regionLoads := ctl.CandidateLoads()
-	if len(regionLoads) == 0 {
-		return
-	}
-
-	// Stage deployment: while any patch is still awaiting its evaluation
-	// windows, hold off on new ones, and never deploy more than a couple
-	// per pass — a regressing rewrite must be caught and rolled back
-	// before it is compounded across the whole program.
-	if ctl.AnyUnjudged() {
-		return
-	}
-	const maxDeploysPerPass = 2
-	deployed := 0
-	tr := r.obs.Trace()
-	dl := r.obs.Decisions()
-
-	var keys []LoopKey
-	for k := range regionLoads {
-		keys = append(keys, k)
-	}
-	sortLoopKeys(keys)
-
-	for _, k := range keys {
-		if deployed >= maxDeploysPerPass {
-			break
-		}
-		if r.patcher.InCodeCache(k.Head) || r.patcher.InCodeCache(k.BranchPC) {
-			continue // never re-optimize our own traces
-		}
-		if !r.analyzer.ValidLoop(k) {
-			continue // spurious cross-function branch pair
-		}
-		st := r.regions[k]
-		if st == nil {
-			st = &RegionState{}
-			r.regions[k] = st
-		}
-		if st.Patch != nil && len(st.Patch.Slots) > 0 {
-			continue // already optimized
-		}
-		if st.Cooldown > 0 {
-			continue
-		}
-		rw, ok := r.chooseRewrite(st)
-		if !ok {
-			// A previously rolled-back region with no rewrite left to try
-			// ends the lifecycle; record the terminal state once.
-			if dl != nil && dl.State(uint64(k.Head)) == obs.StateRolledBack {
-				reason := "rewrites_exhausted"
-				if r.cfg.Strategy != StrategyAdaptive {
-					reason = "fixed_strategy"
-				}
-				dl.Record(now, uint64(k.Head), r.windows, obs.StateBlocked, reason, obs.Evidence{
-					CoherentShare: win.CoherentShare(), BusHitm: uint64(win.BusHitm),
-				})
-				if tr != nil {
-					tr.Instant("patch", fmt.Sprintf("blocked @%#x", k.Head),
-						obs.TIDPatch, now, map[string]any{"region": k.Head, "reason": reason})
-				}
-			}
-			continue
-		}
-		// Trigger evidence selected this region: it becomes a lifecycle
-		// candidate even if a deploy-time check below still skips it.
-		var ev obs.Evidence
-		if tr != nil || dl != nil {
-			ev = obs.Evidence{
-				CoherentShare: win.CoherentShare(),
-				BusHitm:       uint64(win.BusHitm),
-				Rewrite:       rw.String(),
-			}
-			reason := "trigger"
-			if dl.State(uint64(k.Head)) == obs.StateRolledBack {
-				reason = "escalate"
-			}
-			dl.Record(now, uint64(k.Head), r.windows, obs.StateCandidate, reason, ev)
-			if tr != nil {
-				tr.Instant("patch", fmt.Sprintf("candidate %s @%#x", ev.Rewrite, k.Head),
-					obs.TIDPatch, now, map[string]any{
-						"region": k.Head, "coherent_share": win.CoherentShare(),
-					})
-			}
-		}
-		region := r.analyzer.RegionFor(k)
-		slots := r.selectPrefetches(region, regionLoads[k], rw)
-		if len(slots) == 0 {
-			continue
-		}
-		patch, err := r.patcher.Deploy(region, slots, rw)
-		if err != nil {
-			continue
-		}
-		st.Patch = patch
-		st.Rewrite = rw
-		ctl.ArmJudgement(st, win, now)
-		deployed++
-		ctl.CountDeploy(patch, rw)
-		switch rw {
-		case RewriteNop:
-			st.TriedNop = true
-		case RewriteExcl:
-			st.TriedExcl = true
-		}
-		if tr != nil || dl != nil {
-			ev.BaselineIPC = st.Baseline
-			ev.GlobalBaselineIPC = st.GlobalBase
-			dl.Record(now, uint64(k.Head), r.windows, obs.StateDeployed, "deploy", ev)
-			if tr != nil {
-				tr.Instant("patch", fmt.Sprintf("deployed %s @%#x", ev.Rewrite, k.Head),
-					obs.TIDPatch, now, map[string]any{
-						"region": k.Head, "slots": len(patch.Slots),
-						"rewritten":    patch.RewrittenPrefetches,
-						"trace":        patch.TraceEntry >= 0,
-						"baseline_ipc": st.Baseline,
-					})
-			}
-		}
-	}
 }
 
 // chooseRewrite picks the rewrite for a region under the configured

@@ -22,7 +22,7 @@ func TestDeployVariantsAndSwitch(t *testing.T) {
 	if len(vs.Variants) != 2 {
 		t.Fatalf("resident variants = %d, want 2", len(vs.Variants))
 	}
-	if vs.Active() != -1 || vs.ActivePatch() != nil {
+	if vs.Active() != -1 || vs.ActiveVariant() != nil {
 		t.Fatal("fresh variant set must dispatch the original code")
 	}
 	// Deployment must not touch dispatch: entry unchanged.
@@ -53,8 +53,8 @@ func TestDeployVariantsAndSwitch(t *testing.T) {
 	if !in.IsBranch() || int(in.Imm) != vs.Variants[0].TraceEntry {
 		t.Fatalf("entry after Switch(0) = %+v", in)
 	}
-	if ap := vs.ActivePatch(); ap == nil || ap.Rewrite != RewriteNop || ap.TraceEntry != vs.Variants[0].TraceEntry {
-		t.Fatalf("ActivePatch after Switch(0) = %+v", vs.ActivePatch())
+	if av := vs.ActiveVariant(); av == nil || av.Rewrite != RewriteNop || av.TraceEntry != vs.Variants[0].TraceEntry {
+		t.Fatalf("ActiveVariant after Switch(0) = %+v", vs.ActiveVariant())
 	}
 
 	// Switch mid-phase to excl: still a single-word repoint.
@@ -82,7 +82,7 @@ func TestDeployVariantsAndSwitch(t *testing.T) {
 	if img.Fetch(region.Start) != orig {
 		t.Fatal("Switch(-1) did not restore the original entry")
 	}
-	if vs.Active() != -1 || vs.ActivePatch() != nil {
+	if vs.Active() != -1 || vs.ActiveVariant() != nil {
 		t.Fatal("Switch(-1) must report the original as active")
 	}
 }
@@ -98,9 +98,13 @@ func TestDeployVariantsErrors(t *testing.T) {
 		t.Fatalf("inapplicable variant error = %v, want ErrNoRewritableSlots", err)
 	}
 
+	// In place there is room for exactly one version: the region itself.
 	inPlace := NewPatcher(img, false)
-	if _, err := inPlace.DeployVariants(region, []VariantSpec{{Rewrite: RewriteNop, Slots: []int{lfetchSlot}}}); err == nil {
-		t.Fatal("in-place patcher accepted a variant table")
+	if _, err := inPlace.DeployVariants(region, []VariantSpec{
+		{Rewrite: RewriteNop, Slots: []int{lfetchSlot}},
+		{Rewrite: RewriteExcl, Slots: []int{lfetchSlot}},
+	}); err == nil {
+		t.Fatal("in-place patcher accepted a multi-variant table")
 	}
 
 	vs, err := p.DeployVariants(region, []VariantSpec{{Rewrite: RewriteNop, Slots: []int{lfetchSlot}}})
@@ -114,8 +118,8 @@ func TestDeployVariantsErrors(t *testing.T) {
 	if _, err := p.DeployVariants(region, []VariantSpec{{Rewrite: RewriteExcl, Slots: []int{lfetchSlot}}}); !errors.Is(err, ErrAlreadyPatched) {
 		t.Fatalf("redeploy over dispatched variant = %v, want ErrAlreadyPatched", err)
 	}
-	if _, err := p.Deploy(region, []int{lfetchSlot}, RewriteExcl); !errors.Is(err, ErrAlreadyPatched) {
-		t.Fatalf("Deploy over dispatched variant = %v, want ErrAlreadyPatched", err)
+	if _, err := deployOne(p, region, []int{lfetchSlot}, RewriteExcl); !errors.Is(err, ErrAlreadyPatched) {
+		t.Fatalf("single-trace deploy over dispatched variant = %v, want ErrAlreadyPatched", err)
 	}
 	if err := p.Switch(vs, 2); !errors.Is(err, ErrUnknownVariant) {
 		t.Fatalf("out-of-range switch = %v, want ErrUnknownVariant", err)
@@ -125,15 +129,43 @@ func TestDeployVariantsErrors(t *testing.T) {
 	}
 }
 
+// TestDeployVariantsReclaimsOnFailedSpec pins the code-cache leak fix: a
+// table whose second spec has no applicable instruction must fail with
+// ErrNoRewritableSlots and take the first spec's copy, its function entry
+// and its trace name with it.
+func TestDeployVariantsReclaimsOnFailedSpec(t *testing.T) {
+	img, region, lfetchSlot := buildLfetchLoop(t)
+	p := NewPatcher(img, true)
+	preLen, preFuncs := img.Len(), len(img.Funcs())
+	_, err := p.DeployVariants(region, []VariantSpec{
+		{Rewrite: RewriteNop, Slots: []int{lfetchSlot}},
+		{Rewrite: RewriteBias, Slots: []int{lfetchSlot}}, // bias needs a plain load
+	})
+	if !errors.Is(err, ErrNoRewritableSlots) {
+		t.Fatalf("error = %v, want ErrNoRewritableSlots", err)
+	}
+	if img.Len() != preLen || len(img.Funcs()) != preFuncs {
+		t.Fatalf("failed table left len %d (want %d) and %d funcs (want %d)",
+			img.Len(), preLen, len(img.Funcs()), preFuncs)
+	}
+	vs, err := deployOne(p, region, []int{lfetchSlot}, RewriteNop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, ok := img.FuncAt(vs.Variants[0].TraceEntry); !ok || f.Name != "cobra.trace1" {
+		t.Fatalf("next trace = (%+v, %v), want cobra.trace1 at the old tail", f, ok)
+	}
+}
+
 func TestDeploySentinelErrors(t *testing.T) {
 	img, region, lfetchSlot := buildLfetchLoop(t)
 	for _, useTrace := range []bool{false, true} {
 		p := NewPatcher(img, useTrace)
-		if _, err := p.Deploy(region, nil, RewriteNop); !errors.Is(err, ErrNoRewritableSlots) {
+		if _, err := deployOne(p, region, nil, RewriteNop); !errors.Is(err, ErrNoRewritableSlots) {
 			t.Fatalf("trace=%v: empty slots error = %v, want ErrNoRewritableSlots", useTrace, err)
 		}
 		// Bias targets plain integer loads; an lfetch slot is inapplicable.
-		if _, err := p.Deploy(region, []int{lfetchSlot}, RewriteBias); !errors.Is(err, ErrNoRewritableSlots) {
+		if _, err := deployOne(p, region, []int{lfetchSlot}, RewriteBias); !errors.Is(err, ErrNoRewritableSlots) {
 			t.Fatalf("trace=%v: inapplicable error = %v, want ErrNoRewritableSlots", useTrace, err)
 		}
 	}

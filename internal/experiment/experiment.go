@@ -201,18 +201,13 @@ func daxpyJob(cache *workload.BuildCache, ws int64, threads, reps int, v workloa
 	return job
 }
 
-// Figure3 regenerates Figure 3(a) (prefetch vs noprefetch) or 3(b)
+// Figure3Sched regenerates Figure 3(a) (prefetch vs noprefetch) or 3(b)
 // (prefetch vs prefetch.excl): normalized DAXPY execution time across
 // working sets and thread counts on the 4-way SMP. The variants are
 // produced by static binary rewriting of the compiled prefetch binary, as
-// in the paper.
-func Figure3(panel byte, scale DaxpyScale) ([]DaxpyCell, error) {
-	return Figure3Sched(panel, scale, Options{})
-}
-
-// Figure3Sched is Figure3 on the scheduler: every (working set, threads,
-// variant) cell is an independent job; the per-working-set normalization
-// anchors are folded into the same run by key dedup.
+// in the paper. Every (working set, threads, variant) cell is an
+// independent scheduler job; the per-working-set normalization anchors
+// are folded into the same run by key dedup.
 func Figure3Sched(panel byte, scale DaxpyScale, opt Options) ([]DaxpyCell, error) {
 	var alt workload.Variant
 	switch panel {
@@ -279,13 +274,8 @@ type Table1Row struct {
 	BrWtop  int
 }
 
-// Table1 compiles every NPB benchmark and counts the prefetches and loop
-// branches in the generated binaries.
-func Table1(class npb.Class) ([]Table1Row, error) {
-	return Table1Sched(class, Options{})
-}
-
-// Table1Sched is Table1 on the scheduler: one compile-and-count job per
+// Table1Sched compiles every NPB benchmark and counts the prefetches and
+// loop branches in the generated binaries, one scheduler job per
 // benchmark.
 func Table1Sched(class npb.Class, opt Options) ([]Table1Row, error) {
 	cache := opt.buildCache()
@@ -342,14 +332,6 @@ type NPBResult struct {
 	Cells   []NPBCell
 }
 
-// RunNPB measures every result benchmark under the three strategies on a
-// platform. The baseline runs without COBRA; noprefetch and prefetch.excl
-// run under COBRA with the corresponding strategy, so the reported numbers
-// include all monitoring and optimization overhead, as in the paper.
-func RunNPB(machine MachineKind, class npb.Class, benches []string) (*NPBResult, error) {
-	return RunNPBSched(machine, class, benches, Options{})
-}
-
 // npbJob builds the scheduler job measuring one (benchmark, strategy)
 // cell. The build config carries the full machine, compiler and COBRA
 // configuration, so the content hash changes with any of them. The three
@@ -393,9 +375,12 @@ func machineShort(m MachineKind) string {
 	return "numa"
 }
 
-// RunNPBSched is RunNPB on the scheduler: one job per (benchmark,
-// strategy) cell, results assembled in the paper's reporting order
-// regardless of completion order.
+// RunNPBSched measures every result benchmark under the three strategies
+// on a platform. The baseline runs without COBRA; noprefetch and
+// prefetch.excl run under COBRA with the corresponding strategy, so the
+// reported numbers include all monitoring and optimization overhead, as
+// in the paper. One scheduler job per (benchmark, strategy) cell; results
+// assemble in the paper's reporting order regardless of completion order.
 func RunNPBSched(machine MachineKind, class npb.Class, benches []string, opt Options) (*NPBResult, error) {
 	if benches == nil {
 		benches = npb.ResultNames

@@ -9,7 +9,7 @@ import (
 )
 
 func TestFigure3Quick(t *testing.T) {
-	cells, err := Figure3('a', QuickDaxpyScale())
+	cells, err := Figure3Sched('a', QuickDaxpyScale(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,13 +32,13 @@ func TestFigure3Quick(t *testing.T) {
 }
 
 func TestFigure3BadPanel(t *testing.T) {
-	if _, err := Figure3('x', QuickDaxpyScale()); err == nil {
+	if _, err := Figure3Sched('x', QuickDaxpyScale(), Options{}); err == nil {
 		t.Fatal("accepted bad panel")
 	}
 }
 
 func TestTable1Tiny(t *testing.T) {
-	rows, err := Table1(npb.ClassT)
+	rows, err := Table1Sched(npb.ClassT, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestTable1Tiny(t *testing.T) {
 }
 
 func TestRunNPBQuick(t *testing.T) {
-	res, err := RunNPB(SMP4, npb.ClassT, []string{"cg", "mg"})
+	res, err := RunNPBSched(SMP4, npb.ClassT, []string{"cg", "mg"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

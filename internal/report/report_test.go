@@ -41,7 +41,7 @@ func TestTable1Rendering(t *testing.T) {
 }
 
 func TestNPBFigureRendering(t *testing.T) {
-	res, err := experiment.RunNPB(experiment.SMP4, npb.ClassT, []string{"cg"})
+	res, err := experiment.RunNPBSched(experiment.SMP4, npb.ClassT, []string{"cg"}, experiment.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestNPBFigureRendering(t *testing.T) {
 }
 
 func TestCSV(t *testing.T) {
-	res, err := experiment.RunNPB(experiment.SMP4, npb.ClassT, []string{"ep"})
+	res, err := experiment.RunNPBSched(experiment.SMP4, npb.ClassT, []string{"ep"}, experiment.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

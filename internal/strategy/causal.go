@@ -1,7 +1,6 @@
 package strategy
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/cobra"
@@ -89,103 +88,23 @@ type candidate struct {
 	pred  prediction
 }
 
-func (e *causal) Judge(c *cobra.Control, win cobra.Window, now int64) {
-	tr := c.Observer().Trace()
-	dl := c.Observer().Decisions()
-	for _, k := range c.PatchedKeys() {
-		st := c.Region(k)
-		if !c.ObserveWindow(st, win) {
-			continue
-		}
-		regressed := c.Regressed(st)
-		ev := c.JudgeEvidence(st)
-		if p, ok := e.preds[k]; ok {
-			ev.PredictedIPC = p.ipc
-			ev.PredictedDelta = p.delta
-		}
-		c.ResetJudgement(st)
-		if regressed {
-			// The experiment's prediction did not survive contact with the
-			// machine: roll back and cool down. No blacklist — a later
-			// phase re-runs the what-if ranking from fresh evidence.
-			if err := c.Patcher().Rollback(st.Patch); err == nil {
-				c.CountRollback()
-			}
-			st.Patch = nil
-			ev.CooldownUntil = c.ArmCooldown(st, now)
-			if tr != nil {
-				tr.Span("patch", fmt.Sprintf("active %s @%#x", ev.Rewrite, k.Head),
-					obs.TIDPatch, st.DeployedAt, now, map[string]any{"region": k.Head})
-				tr.Instant("patch", fmt.Sprintf("rolled back @%#x", k.Head),
-					obs.TIDPatch, now, map[string]any{
-						"region": k.Head, "predicted_ipc": ev.PredictedIPC,
-						"patched_ipc": ev.PatchedIPC,
-					})
-			}
-			dl.Record(now, uint64(k.Head), c.WindowOrdinal(), obs.StateRolledBack, "regressed", ev)
-		} else {
-			reason := "within_tolerance"
-			if ev.PatchedIPC >= ev.BaselineIPC {
-				reason = "improved"
-			}
-			if tr != nil {
-				tr.Instant("patch", fmt.Sprintf("kept @%#x", k.Head),
-					obs.TIDPatch, now, map[string]any{
-						"region": k.Head, "predicted_ipc": ev.PredictedIPC,
-						"patched_ipc": ev.PatchedIPC,
-					})
-			}
-			dl.Record(now, uint64(k.Head), c.WindowOrdinal(), obs.StateKept, reason, ev)
-		}
-	}
-}
-
-func (e *causal) Propose(c *cobra.Control, agg cobra.Window, now int64) {
-	regionLoads := c.CandidateLoads()
-	if len(regionLoads) == 0 || c.AnyUnjudged() {
-		return
-	}
-	tr := c.Observer().Trace()
-	dl := c.Observer().Decisions()
-
-	keys := make([]cobra.LoopKey, 0, len(regionLoads))
-	for k := range regionLoads {
-		keys = append(keys, k)
-	}
-	cobra.SortLoopKeys(keys)
-
-	// Generate every deployable (region, rewrite) candidate and run its
-	// what-if experiment.
+// Propose runs the what-if experiment for every eligible (region,
+// rewrite) pair the model credits with a whole-program win and proposes
+// each region's best-predicted rewrite, best first.
+func (e *causal) Propose(c *cobra.Control, agg cobra.Window) []cobra.Proposal {
+	loads := c.CandidateLoads()
 	var cands []candidate
-	for _, k := range keys {
-		if c.Patcher().InCodeCache(k.Head) || c.Patcher().InCodeCache(k.BranchPC) {
-			continue
-		}
-		if !c.Analyzer().ValidLoop(k) {
-			continue
-		}
-		st := c.Region(k)
-		if st.Patch != nil && len(st.Patch.Slots) > 0 {
-			continue
-		}
-		if st.Cooldown > 0 || st.Blocked {
-			continue
-		}
+	for _, k := range c.EligibleKeys(loads) {
 		region := c.Analyzer().RegionFor(k)
 		for _, rw := range []cobra.Rewrite{cobra.RewriteNop, cobra.RewriteExcl, cobra.RewriteBias} {
-			slots := c.SelectPrefetches(region, regionLoads[k], rw)
+			slots := c.SelectPrefetches(region, loads[k], rw)
 			if len(slots) == 0 {
 				continue
 			}
-			p := e.whatIf(c, k, regionLoads[k], rw, agg)
-			if p.delta <= 0 {
-				continue // the model predicts no whole-program win
+			if p := e.whatIf(c, k, loads[k], rw, agg); p.delta > 0 {
+				cands = append(cands, candidate{key: k, rw: rw, slots: slots, pred: p})
 			}
-			cands = append(cands, candidate{key: k, rw: rw, slots: slots, pred: p})
 		}
-	}
-	if len(cands) == 0 {
-		return
 	}
 	// Rank by predicted whole-program IPC delta, best first; ties resolve
 	// by region address then rewrite precedence so runs are deterministic.
@@ -198,57 +117,36 @@ func (e *causal) Propose(c *cobra.Control, agg cobra.Window, now int64) {
 		}
 		return cands[i].rw < cands[j].rw
 	})
-
-	deployed := 0
+	var out []cobra.Proposal
 	taken := map[cobra.LoopKey]bool{}
 	for _, cand := range cands {
-		if deployed >= maxDeploysPerPass {
-			break
-		}
 		if taken[cand.key] {
 			continue // one rewrite per region per pass: the best-ranked
 		}
-		st := c.Region(cand.key)
-		ev := obs.Evidence{
-			CoherentShare:  agg.CoherentShare(),
-			BusHitm:        uint64(agg.BusHitm),
-			Rewrite:        cand.rw.String(),
-			PredictedIPC:   cand.pred.ipc,
-			PredictedDelta: cand.pred.delta,
-		}
-		reason := "what_if"
-		if dl.State(uint64(cand.key.Head)) == obs.StateRolledBack {
-			reason = "escalate"
-		}
-		dl.Record(now, uint64(cand.key.Head), c.WindowOrdinal(), obs.StateCandidate, reason, ev)
-		if tr != nil {
-			tr.Instant("patch", fmt.Sprintf("candidate %s @%#x", ev.Rewrite, cand.key.Head),
-				obs.TIDPatch, now, map[string]any{
-					"region": cand.key.Head, "predicted_ipc": cand.pred.ipc,
-					"predicted_delta": cand.pred.delta,
-				})
-		}
 		taken[cand.key] = true
-		region := c.Analyzer().RegionFor(cand.key)
-		patch, err := c.Patcher().Deploy(region, cand.slots, cand.rw)
-		if err != nil {
-			continue
-		}
-		st.Patch = patch
-		st.Rewrite = cand.rw
-		c.ArmJudgement(st, agg, now)
+		// Only a deployment makes the region live and its prediction read
+		// again, so overwriting it for a proposal that never deploys is
+		// harmless.
 		e.preds[cand.key] = cand.pred
-		deployed++
-		c.CountDeploy(patch, cand.rw)
-		ev.BaselineIPC = st.Baseline
-		ev.GlobalBaselineIPC = st.GlobalBase
-		dl.Record(now, uint64(cand.key.Head), c.WindowOrdinal(), obs.StateDeployed, "deploy", ev)
-		if tr != nil {
-			tr.Instant("patch", fmt.Sprintf("deployed %s @%#x", ev.Rewrite, cand.key.Head),
-				obs.TIDPatch, now, map[string]any{
-					"region": cand.key.Head, "slots": len(patch.Slots),
-					"predicted_ipc": cand.pred.ipc, "baseline_ipc": st.Baseline,
-				})
-		}
+		out = append(out, cobra.Proposal{Key: cand.key, Reason: "what_if",
+			Specs:    []cobra.VariantSpec{{Rewrite: cand.rw, Slots: cand.slots}},
+			Evidence: obs.Evidence{PredictedIPC: cand.pred.ipc, PredictedDelta: cand.pred.delta}})
+	}
+	return out
+}
+
+// OnRegress rolls back and cools down: the experiment's prediction did
+// not survive contact with the machine. No blacklist — a later phase
+// re-runs the what-if ranking from fresh evidence.
+func (e *causal) OnRegress(*cobra.Control, *cobra.RegionState) cobra.Regression {
+	return cobra.Regression{To: -1, Reason: "regressed"}
+}
+
+// Decorate carries the deployed rewrite's prediction into every decision
+// so Explain() shows predicted-vs-actual.
+func (e *causal) Decorate(k cobra.LoopKey, _ *cobra.RegionState, ev *obs.Evidence) {
+	if p, ok := e.preds[k]; ok {
+		ev.PredictedIPC = p.ipc
+		ev.PredictedDelta = p.delta
 	}
 }

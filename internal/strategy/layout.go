@@ -1,20 +1,9 @@
 package strategy
 
 import (
-	"fmt"
-
 	"repro/internal/cobra"
 	"repro/internal/obs"
 )
-
-// layoutRegion is the layout engine's state for one region: the resident
-// reordered copy (a single-variant set dispatched through the entry
-// word) plus the spec it was built from, kept for decision evidence and
-// re-engagement.
-type layoutRegion struct {
-	vs   *cobra.VariantSet
-	spec cobra.LayoutSpec
-}
 
 // layoutEngine implements BOLT-style basic-block layout as a strategy
 // engine: it accumulates the BTB taken-edge profile across optimizer
@@ -25,30 +14,23 @@ type layoutRegion struct {
 // re-engagement ride the one-word dispatch patch multi-version patching
 // uses, so a phase change never costs a redeploy.
 type layoutEngine struct {
-	cfg   cobra.Config
-	state map[cobra.LoopKey]*layoutRegion
 	// edges accumulates the taken-edge profile across windows. Per-window
 	// BTB rings are tiny (4 entries per sample), so a single window
-	// rarely shows every edge of a region; the accumulator is the
-	// cross-window aggregation the ROADMAP's layout item calls for.
+	// rarely shows every edge of a region.
 	edges map[cobra.BranchEdge]int64
 }
 
-func newLayout(cfg cobra.Config) *layoutEngine {
-	return &layoutEngine{
-		cfg:   cfg,
-		state: map[cobra.LoopKey]*layoutRegion{},
-		edges: map[cobra.BranchEdge]int64{},
-	}
+func newLayout() *layoutEngine {
+	return &layoutEngine{edges: map[cobra.BranchEdge]int64{}}
 }
 
 func (e *layoutEngine) Name() string { return "layout" }
 
-// harvest folds the window's taken edges into the engine accumulator.
-// Edges whose branch executes inside the code cache are dropped: those
-// are our own copies reporting relocated addresses, and folding them in
-// would double-count the region under a shifted key space.
-func (e *layoutEngine) harvest(c *cobra.Control) {
+// Harvest folds the window's taken edges into the accumulator. Edges
+// whose branch executes inside the code cache are dropped: those are our
+// own copies reporting relocated addresses, and folding them in would
+// double-count the region under a shifted key space.
+func (e *layoutEngine) Harvest(c *cobra.Control) {
 	for _, es := range c.Profiler().TakenEdges() {
 		if c.Patcher().InCodeCache(es.Edge.From) {
 			continue
@@ -57,191 +39,50 @@ func (e *layoutEngine) harvest(c *cobra.Control) {
 	}
 }
 
-// layoutEvidence annotates judgement evidence with the deployed spec.
-func layoutEvidence(ev *obs.Evidence, lr *layoutRegion) {
-	ev.Variant = "layout"
-	ev.Variants = len(lr.vs.Variants)
-	ev.Blocks = len(lr.spec.Blocks)
-	ev.HotBlocks = lr.spec.Hot
-	ev.HotCoverage = lr.spec.Coverage
-}
-
-// engage dispatches the resident reordered copy and re-arms judgement.
-func (e *layoutEngine) engage(c *cobra.Control, k cobra.LoopKey, lr *layoutRegion, win cobra.Window, now int64) error {
-	if err := c.Patcher().Switch(lr.vs, 0); err != nil {
-		return err
-	}
-	st := c.Region(k)
-	st.Patch = lr.vs.ActivePatch()
-	st.Rewrite = cobra.RewriteLayout
-	c.ArmJudgement(st, win, now)
-	return nil
-}
-
-func (e *layoutEngine) Judge(c *cobra.Control, win cobra.Window, now int64) {
-	e.harvest(c)
-	tr := c.Observer().Trace()
-	dl := c.Observer().Decisions()
-	for _, k := range c.PatchedKeys() {
-		lr := e.state[k]
-		if lr == nil {
-			continue // not ours (defensive: engines don't share runtimes)
-		}
-		st := c.Region(k)
-		if !c.ObserveWindow(st, win) {
-			continue
-		}
-		regressed := c.Regressed(st)
-		ev := c.JudgeEvidence(st)
-		layoutEvidence(&ev, lr)
-		c.ResetJudgement(st)
-		if !regressed {
-			reason := "within_tolerance"
-			if ev.PatchedIPC >= ev.BaselineIPC {
-				reason = "improved"
-			}
-			if tr != nil {
-				tr.Instant("patch", fmt.Sprintf("kept layout @%#x", k.Head),
-					obs.TIDPatch, now, map[string]any{
-						"region": k.Head, "baseline_ipc": ev.BaselineIPC,
-						"patched_ipc": ev.PatchedIPC,
-					})
-			}
-			dl.Record(now, uint64(k.Head), c.WindowOrdinal(), obs.StateKept, reason, ev)
-			continue
-		}
-
-		// The reordered copy regressed this phase: one resident variant,
-		// so the only move is restoring the original entry word. The copy
-		// stays resident — a later phase re-engages it with a single
-		// dispatch flip instead of re-emitting.
-		if tr != nil {
-			tr.Span("patch", fmt.Sprintf("active layout @%#x", k.Head),
-				obs.TIDPatch, st.DeployedAt, now, map[string]any{"region": k.Head})
-		}
-		if err := c.Patcher().Switch(lr.vs, -1); err == nil {
-			c.CountRollback()
-		}
-		st.Patch = nil
-		ev.CooldownUntil = c.ArmCooldown(st, now)
-		dl.Record(now, uint64(k.Head), c.WindowOrdinal(), obs.StateRolledBack, "layout_regressed", ev)
-		if tr != nil {
-			tr.Instant("patch", fmt.Sprintf("rolled back layout @%#x", k.Head),
-				obs.TIDPatch, now, map[string]any{
-					"region": k.Head, "baseline_ipc": ev.BaselineIPC,
-					"patched_ipc": ev.PatchedIPC,
-				})
-		}
-	}
-}
-
-func (e *layoutEngine) Propose(c *cobra.Control, agg cobra.Window, now int64) {
-	if c.AnyUnjudged() {
-		return
-	}
-	hot := c.Profiler().HotLoops(c.Config().MinLoopSamples)
-	if len(hot) == 0 {
-		return
-	}
-	tr := c.Observer().Trace()
-	dl := c.Observer().Decisions()
-	deployed := 0
-
-	for _, ls := range hot { // hottest first, deterministically ordered
-		if deployed >= maxDeploysPerPass {
-			break
-		}
+// Propose walks the hot loops hottest first: a region with a resident
+// copy re-engages it; otherwise the accumulated edge profile lays it out.
+// Regions whose observed profile orders the blocks exactly as compiled
+// are skipped without a candidate record — there is nothing to decide.
+func (e *layoutEngine) Propose(c *cobra.Control, agg cobra.Window) []cobra.Proposal {
+	var out []cobra.Proposal
+	for _, ls := range c.Profiler().HotLoops(c.Config().MinLoopSamples) {
 		k := ls.Key
-		if c.Patcher().InCodeCache(k.Head) || c.Patcher().InCodeCache(k.BranchPC) {
-			continue // never re-lay out our own copies
-		}
-		if !c.Analyzer().ValidLoop(k) {
+		if !c.Eligible(k) {
 			continue
 		}
-		st := c.Region(k)
-		if st.Patch != nil && len(st.Patch.Slots) > 0 {
-			continue // the copy is dispatched and under judgement
-		}
-		if st.Cooldown > 0 || st.Blocked {
+		if c.Region(k).Deployment != nil {
+			out = append(out, cobra.Proposal{Key: k})
 			continue
 		}
-
-		if lr := e.state[k]; lr != nil {
-			// The copy is already resident: re-engage with one dispatch
-			// flip (rolled_back → switched, the transition resident
-			// variants make legal).
-			if err := e.engage(c, k, lr, agg, now); err != nil {
-				continue
-			}
-			c.CountSwitch()
-			deployed++
-			ev := obs.Evidence{
-				CoherentShare: agg.CoherentShare(), BusHitm: uint64(agg.BusHitm),
-				Rewrite: st.Rewrite.String(), BaselineIPC: st.Baseline,
-				GlobalBaselineIPC: st.GlobalBase,
-			}
-			layoutEvidence(&ev, lr)
-			dl.Record(now, uint64(k.Head), c.WindowOrdinal(), obs.StateSwitched, "reengage", ev)
-			if tr != nil {
-				tr.Instant("patch", fmt.Sprintf("switched layout @%#x", k.Head),
-					obs.TIDPatch, now, map[string]any{"region": k.Head})
-			}
+		spec := c.Analyzer().BuildLayout(c.Analyzer().RegionFor(k), e.edges)
+		// A loop head placed after its latch would turn the latch edge
+		// forward and the copy's loop key would vanish from the profiler:
+		// the deployment would be unjudgeable.
+		if len(spec.Blocks) < 2 || spec.Identity() || !spec.PlacesBefore(k.Head, k.BranchPC) {
 			continue
 		}
-
-		// First trigger on this region: build the layout from the
-		// accumulated edge profile. Regions whose observed profile orders
-		// the blocks exactly as compiled are skipped without a candidate
-		// record — there is nothing to decide.
-		region := c.Analyzer().RegionFor(k)
-		spec := c.Analyzer().BuildLayout(region, e.edges)
-		if len(spec.Blocks) < 2 || spec.Identity() {
-			continue
-		}
-		if !spec.PlacesBefore(k.Head, k.BranchPC) {
-			// The reordered latch edge would turn forward and the copy's
-			// loop key would vanish from the profiler — unjudgeable.
-			continue
-		}
-		ev := obs.Evidence{
-			CoherentShare: agg.CoherentShare(), BusHitm: uint64(agg.BusHitm),
-			Rewrite: cobra.RewriteLayout.String(),
-			Blocks:  len(spec.Blocks), HotBlocks: spec.Hot, HotCoverage: spec.Coverage,
-		}
-		reason := "trigger"
-		if dl.State(uint64(k.Head)) == obs.StateRolledBack {
-			reason = "escalate"
-		}
-		dl.Record(now, uint64(k.Head), c.WindowOrdinal(), obs.StateCandidate, reason, ev)
-		if tr != nil {
-			tr.Instant("patch", fmt.Sprintf("candidate layout @%#x", k.Head),
-				obs.TIDPatch, now, map[string]any{
-					"region": k.Head, "blocks": len(spec.Blocks), "hot": spec.Hot,
-				})
-		}
-		vs, err := c.Patcher().DeployLayout(region, spec)
-		if err != nil {
-			continue // candidate recorded, deploy-time check failed
-		}
-		lr := &layoutRegion{vs: vs, spec: spec}
-		e.state[k] = lr
-		if err := e.engage(c, k, lr, agg, now); err != nil {
-			continue
-		}
-		deployed++
-		c.CountDeploy(st.Patch, cobra.RewriteLayout)
-		ev.Variant = "layout"
-		ev.Variants = 1
-		ev.BaselineIPC = st.Baseline
-		ev.GlobalBaselineIPC = st.GlobalBase
-		dl.Record(now, uint64(k.Head), c.WindowOrdinal(), obs.StateDeployed, "deploy", ev)
-		if tr != nil {
-			tr.Instant("patch", fmt.Sprintf("deployed layout @%#x", k.Head),
-				obs.TIDPatch, now, map[string]any{
-					"region": k.Head, "blocks": len(spec.Blocks),
-					"hot": spec.Hot, "coverage": spec.Coverage,
-					"baseline_ipc": st.Baseline,
-				})
-		}
+		out = append(out, cobra.Proposal{Key: k, Reason: "trigger",
+			Specs: []cobra.VariantSpec{{Rewrite: cobra.RewriteLayout, Layout: &spec}},
+			Evidence: obs.Evidence{
+				Blocks: len(spec.Blocks), HotBlocks: spec.Hot, HotCoverage: spec.Coverage,
+			}})
 	}
+	return out
+}
+
+// OnRegress restores the original entry word: with one resident copy
+// there is nothing to switch to. The copy stays resident, and a later
+// phase re-engages it with a single dispatch flip.
+func (e *layoutEngine) OnRegress(*cobra.Control, *cobra.RegionState) cobra.Regression {
+	return cobra.Regression{To: -1, Reason: "layout_regressed"}
+}
+
+// Decorate annotates the evidence with the deployed block layout.
+func (e *layoutEngine) Decorate(_ cobra.LoopKey, st *cobra.RegionState, ev *obs.Evidence) {
+	spec := st.Deployment.Variants[0].Layout
+	ev.Variant = "layout"
+	ev.Variants = len(st.Deployment.Variants)
+	ev.Blocks = len(spec.Blocks)
+	ev.HotBlocks = spec.Hot
+	ev.HotCoverage = spec.Coverage
 }

@@ -1,260 +1,60 @@
 package strategy
 
 import (
-	"fmt"
-
 	"repro/internal/cobra"
 	"repro/internal/obs"
 )
-
-// maxDeploysPerPass bounds how many regions any engine touches per
-// optimizer pass, so a regressing rewrite is caught and abandoned before
-// it is compounded across the whole program (same staging rule as the
-// built-in prefetch engine).
-const maxDeploysPerPass = 2
-
-// mvRegion is the multiversion engine's private state for one region:
-// the resident variant table plus which variants this phase already
-// rejected.
-type mvRegion struct {
-	vs *cobra.VariantSet
-	// tried marks variants the current engagement already judged as
-	// regressing; reset when the region rolls back to the original so a
-	// later phase can re-try the full table.
-	tried []bool
-}
 
 // multiVersion keeps every applicable rewrite of a hot region resident
 // in the code cache and adapts to phase changes by switching the
 // region's dispatch branch between variants. A switch is one journaled
 // one-word patch (ia64.Image.SyncDecodeStats replays exactly one slot),
 // against a full rollback + redeploy cycle for the destructive engines.
-type multiVersion struct {
-	cfg   cobra.Config
-	state map[cobra.LoopKey]*mvRegion
-}
+type multiVersion struct{}
 
-func newMultiVersion(cfg cobra.Config) *multiVersion {
-	return &multiVersion{cfg: cfg, state: map[cobra.LoopKey]*mvRegion{}}
-}
+func (multiVersion) Name() string { return "multiversion" }
 
-func (e *multiVersion) Name() string { return "multiversion" }
-
-// variantName renders the dispatch target for decision evidence.
-func variantName(vs *cobra.VariantSet) string {
-	v := vs.ActiveVariant()
-	if v == nil {
-		return "original"
-	}
-	return v.Rewrite.String()
-}
-
-// nextUntried returns the first variant index this engagement has not
-// rejected yet, or -1.
-func (m *mvRegion) nextUntried() int {
-	for i := range m.vs.Variants {
-		if !m.tried[i] {
-			return i
-		}
-	}
-	return -1
-}
-
-// engage dispatches variant idx and re-arms the judgement clock.
-func (e *multiVersion) engage(c *cobra.Control, k cobra.LoopKey, m *mvRegion, idx int, win cobra.Window, now int64) error {
-	if err := c.Patcher().Switch(m.vs, idx); err != nil {
-		return err
-	}
-	st := c.Region(k)
-	st.Patch = m.vs.ActivePatch()
-	st.Rewrite = m.vs.Variants[idx].Rewrite
-	c.ArmJudgement(st, win, now)
-	return nil
-}
-
-func (e *multiVersion) Judge(c *cobra.Control, win cobra.Window, now int64) {
-	tr := c.Observer().Trace()
-	dl := c.Observer().Decisions()
-	for _, k := range c.PatchedKeys() {
-		m := e.state[k]
-		if m == nil {
-			continue // not ours (defensive: engines don't share runtimes)
-		}
-		st := c.Region(k)
-		if !c.ObserveWindow(st, win) {
+// Propose re-engages a region's resident table, or, on the first trigger,
+// builds the table from every rewrite the §4 association filters accept.
+func (multiVersion) Propose(c *cobra.Control, agg cobra.Window) []cobra.Proposal {
+	loads := c.CandidateLoads()
+	var out []cobra.Proposal
+	for _, k := range c.EligibleKeys(loads) {
+		if c.Region(k).Deployment != nil {
+			out = append(out, cobra.Proposal{Key: k})
 			continue
 		}
-		regressed := c.Regressed(st)
-		ev := c.JudgeEvidence(st)
-		ev.Variant = variantName(m.vs)
-		ev.Variants = len(m.vs.Variants)
-		c.ResetJudgement(st)
-		if !regressed {
-			reason := "within_tolerance"
-			if ev.PatchedIPC >= ev.BaselineIPC {
-				reason = "improved"
-			}
-			if tr != nil {
-				tr.Instant("patch", fmt.Sprintf("kept %s @%#x", ev.Variant, k.Head),
-					obs.TIDPatch, now, map[string]any{
-						"region": k.Head, "baseline_ipc": ev.BaselineIPC,
-						"patched_ipc": ev.PatchedIPC,
-					})
-			}
-			dl.Record(now, uint64(k.Head), c.WindowOrdinal(), obs.StateKept, reason, ev)
-			continue
-		}
-
-		// The dispatched variant regressed this phase. Flip to the next
-		// resident variant if one is left — no rollback, no redeploy —
-		// otherwise restore the original code and cool down.
-		m.tried[m.vs.Active()] = true
-		if tr != nil {
-			tr.Span("patch", fmt.Sprintf("active %s @%#x", ev.Rewrite, k.Head),
-				obs.TIDPatch, st.DeployedAt, now, map[string]any{"region": k.Head})
-		}
-		if next := m.nextUntried(); next >= 0 {
-			if err := e.engage(c, k, m, next, win, now); err == nil {
-				c.CountSwitch()
-				ev.Variant = m.vs.Variants[next].Rewrite.String()
-				dl.Record(now, uint64(k.Head), c.WindowOrdinal(), obs.StateSwitched, "variant_regressed", ev)
-				if tr != nil {
-					tr.Instant("patch", fmt.Sprintf("switched %s @%#x", ev.Variant, k.Head),
-						obs.TIDPatch, now, map[string]any{
-							"region": k.Head, "variant": ev.Variant,
-							"baseline_ipc": ev.BaselineIPC, "patched_ipc": ev.PatchedIPC,
-						})
-				}
-				continue
-			}
-		}
-		// Table exhausted: back to the original code.
-		if err := c.Patcher().Switch(m.vs, -1); err == nil {
-			c.CountRollback()
-		}
-		st.Patch = nil
-		ev.Variant = "original"
-		ev.CooldownUntil = c.ArmCooldown(st, now)
-		for i := range m.tried {
-			m.tried[i] = false // a later phase may like a variant again
-		}
-		dl.Record(now, uint64(k.Head), c.WindowOrdinal(), obs.StateRolledBack, "variants_exhausted", ev)
-		if tr != nil {
-			tr.Instant("patch", fmt.Sprintf("rolled back @%#x", k.Head),
-				obs.TIDPatch, now, map[string]any{
-					"region": k.Head, "baseline_ipc": ev.BaselineIPC,
-					"patched_ipc": ev.PatchedIPC,
-				})
-		}
-	}
-}
-
-func (e *multiVersion) Propose(c *cobra.Control, agg cobra.Window, now int64) {
-	regionLoads := c.CandidateLoads()
-	if len(regionLoads) == 0 || c.AnyUnjudged() {
-		return
-	}
-	tr := c.Observer().Trace()
-	dl := c.Observer().Decisions()
-	deployed := 0
-
-	keys := make([]cobra.LoopKey, 0, len(regionLoads))
-	for k := range regionLoads {
-		keys = append(keys, k)
-	}
-	cobra.SortLoopKeys(keys)
-
-	for _, k := range keys {
-		if deployed >= maxDeploysPerPass {
-			break
-		}
-		if c.Patcher().InCodeCache(k.Head) || c.Patcher().InCodeCache(k.BranchPC) {
-			continue // never re-optimize our own traces
-		}
-		if !c.Analyzer().ValidLoop(k) {
-			continue
-		}
-		st := c.Region(k)
-		if st.Patch != nil && len(st.Patch.Slots) > 0 {
-			continue // a variant is dispatched and under judgement
-		}
-		if st.Cooldown > 0 || st.Blocked {
-			continue
-		}
-
-		if m := e.state[k]; m != nil {
-			// The table is already resident: re-engage the first variant
-			// with a single dispatch-branch flip (rolled_back → switched
-			// is the transition resident variants exist to make legal).
-			if err := e.engage(c, k, m, 0, agg, now); err != nil {
-				continue
-			}
-			c.CountSwitch()
-			deployed++
-			ev := obs.Evidence{
-				CoherentShare: agg.CoherentShare(), BusHitm: uint64(agg.BusHitm),
-				Rewrite: st.Rewrite.String(), Variant: variantName(m.vs),
-				Variants: len(m.vs.Variants), BaselineIPC: st.Baseline,
-				GlobalBaselineIPC: st.GlobalBase,
-			}
-			dl.Record(now, uint64(k.Head), c.WindowOrdinal(), obs.StateSwitched, "reengage", ev)
-			if tr != nil {
-				tr.Instant("patch", fmt.Sprintf("switched %s @%#x", ev.Variant, k.Head),
-					obs.TIDPatch, now, map[string]any{"region": k.Head, "variant": ev.Variant})
-			}
-			continue
-		}
-
-		// First trigger on this region: build the variant table from every
-		// rewrite the §4 association filters accept, deploy all of them
-		// resident, and dispatch the first.
 		region := c.Analyzer().RegionFor(k)
 		var specs []cobra.VariantSpec
 		for _, rw := range []cobra.Rewrite{cobra.RewriteNop, cobra.RewriteExcl, cobra.RewriteBias} {
-			if slots := c.SelectPrefetches(region, regionLoads[k], rw); len(slots) > 0 {
+			if slots := c.SelectPrefetches(region, loads[k], rw); len(slots) > 0 {
 				specs = append(specs, cobra.VariantSpec{Rewrite: rw, Slots: slots})
 			}
 		}
-		if len(specs) == 0 {
-			continue
-		}
-		ev := obs.Evidence{
-			CoherentShare: agg.CoherentShare(), BusHitm: uint64(agg.BusHitm),
-			Rewrite: specs[0].Rewrite.String(), Variants: len(specs),
-		}
-		reason := "trigger"
-		if dl.State(uint64(k.Head)) == obs.StateRolledBack {
-			reason = "escalate"
-		}
-		dl.Record(now, uint64(k.Head), c.WindowOrdinal(), obs.StateCandidate, reason, ev)
-		if tr != nil {
-			tr.Instant("patch", fmt.Sprintf("candidate %s @%#x", ev.Rewrite, k.Head),
-				obs.TIDPatch, now, map[string]any{
-					"region": k.Head, "coherent_share": agg.CoherentShare(),
-				})
-		}
-		vs, err := c.Patcher().DeployVariants(region, specs)
-		if err != nil {
-			continue // candidate recorded, deploy-time check failed
-		}
-		m := &mvRegion{vs: vs, tried: make([]bool, len(vs.Variants))}
-		e.state[k] = m
-		if err := e.engage(c, k, m, 0, agg, now); err != nil {
-			continue
-		}
-		deployed++
-		c.CountDeploy(st.Patch, st.Rewrite)
-		c.CountTraces(len(vs.Variants) - 1) // CountDeploy charged the first
-		ev.Variant = variantName(vs)
-		ev.BaselineIPC = st.Baseline
-		ev.GlobalBaselineIPC = st.GlobalBase
-		dl.Record(now, uint64(k.Head), c.WindowOrdinal(), obs.StateDeployed, "deploy", ev)
-		if tr != nil {
-			tr.Instant("patch", fmt.Sprintf("deployed %s @%#x", ev.Variant, k.Head),
-				obs.TIDPatch, now, map[string]any{
-					"region": k.Head, "variants": len(vs.Variants),
-					"rewritten": st.Patch.RewrittenPrefetches, "baseline_ipc": st.Baseline,
-				})
+		if len(specs) > 0 {
+			out = append(out, cobra.Proposal{Key: k, Reason: "trigger", Specs: specs,
+				Evidence: obs.Evidence{Variants: len(specs)}})
 		}
 	}
+	return out
+}
+
+// OnRegress flips to the next resident variant — no rollback, no
+// redeploy — and restores the original code once the table is exhausted.
+// Every engagement starts at variant 0, so the variants before the
+// dispatched one are exactly those this phase already rejected.
+func (multiVersion) OnRegress(_ *cobra.Control, st *cobra.RegionState) cobra.Regression {
+	if next := st.Deployment.Active() + 1; next < len(st.Deployment.Variants) {
+		return cobra.Regression{To: next, Reason: "variant_regressed"}
+	}
+	return cobra.Regression{To: -1, Reason: "variants_exhausted"}
+}
+
+// Decorate names the dispatched variant and the table size.
+func (multiVersion) Decorate(_ cobra.LoopKey, st *cobra.RegionState, ev *obs.Evidence) {
+	ev.Variant = "original"
+	if v := st.Deployment.ActiveVariant(); v != nil {
+		ev.Variant = v.Rewrite.String()
+	}
+	ev.Variants = len(st.Deployment.Variants)
 }

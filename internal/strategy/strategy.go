@@ -1,6 +1,8 @@
 // Package strategy holds COBRA's pluggable optimization strategies: the
-// policy engines that decide what to patch, how to judge it, and when to
-// give up, built on the cobra.Engine interface and registry.
+// policy engines that decide what to patch and what a regressed patch
+// does next, built on the cobra.Engine interface and registry. The patch
+// lifecycle they steer — judgement, counters, decision records, trace
+// instants — is cobra.Control's, shared by every engine.
 //
 // Importing this package registers the engines beyond the built-in
 // default (which lives in internal/cobra itself):
@@ -28,22 +30,11 @@ package strategy
 
 import "repro/internal/cobra"
 
-// Strategy is the engine contract (propose → judge → commit/abandon over
-// RegionState evidence). It aliases cobra.Engine so engines defined here
-// plug into the runtime's registry without an import cycle.
-type Strategy = cobra.Engine
-
 // Names returns every registered strategy engine name, sorted.
 func Names() []string { return cobra.EngineNames() }
 
 func init() {
-	cobra.RegisterEngine("multiversion", func(cfg cobra.Config) cobra.Engine {
-		return newMultiVersion(cfg)
-	})
-	cobra.RegisterEngine("causal", func(cfg cobra.Config) cobra.Engine {
-		return newCausal(cfg)
-	})
-	cobra.RegisterEngine("layout", func(cfg cobra.Config) cobra.Engine {
-		return newLayout(cfg)
-	})
+	cobra.RegisterEngine("multiversion", func(cobra.Config) cobra.Engine { return multiVersion{} })
+	cobra.RegisterEngine("causal", func(cfg cobra.Config) cobra.Engine { return newCausal(cfg) })
+	cobra.RegisterEngine("layout", func(cobra.Config) cobra.Engine { return newLayout() })
 }

@@ -461,7 +461,7 @@ func armLayoutTimers(m *machine.Machine, patcher *cobra.Patcher, img *ia64.Image
 				spec.Order[i] = i
 			}
 		}
-		set, err := patcher.DeployLayout(region, spec)
+		set, err := patcher.DeployVariants(region, []cobra.VariantSpec{{Rewrite: cobra.RewriteLayout, Layout: &spec}})
 		if err == nil {
 			err = patcher.Switch(set, 0)
 		}
@@ -514,17 +514,22 @@ func runScenario(p *Program, plan *patchPlan, sc *numaScenario) (*runOutcome, er
 		} else if plan.mode.useVariants() {
 			armVariantTimers(m, patcher, region, target, plan, out, &deployErr)
 		} else {
-			var patch *cobra.Patch
+			var vs *cobra.VariantSet
 			m.AddTimer(&machine.Timer{NextAt: plan.deployAt, Fn: func(now int64) int64 {
-				patch, deployErr = patcher.Deploy(region, target.Lfetches, plan.mode.rewrite())
-				deployErr = triagePatchErr(deployErr)
-				out.deployed = patch != nil && deployErr == nil
+				set, err := patcher.DeployVariants(region, []cobra.VariantSpec{{Rewrite: plan.mode.rewrite(), Slots: target.Lfetches}})
+				if err == nil {
+					err = patcher.Switch(set, 0)
+				}
+				if deployErr = triagePatchErr(err); err == nil {
+					vs = set
+				}
+				out.deployed = vs != nil
 				return 0
 			}})
 			if plan.mode == ModeRollback {
 				m.AddTimer(&machine.Timer{NextAt: plan.rollbackAt, Fn: func(now int64) int64 {
-					if patch != nil {
-						if err := patcher.Rollback(patch); err != nil && deployErr == nil {
+					if vs != nil {
+						if err := patcher.Switch(vs, -1); err != nil && deployErr == nil {
 							deployErr = err
 						}
 					}
@@ -630,8 +635,9 @@ const diffLimit = 16
 // VerifySeed generates the program for cfg and runs the full differential
 // battery: one baseline, one patched run per mode (deploying mid-parallel
 // region, at half the baseline's region duration), and — when faults is
-// non-empty — the control-loop fault-injection runs. All runs carry the
-// online MESI invariant checker.
+// non-empty — the control-loop fault-injection runs, each fault under
+// every FaultControls configuration. All runs carry the online MESI
+// invariant checker.
 func VerifySeed(cfg GenConfig, modes []Mode, faults []FaultKind) SeedReport {
 	rep := SeedReport{Seed: cfg.Seed}
 	p, err := Generate(cfg)
@@ -749,8 +755,10 @@ func VerifySeed(cfg GenConfig, modes []Mode, faults []FaultKind) SeedReport {
 			Mismatches: diffStates(base.state, run.state, diffLimit),
 		})
 	}
-	for _, kind := range faults {
-		rep.Faults = append(rep.Faults, RunFault(p, base.state, kind))
+	for _, ctl := range FaultControls() {
+		for _, kind := range faults {
+			rep.Faults = append(rep.Faults, RunFault(p, base.state, kind, ctl))
+		}
 	}
 	return rep
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/hpm"
 	"repro/internal/obs"
 	"repro/internal/perfmon"
+	_ "repro/internal/strategy" // register every engine the battery drives
 )
 
 // FaultKind is one way of perturbing COBRA's control loop. Faults attack
@@ -66,7 +67,7 @@ func (k FaultKind) wantNoPatches() bool {
 
 // FaultResult is the verdict of one fault-injection run.
 type FaultResult struct {
-	Kind          string
+	Kind          string // control/fault, e.g. "layout/trace/corrupt-samples"
 	Cycles        int64
 	Patches       int64 // deploys the perturbed controller performed
 	WantNoPatches bool
@@ -106,13 +107,40 @@ func (f *FaultResult) Problems() []string {
 	return out
 }
 
+// FaultControl is one control-loop configuration the battery perturbs:
+// a strategy engine and the patcher mode it deploys through.
+type FaultControl struct {
+	Engine string
+	Trace  bool
+}
+
+func (c FaultControl) String() string {
+	if c.Trace {
+		return c.Engine + "/trace"
+	}
+	return c.Engine + "/inplace"
+}
+
+// FaultControls returns the configurations the battery runs under: the
+// in-place prefetch engine (the paper's ablation arm), then every
+// registered engine in trace mode.
+func FaultControls() []FaultControl {
+	out := []FaultControl{{Engine: "prefetch"}}
+	for _, name := range cobra.EngineNames() {
+		out = append(out, FaultControl{Engine: name, Trace: true})
+	}
+	return out
+}
+
 // faultControlConfig is the COBRA configuration fault runs drive: an
-// adaptive controller with thresholds floored so that on a healthy sample
-// path a short generated program is enough to trigger patching — which is
-// what makes the no-patch assertion under starved faults meaningful.
-func faultControlConfig() cobra.Config {
+// adaptive controller under ctl with thresholds floored so that on a
+// healthy sample path a short generated program is enough to trigger
+// patching — which is what makes the no-patch assertion under starved
+// faults meaningful.
+func faultControlConfig(ctl FaultControl) cobra.Config {
 	cfg := cobra.DefaultConfig(cobra.StrategyAdaptive)
-	cfg.UseTraceCache = false
+	cfg.Engine = ctl.Engine
+	cfg.UseTraceCache = ctl.Trace
 	cfg.OptimizeInterval = 1_000
 	cfg.MinCoherentEvents = 1
 	cfg.CoherentShareThreshold = 0.01
@@ -186,15 +214,16 @@ func faultHandler(kind FaultKind, cpu int, imgLen int, push perfmon.Handler) per
 	return push
 }
 
-// RunFault executes p under a full COBRA control loop whose sample path
-// is perturbed by kind, and asserts graceful degradation: the run
+// RunFault executes p under a full COBRA control loop (configured by
+// ctl) whose sample path is perturbed by kind, and asserts graceful
+// degradation: the run
 // terminates, the decision log replays legally, MESI invariants hold,
 // starved controllers deploy nothing, and the architectural result is
 // bit-identical to baseline (COBRA's rewrites are all semantics-neutral,
 // so even garbage-driven patches must not change values). baseline is the
 // unmonitored reference state from the differential oracle.
-func RunFault(p *Program, baseline *archState, kind FaultKind) (res FaultResult) {
-	res = FaultResult{Kind: kind.String(), WantNoPatches: kind.wantNoPatches()}
+func RunFault(p *Program, baseline *archState, kind FaultKind, ctl FaultControl) (res FaultResult) {
+	res = FaultResult{Kind: ctl.String() + "/" + kind.String(), WantNoPatches: kind.wantNoPatches()}
 	defer func() {
 		if r := recover(); r != nil {
 			res.Err = fmt.Sprintf("panic: %v", r)
@@ -206,7 +235,7 @@ func RunFault(p *Program, baseline *archState, kind FaultKind) (res FaultResult)
 		res.Err = err.Error()
 		return res
 	}
-	cb := cobra.New(env.m, faultControlConfig())
+	cb := cobra.New(env.m, faultControlConfig(ctl))
 	env.rt.OnFork = func(tid, cpu int) {
 		cb.MonitorThread(tid, cpu)
 		// Interpose on the monitor path: replace the genuine handler with

@@ -154,10 +154,10 @@ func TestOracleDetectsSemanticCorruption(t *testing.T) {
 }
 
 // TestFaultInjectionDegradesGracefully runs the control-loop fault
-// battery: perturbed sample paths must terminate cleanly, keep the
-// decision-log lifecycle legal, leave MESI invariants intact, deploy
-// nothing when starved of evidence, and never change the program's
-// architectural result.
+// battery under every engine: perturbed sample paths must terminate
+// cleanly, keep the decision-log lifecycle legal, leave MESI invariants
+// intact, deploy nothing when starved of evidence, and never change the
+// program's architectural result.
 func TestFaultInjectionDegradesGracefully(t *testing.T) {
 	healthyDeploys := int64(0)
 	for seed := int64(2); seed <= 4; seed++ {
@@ -169,13 +169,15 @@ func TestFaultInjectionDegradesGracefully(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, kind := range AllFaults() {
-			res := RunFault(p, base.state, kind)
-			if res.Failed() {
-				t.Errorf("seed %d %v:\n  %v", seed, kind, res.Problems())
-			}
-			if kind == FaultNone {
-				healthyDeploys += res.Patches
+		for _, ctl := range FaultControls() {
+			for _, kind := range AllFaults() {
+				res := RunFault(p, base.state, kind, ctl)
+				if res.Failed() {
+					t.Errorf("seed %d %s:\n  %v", seed, res.Kind, res.Problems())
+				}
+				if kind == FaultNone {
+					healthyDeploys += res.Patches
+				}
 			}
 		}
 	}
@@ -199,7 +201,7 @@ func TestRunCorpusSmoke(t *testing.T) {
 		t.Fatalf("programs = %d, want 6", sum.Programs)
 	}
 	// placement is one mode but runs once per placement policy.
-	wantRuns := 6*(1+len(AllModes())+3-1) + 2*len(AllFaults())
+	wantRuns := 6*(1+len(AllModes())+3-1) + 2*len(AllFaults())*len(FaultControls())
 	if sum.Runs != wantRuns {
 		t.Fatalf("runs = %d, want %d", sum.Runs, wantRuns)
 	}

@@ -13,21 +13,21 @@ import (
 // Figure 3 sweep, Table 1, and one NPB benchmark under all three
 // strategies on both machine models, rendered through the report layer.
 func TestHarnessSmoke(t *testing.T) {
-	cells, err := experiment.Figure3('a', experiment.QuickDaxpyScale())
+	cells, err := experiment.Figure3Sched('a', experiment.QuickDaxpyScale(), experiment.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
 	report.Figure3(&sb, 'a', cells)
 
-	rows, err := experiment.Table1(npb.ClassT)
+	rows, err := experiment.Table1Sched(npb.ClassT, experiment.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	report.Table1(&sb, rows)
 
 	for _, m := range []experiment.MachineKind{experiment.SMP4, experiment.Altix8} {
-		res, err := experiment.RunNPB(m, npb.ClassT, []string{"mg"})
+		res, err := experiment.RunNPBSched(m, npb.ClassT, []string{"mg"}, experiment.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
