@@ -65,6 +65,7 @@ func (c *Control) judge(eng Engine, win Window, now int64) {
 			tr.Span("patch", fmt.Sprintf("active %s @%#x", ev.Rewrite, k.Head),
 				obs.TIDPatch, st.DeployedAt, now, map[string]any{"region": k.Head})
 		}
+		// A switch that cannot land falls back to restoring the original.
 		if act.To >= 0 && c.r.patcher.Switch(st.Deployment, act.To) == nil {
 			c.engage(st, win, now)
 			c.r.stats.variantSwitches.Inc()
