@@ -95,7 +95,8 @@ layout-smoke:
 # Scenario-matrix gate: 3 topologies x 3 placement policies x 3
 # irregular workloads, every cell running the adaptive COBRA loop
 # through the scheduler under the race detector with the decision-log
-# lifecycle audited and all metrics required finite; then one
+# lifecycle audited, all metrics required finite, and each cell's cycles,
+# memory counters, COBRA counters and decision log pinned; then one
 # asymmetric-NUMA pointer-chase cell end to end through cobra-run with
 # its cycle-domain trace structurally validated.
 matrix-smoke:
