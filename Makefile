@@ -42,10 +42,12 @@ bench:
 	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' . \
 		| $(GO) run ./cmd/benchjson -label "$(BENCH_LABEL)" -out BENCH.json
 
-# One cheap iteration of the core throughput benchmark: a compile+run
-# smoke for the simulator hot path, not a measurement.
+# One cheap iteration of the core throughput benchmark and of the memory-
+# system and run-loop layer benchmarks: a compile+run smoke for the
+# simulator hot path, not a measurement.
 bench-smoke:
 	$(GO) test -bench 'BenchmarkSimulatorThroughput$$' -benchtime 1x -benchmem -run '^$$' .
+	$(GO) test -bench 'BenchmarkDomainAccess|BenchmarkRunAll' -benchtime 1x -benchmem -run '^$$' ./internal/mem/ ./internal/machine/
 
 # Export a cycle-domain Chrome trace of the phase-change run and
 # structurally validate it — the observability layer's end-to-end gate.

@@ -28,6 +28,11 @@ const (
 // base + (logical-base+rrb) mod size. Executing br.ctop/br.wtop decrements
 // the bases, which renames r32 to the physical register previously named
 // r33 — the mechanism software pipelining relies on to shift loop stages.
+//
+// For a register of the file both logical-base and rrb lie in [0, size),
+// so the mod is one conditional subtract. A number beyond the file (which
+// Decode accepts but no assembler emits) takes one more subtract per wrap
+// and lands where the mod would.
 type RegFile struct {
 	gr [NumGR]int64
 	fr [NumFR]float64
@@ -50,21 +55,33 @@ func (rf *RegFile) physGR(r uint8) int {
 	if r < RotGRBase {
 		return int(r)
 	}
-	return RotGRBase + (int(r)-RotGRBase+rf.rrbGR)%rotGRSize
+	i := int(r) + rf.rrbGR
+	for i >= NumGR {
+		i -= rotGRSize
+	}
+	return i
 }
 
 func (rf *RegFile) physFR(r uint8) int {
 	if r < RotFRBase {
 		return int(r)
 	}
-	return RotFRBase + (int(r)-RotFRBase+rf.rrbFR)%rotFRSize
+	i := int(r) + rf.rrbFR
+	for i >= NumFR {
+		i -= rotFRSize
+	}
+	return i
 }
 
 func (rf *RegFile) physPR(p uint8) int {
 	if p < RotPRBase {
 		return int(p)
 	}
-	return RotPRBase + (int(p)-RotPRBase+rf.rrbPR)%rotPRSize
+	i := int(p) + rf.rrbPR
+	for i >= NumPR {
+		i -= rotPRSize
+	}
+	return i
 }
 
 // GR reads logical general register r. r0 always reads zero.

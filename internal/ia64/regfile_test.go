@@ -209,3 +209,27 @@ func TestResetClearsEverything(t *testing.T) {
 		t.Fatal("Reset left rename bases behind")
 	}
 }
+
+// TestRenameMatchesModulo: the conditional-subtract rename lands every
+// register number an instruction word can carry, at every rename base,
+// where base + (logical-base+rrb) mod size does.
+func TestRenameMatchesModulo(t *testing.T) {
+	for rrb := 0; rrb < rotGRSize; rrb++ {
+		rf := RegFile{rrbGR: rrb, rrbFR: rrb, rrbPR: rrb % rotPRSize}
+		for r := 0; r < 256; r++ {
+			if r >= RotGRBase {
+				if got, want := rf.physGR(uint8(r)), RotGRBase+(r-RotGRBase+rrb)%rotGRSize; got != want {
+					t.Fatalf("r%d at rrb %d renames to %d, want %d", r, rrb, got, want)
+				}
+				if got, want := rf.physFR(uint8(r)), RotFRBase+(r-RotFRBase+rrb)%rotFRSize; got != want {
+					t.Fatalf("f%d at rrb %d renames to %d, want %d", r, rrb, got, want)
+				}
+			}
+			if r >= RotPRBase {
+				if got, want := rf.physPR(uint8(r)), RotPRBase+(r-RotPRBase+rf.rrbPR)%rotPRSize; got != want {
+					t.Fatalf("p%d at rrb %d renames to %d, want %d", r, rf.rrbPR, got, want)
+				}
+			}
+		}
+	}
+}

@@ -51,7 +51,7 @@ func (c *CPU) refillDecode() {
 // feedMemEvents translates the event deltas of one memory access into PMU
 // events. Only non-zero events are offered; PMU.Add ignores zero counts, so
 // skipping them is behavior-preserving and keeps the common all-zero case
-// (cache hits) to a single struct compare in the caller.
+// (cache hits) to one EventDelta.Any test in the caller.
 func (c *CPU) feedMemEvents(ev *mem.EventDelta) {
 	p := c.PMU
 	if ev.L2Miss != 0 {
@@ -101,7 +101,7 @@ func (c *CPU) stepBundle() (int64, error) {
 		if c.PC < 0 || c.PC >= len(c.dec) {
 			return retired, fmt.Errorf("machine: CPU %d fetched out-of-image PC %d", c.ID, c.PC)
 		}
-		in := c.dec[c.PC]
+		in := &c.dec[c.PC]
 		pc := c.PC
 		c.PC++
 		retired++
@@ -127,7 +127,7 @@ func (c *CPU) stepBundle() (int64, error) {
 }
 
 // exec applies one instruction's architectural and timing effects.
-func (c *CPU) exec(in ia64.Instr, pc int) error {
+func (c *CPU) exec(in *ia64.Instr, pc int) error {
 	rf := &c.RF
 
 	// Qualifying predicate: a false predicate turns everything except the
@@ -249,9 +249,10 @@ func (c *CPU) exec(in ia64.Instr, pc int) error {
 // access routes a memory operation through the coherence domain, advances
 // the cycle clock for blocking accesses, and feeds the PMU from the event
 // deltas the access itself reports (no stats snapshotting on this path).
-func (c *CPU) access(addr uint64, kind mem.AccessKind, pc int) mem.AccessResult {
-	res := c.m.dom.Access(c.ID, addr, kind, c.Cycle)
-	if res.Ev != (mem.EventDelta{}) {
+func (c *CPU) access(addr uint64, kind mem.AccessKind, pc int) {
+	var res mem.AccessResult
+	c.m.dom.Access(c.ID, addr, kind, c.Cycle, &res)
+	if res.Ev.Any() {
 		c.feedMemEvents(&res.Ev)
 	}
 
@@ -265,17 +266,16 @@ func (c *CPU) access(addr uint64, kind mem.AccessKind, pc int) mem.AccessResult 
 	if !kind.IsPrefetch() && res.Done > c.Cycle {
 		c.Cycle = res.Done
 	}
-	return res
 }
 
-func (c *CPU) setCmp(in ia64.Instr, v bool) {
+func (c *CPU) setCmp(in *ia64.Instr, v bool) {
 	c.RF.SetPR(in.P1, v)
 	c.RF.SetPR(in.P2, !v)
 }
 
 // branch applies branch semantics and records taken branches in the BTB —
 // the profile source COBRA's trace selector uses to discover loops.
-func (c *CPU) branch(in ia64.Instr, pc int) {
+func (c *CPU) branch(in *ia64.Instr, pc int) {
 	rf := &c.RF
 	var taken bool
 	switch in.Br {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ia64"
+	"repro/internal/mem"
 )
 
 // runSnippet executes instructions on a 1-CPU machine with the given
@@ -159,7 +160,8 @@ func TestLdBiasAcquiresOwnership(t *testing.T) {
 	addr := m.Memory().MustAlloc("b", 128, 128)
 	m.Memory().WriteI64(addr, 31337)
 	// CPU1 holds the line first.
-	m.Domain().Access(1, addr, 1 /* LoadFP */, 0)
+	var res mem.AccessResult
+	m.Domain().Access(1, addr, mem.LoadFP, 0, &res)
 	m.StartThread(0, entry, 1, func(rf *ia64.RegFile) { rf.SetGR(8, int64(addr)) })
 	if _, err := m.Run(0); err != nil {
 		t.Fatal(err)

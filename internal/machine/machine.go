@@ -12,6 +12,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/hpm"
 	"repro/internal/ia64"
@@ -95,6 +96,11 @@ type Machine struct {
 	interrupt      func() error
 	interruptEvery int64
 	sinceInterrupt int64
+
+	// keys holds RunAll's leader key per CPU (see cpuBits), noKey for a
+	// CPU that is halted or outside the active set: a dense array the
+	// pick scans without touching the CPU structs.
+	keys []uint64
 }
 
 // New builds a machine for cfg executing img.
@@ -107,7 +113,7 @@ func New(cfg Config, img *ia64.Image) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{cfg: cfg, img: img, memory: memory, dom: dom}
+	m := &Machine{cfg: cfg, img: img, memory: memory, dom: dom, keys: make([]uint64, cfg.Mem.NumCPUs)}
 	for i := 0; i < cfg.Mem.NumCPUs; i++ {
 		m.cpus = append(m.cpus, newCPU(m, i))
 	}
@@ -288,95 +294,133 @@ func (m *Machine) StartThread(cpu int, entry int, threadID int, setup func(rf *i
 	c.Halted = false
 }
 
+// Leader keys pack a CPU's clock above its id, so the causal engine's
+// (cycle, id) order is the integer order of the keys. The id field holds
+// mem.MaxTopologyCPUs ids; maxClock is the largest clock that packs.
+const (
+	cpuBits  = 6
+	cpuMask  = 1<<cpuBits - 1
+	maxClock = math.MaxInt64 >> cpuBits
+	noKey    = ^uint64(0)
+)
+
 // RunAll executes the given CPUs until all halt, firing timers in causal
 // order (timers due at equal cycles fire in registration order). It returns
-// the number of instructions retired during the run. It is the causal
-// engine: each step issues one bundle group on the runnable CPU with the
-// smallest (cycle, id).
+// the number of instructions retired during the run; a group that faults
+// is counted nowhere. It is the causal engine: each step issues one bundle
+// group on the runnable CPU with the smallest (cycle, id).
+//
+// That leader is the minimum of the packed leader keys, found with the
+// runner-up in one branch-free pass. The leader then keeps stepping
+// without a new pick while its key stays below the runner-up's and its
+// clock below the next timer, since no other CPU moves while it steps.
+// A due timer fires before the leader's next group; that group then runs
+// alone, and every key is re-read before the next pick, because the
+// timer's Fn may move any CPU.
 //
 // Calling RunAll with a non-empty set of CPUs that are all already halted
 // while timers are pending is an error: no CPU will ever advance simulated
 // time, so the timers could never fire and the call would silently report
-// success without doing the work the caller queued.
+// success without doing the work the caller queued. So is a clock beyond
+// maxClock, which no key could order.
 func (m *Machine) RunAll(active []int) (int64, error) {
-	if len(active) > 0 && m.timerNext != 0 {
-		allHalted := true
-		for _, id := range active {
-			if !m.cpus[id].Halted {
-				allHalted = false
-				break
-			}
-		}
-		if allHalted {
-			return 0, fmt.Errorf("machine: RunAll: all %d CPUs halted with a timer pending at cycle %d — timers can never fire (StartThread first)",
-				len(active), m.timerNext)
-		}
+	if err := m.loadKeys(active); err != nil {
+		return 0, err
 	}
 	var retired int64
 	for {
-		best := -1
-		runnable := 0
-		var bc int64
-		for _, id := range active {
-			c := m.cpus[id]
-			if c.Halted {
-				continue
+		lead, next := pick(m.keys)
+		if lead == noKey {
+			if retired == 0 && len(active) > 0 && m.timerNext != 0 {
+				return 0, fmt.Errorf("machine: RunAll: all %d CPUs halted with a timer pending at cycle %d — timers can never fire (StartThread first)",
+					len(active), m.timerNext)
 			}
-			runnable++
-			if best == -1 || c.Cycle < bc || (c.Cycle == bc && id < best) {
-				best, bc = id, c.Cycle
-			}
-		}
-		if best == -1 {
 			m.emitRunEnd(retired)
 			return retired, nil
 		}
-		c := m.cpus[best]
-		if runnable == 1 {
-			// Fast path: a single runnable CPU (every serial region and
-			// 1-thread cell, and the tail of any parallel region) steps
-			// without rescanning the active set. It breaks back to the
-			// outer loop to fire a due timer, whose Fn may wake other CPUs.
-			for !c.Halted && (m.timerNext == 0 || c.Cycle < m.timerNext) {
-				n, err := c.stepBundle()
-				retired += n
-				if err != nil {
-					return retired, err
-				}
-				if retired > m.cfg.MaxInstrPerRun {
-					return retired, fmt.Errorf("machine: instruction budget %d exceeded (runaway loop? PC=%d on CPU %d)",
-						m.cfg.MaxInstrPerRun, c.PC, best)
-				}
-				if m.interrupt != nil {
-					if err := m.pollInterrupt(n); err != nil {
-						return retired, fmt.Errorf("machine: run interrupted: %w", err)
-					}
+		id := int(lead & cpuMask)
+		c := m.cpus[id]
+		// The leader's key stays below next while its clock is below stop.
+		stop := int64(next >> cpuBits)
+		if uint64(id) < next&cpuMask {
+			stop++
+		}
+		if m.timerNext != 0 && m.timerNext <= c.Cycle {
+			m.fireTimers(c.Cycle)
+			if err := m.loadKeys(active); err != nil {
+				return retired, err
+			}
+			stop = c.Cycle
+		} else if m.timerNext != 0 {
+			stop = min(stop, m.timerNext)
+		}
+		for {
+			n, err := c.stepBundle()
+			if err != nil {
+				return retired, err
+			}
+			retired += n
+			if retired > m.cfg.MaxInstrPerRun {
+				return retired, fmt.Errorf("machine: instruction budget %d exceeded (runaway loop? PC=%d on CPU %d)",
+					m.cfg.MaxInstrPerRun, c.PC, id)
+			}
+			if m.interrupt != nil {
+				if err := m.pollInterrupt(n); err != nil {
+					return retired, fmt.Errorf("machine: run interrupted: %w", err)
 				}
 			}
-			if !c.Halted {
-				m.fireTimers(c.Cycle)
+			if c.Halted || c.Cycle >= stop {
+				break
 			}
-			continue
 		}
-		// Fire any timer due before the next step.
-		if m.timerNext != 0 && m.timerNext <= bc {
-			m.fireTimers(bc)
-		}
-		n, err := c.stepBundle()
-		if err != nil {
+		if err := m.setKey(id); err != nil {
 			return retired, err
 		}
-		retired += n
-		if retired > m.cfg.MaxInstrPerRun {
-			return retired, fmt.Errorf("machine: instruction budget %d exceeded (runaway loop? PC=%d on CPU %d)",
-				m.cfg.MaxInstrPerRun, c.PC, best)
-		}
-		if m.interrupt != nil {
-			if err := m.pollInterrupt(n); err != nil {
-				return retired, fmt.Errorf("machine: run interrupted: %w", err)
-			}
+	}
+}
+
+// pick returns the smallest key and the runner-up, with three conditional
+// moves per key. It stays out of line: inlined into RunAll the compiler
+// turns the min/max pair into a jump, and the leader's position changes
+// from pick to pick.
+//
+//go:noinline
+func pick(keys []uint64) (lead, next uint64) {
+	lead, next = noKey, noKey
+	for _, k := range keys {
+		lo, hi := min(lead, k), max(lead, k)
+		lead, next = lo, min(next, hi)
+	}
+	return lead, next
+}
+
+// loadKeys re-reads every CPU's leader key: active CPUs from their
+// state, all others noKey.
+func (m *Machine) loadKeys(active []int) error {
+	for i := range m.keys {
+		m.keys[i] = noKey
+	}
+	for _, id := range active {
+		if err := m.setKey(id); err != nil {
+			return err
 		}
 	}
+	return nil
+}
+
+// setKey packs CPU id's clock into its leader key, noKey once it halted.
+// A clock no key can hold is an error, not a silent wrap of the order.
+func (m *Machine) setKey(id int) error {
+	c := m.cpus[id]
+	switch {
+	case c.Halted:
+		m.keys[id] = noKey
+	case uint64(c.Cycle) > maxClock:
+		return fmt.Errorf("machine: RunAll: CPU %d clock %d exceeds %d, the largest the causal engine orders", id, c.Cycle, maxClock)
+	default:
+		m.keys[id] = uint64(c.Cycle)<<cpuBits | uint64(id)
+	}
+	return nil
 }
 
 // emitRunEnd publishes the machine-level observability events of one

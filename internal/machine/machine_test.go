@@ -409,15 +409,7 @@ func TestRunAllDeterministic(t *testing.T) {
 func TestOutOfImageFetchFaults(t *testing.T) {
 	img := ia64.NewImage()
 	entry := asmSumLoop(img)
-	a := ia64.NewAsm(img, "fall")
-	a.Emit(ia64.Instr{Op: ia64.OpMovToLCI, Imm: 700})
-	a.Label("top")
-	a.Emit(ia64.Instr{Op: ia64.OpAddI, R1: 11, R2: 11, Imm: 1})
-	a.Br(ia64.BrCloop, 0, "top")
-	fall, err := a.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fall := asmFallOff(t, img)
 
 	m := testMachine(t, img, 2)
 	const n = 4096
@@ -460,6 +452,42 @@ func TestOutOfImageFetchFaults(t *testing.T) {
 		c1.Cycle != 701 || c1.InstRetired != 1401 {
 		t.Fatalf("iterations/cycles/retired = %d/%d,%d/%d,%d, want 65/825,701/262,1401",
 			done, c0.Cycle, c1.Cycle, c0.InstRetired, c1.InstRetired)
+	}
+}
+
+// asmFallOff builds a 701-iteration loop counting in r11 that runs off
+// the end of the image when it exits.
+func asmFallOff(t *testing.T, img *ia64.Image) int {
+	t.Helper()
+	a := ia64.NewAsm(img, "fall")
+	a.Emit(ia64.Instr{Op: ia64.OpMovToLCI, Imm: 700})
+	a.Label("top")
+	a.Emit(ia64.Instr{Op: ia64.OpAddI, R1: 11, R2: 11, Imm: 1})
+	a.Br(ia64.BrCloop, 0, "top")
+	fall, err := a.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fall
+}
+
+// TestOutOfImageFetchFaultsOneCPU: the fall-off loop alone on a one-CPU
+// machine. The faulting group is counted nowhere here either: RunAll
+// reports the 1401 instructions the CPU retired, not the 1403 it issued.
+func TestOutOfImageFetchFaultsOneCPU(t *testing.T) {
+	img := ia64.NewImage()
+	fall := asmFallOff(t, img)
+	m := testMachine(t, img, 1)
+	m.StartThread(0, fall, 1, nil)
+	retired, err := m.RunAll([]int{0})
+	want := fmt.Sprintf("machine: CPU 0 fetched out-of-image PC %d", img.Len())
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	c := m.CPU(0)
+	if retired != c.InstRetired || c.InstRetired != 1401 || c.Cycle != 701 || c.RF.GR(11) != 701 {
+		t.Fatalf("retired %d, CPU retired %d at cycle %d with r11 %d, want 1401, 1401, 701, 701",
+			retired, c.InstRetired, c.Cycle, c.RF.GR(11))
 	}
 }
 

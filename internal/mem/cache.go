@@ -142,16 +142,5 @@ func (c *cache) invalidate(addr uint64) (found, wasM bool) {
 	return false, false
 }
 
-// downgrade moves addr to Shared (snoop hit on a read) and reports its
-// previous state.
-func (c *cache) downgrade(addr uint64) (found bool, was MESIState) {
-	if l := c.peek(addr); l != nil {
-		was = l.state
-		l.state = Shared
-		return true, was
-	}
-	return false, Invalid
-}
-
 // victimAddr reconstructs the base address of an evicted line.
 func (c *cache) victimAddr(v line) uint64 { return v.tag << c.lineShift }

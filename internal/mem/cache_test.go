@@ -99,18 +99,6 @@ func TestCacheInvalidate(t *testing.T) {
 	}
 }
 
-func TestCacheDowngrade(t *testing.T) {
-	c := newCache(testCacheConfig())
-	c.insert(0x4000, Modified, 0)
-	found, was := c.downgrade(0x4000)
-	if !found || was != Modified {
-		t.Fatalf("downgrade = %v,%v", found, was)
-	}
-	if l := c.peek(0x4000); l.state != Shared {
-		t.Fatalf("state after downgrade = %v", l.state)
-	}
-}
-
 func TestCachePeekDoesNotTouchLRU(t *testing.T) {
 	c := newCache(testCacheConfig())
 	const stride = 16 * 128

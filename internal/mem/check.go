@@ -15,6 +15,10 @@ import "fmt"
 //	    line Modified and every other cache holds Invalid.
 //	I3 (monotone counters): statistics are non-negative and the miss
 //	    taxonomy is self-consistent (L3 misses cannot exceed L2 misses).
+//	I4 (inclusion): a line valid in a CPU's L2 is valid in its L3 — the
+//	    premise that lets the sharer directory track L3 presence alone.
+//	I5 (directory): the line's sharer mask names exactly the CPUs whose
+//	    L3 holds it valid, as a brute-force peek of every L3 finds them.
 //
 // Violations are recorded up to a bound; the checker never panics, so a
 // fault-injection run can assert graceful degradation and still read the
@@ -71,23 +75,32 @@ func (c *invariantChecker) record(format string, a ...any) {
 	c.found = append(c.found, fmt.Sprintf(format, a...))
 }
 
-// checkOnline validates the invariants touched by one access: I1 on the
-// accessed line, I2 when the access was a store, and I3 on the accessing
-// CPU's counters.
+// checkOnline validates the invariants touched by one access: I1, I4
+// and I5 on the accessed line, I2 when the access was a store, and I3 on
+// the accessing CPU's counters.
 func (d *Domain) checkOnline(cpu int, la uint64, kind AccessKind) {
 	c := d.checker
 	c.checks++
 
-	// I1: single writer on the touched line.
+	// I1: single writer on the touched line. The same brute-force peeks
+	// of every hierarchy are the reference for I4 and I5.
 	owners, holders := 0, 0
 	ownerCPU := -1
+	var inL3 uint64
 	for _, h := range d.hiers {
 		state := Invalid
-		if l := h.l3.peek(la); l != nil {
-			state = l.state
+		l3 := h.l3.peek(la)
+		if l3 != nil {
+			state = l3.state
+			inL3 |= 1 << uint(h.cpu)
 		}
-		if l := h.l2.peek(la); l != nil && l.state > state {
-			state = l.state
+		if l := h.l2.peek(la); l != nil {
+			if l3 == nil {
+				c.record("I4: line %#x valid in cpu%d's L2 but not its L3 after %v by cpu%d", la, h.cpu, kind, cpu)
+			}
+			if l.state > state {
+				state = l.state
+			}
 		}
 		switch state {
 		case Modified, Exclusive:
@@ -103,6 +116,11 @@ func (d *Domain) checkOnline(cpu int, la uint64, kind AccessKind) {
 	} else if owners == 1 && holders > 1 {
 		c.record("I1: line %#x owner cpu%d coexists with %d holders after %v by cpu%d",
 			la, ownerCPU, holders, kind, cpu)
+	}
+
+	// I5: the sharer directory agrees with the L3 tags.
+	if dir := d.dir.sharers(la); dir != inL3 {
+		c.record("I5: line %#x directory mask %#x, L3 holders %#x after %v by cpu%d", la, dir, inL3, kind, cpu)
 	}
 
 	// I2: a store leaves exactly one Modified copy, in the requester.

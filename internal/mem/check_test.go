@@ -25,7 +25,7 @@ func TestOnlineInvariantCheckerCleanTraffic(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		cpu := r.Intn(ncpu)
 		addr := base + uint64(r.Intn(32))*128
-		d.Access(cpu, addr, kindOf(uint8(r.Intn(255))), now)
+		access(d, cpu, addr, kindOf(uint8(r.Intn(255))), now)
 		now += 9
 	}
 	if v := d.InvariantViolations(); len(v) != 0 {
@@ -54,12 +54,12 @@ func TestOnlineInvariantCheckerDetectsCorruption(t *testing.T) {
 
 	// Legitimate store, then corrupt the other CPU's hierarchy behind the
 	// protocol's back.
-	d.Access(0, base, Store, 0)
+	access(d, 0, base, Store, 0)
 	d.hiers[1].l2.insert(base, Modified, 0)
 	d.hiers[1].l3.insert(base, Modified, 0)
 
 	// The check runs on the accessed line, so touch the corrupted one.
-	d.Access(0, base, LoadInt, 20)
+	access(d, 0, base, LoadInt, 20)
 	v := d.InvariantViolations()
 	if len(v) == 0 {
 		t.Fatal("corrupted MESI state went undetected")
@@ -72,5 +72,48 @@ func TestOnlineInvariantCheckerDetectsCorruption(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("expected an I1 violation, got: %v", v)
+	}
+}
+
+// TestOnlineInvariantCheckerDetectsDirectoryCorruption breaks inclusion
+// (I4) and the sharer directory (I5) behind the protocol's back, one at a
+// time, and verifies that the next access to the line reports exactly the
+// broken invariant. The access hits in the requester's own L2, so no
+// snoop consults the corrupted directory before the check runs.
+func TestOnlineInvariantCheckerDetectsDirectoryCorruption(t *testing.T) {
+	for _, tc := range []struct {
+		want    string
+		corrupt func(d *Domain, line uint64)
+	}{
+		// CPU 0's L3 copy vanishes (and with it its directory bit) while
+		// its L2 copy stays valid.
+		{"I4:", func(d *Domain, line uint64) {
+			d.hiers[0].l3.peek(line).state = Invalid
+			d.dir.drop(line, 1)
+		}},
+		// The directory names CPU 1, whose caches never held the line.
+		{"I5:", func(d *Domain, line uint64) { d.dir.add(line, 1) }},
+	} {
+		t.Run(strings.TrimSuffix(tc.want, ":"), func(t *testing.T) {
+			cfg := Itanium2SMP(2)
+			cfg.MemBytes = 8 << 20
+			m := NewMemory(cfg.MemBytes, cfg.PageSize)
+			d, err := NewDomain(cfg, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.EnableInvariantChecks(4)
+			base := m.MustAlloc("bad", 4*128, 128)
+			access(d, 0, base, LoadFP, 0)
+			if v := d.InvariantViolations(); len(v) != 0 {
+				t.Fatalf("clean fill reported %v", v)
+			}
+			tc.corrupt(d, base)
+			access(d, 0, base, LoadFP, 200)
+			v := d.InvariantViolations()
+			if len(v) != 1 || !strings.HasPrefix(v[0], tc.want) {
+				t.Fatalf("violations = %q, want exactly one %s violation", v, tc.want)
+			}
+		})
 	}
 }

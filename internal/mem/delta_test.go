@@ -44,7 +44,7 @@ func TestEventDeltasMatchStats(t *testing.T) {
 				addr := base + (state>>17)%(64<<10)
 				kind := kinds[(state>>7)%uint64(len(kinds))]
 				now += 3
-				res := d.Access(cpu, addr, kind, now)
+				res := access(d, cpu, addr, kind, now)
 				sum[0] += int64(res.Ev.L2Miss)
 				sum[1] += int64(res.Ev.L3Miss)
 				sum[2] += int64(res.Ev.Writebacks)

@@ -1,6 +1,9 @@
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config describes one coherent machine memory system.
 type Config struct {
@@ -91,6 +94,9 @@ func (c Config) Validate() error {
 	if c.NumCPUs <= 0 {
 		return fmt.Errorf("mem: NumCPUs %d", c.NumCPUs)
 	}
+	if c.NumCPUs > MaxTopologyCPUs {
+		return fmt.Errorf("mem: NumCPUs %d exceeds %d", c.NumCPUs, MaxTopologyCPUs)
+	}
 	if c.NUMA && len(c.Nodes) == 0 && c.CPUsPerNode <= 0 {
 		return fmt.Errorf("mem: CPUsPerNode %d", c.CPUsPerNode)
 	}
@@ -177,7 +183,7 @@ func (s CPUStats) CoherentRatio() float64 {
 }
 
 // EventDelta is the set of PMU-visible event counts one access generated.
-// Domain.Access returns it inside AccessResult so the simulated CPU can
+// Domain.Access reports it inside AccessResult so the simulated CPU can
 // feed its PMU directly from the access that produced the events, instead
 // of snapshotting and diffing full CPUStats around every access. Counts are
 // tiny (an access produces at most two bus transactions: its own plus a
@@ -191,6 +197,12 @@ type EventDelta struct {
 	BusRdHitm         uint8
 	BusRdInvalAllHitm uint8
 }
+
+// Any reports whether the delta holds any event. Every event-bearing
+// access misses L2 or issues a bus transaction — an L3 miss follows an L2
+// miss, and castouts and snoop classes come with their BusMemory — so two
+// fields decide it, and cache hits, the common case, cost one test.
+func (e *EventDelta) Any() bool { return e.L2Miss|e.BusMemory != 0 }
 
 // AccessResult reports the outcome of one memory access.
 type AccessResult struct {
@@ -222,6 +234,7 @@ type Domain struct {
 	hiers    []*hierarchy
 	stats    []CPUStats
 	lineMask uint64 // hoisted from cfg: applied on every access
+	dir      directory
 
 	// checker, when non-nil, re-validates the MESI invariants online after
 	// every access (see EnableInvariantChecks in check.go).
@@ -246,6 +259,7 @@ func NewDomain(cfg Config, m *Memory) (*Domain, error) {
 		icn:      icn,
 		stats:    make([]CPUStats, cfg.NumCPUs),
 		lineMask: ^uint64(cfg.L2.LineBytes - 1),
+		dir:      newDirectory(m.Size(), cfg.L3.LineBytes),
 	}
 	for i := 0; i < cfg.NumCPUs; i++ {
 		d.hiers = append(d.hiers, &hierarchy{
@@ -300,51 +314,53 @@ func (d *Domain) MigrateCPU(cpu, node int) error {
 	return nil
 }
 
-// snoop polls every other hierarchy for the line and applies the coherence
-// action: reads downgrade remote M/E copies to Shared; ownership requests
-// (ReadExcl/Upgrade) invalidate all remote copies. Modified data is
-// implicitly written back by the owner when snooped.
+// snoop applies the coherence action of a transaction to every other
+// hierarchy holding the line: reads downgrade remote M/E copies to Shared;
+// ownership requests (ReadExcl/Upgrade) invalidate all remote copies.
+// Modified data is implicitly written back by the owner when snooped. The
+// holders come from the sharer directory, in ascending CPU order.
 func (d *Domain) snoop(reqCPU int, addr uint64, exclusive bool) SnoopResult {
 	var sr SnoopResult
 	sr.OwnerCPU = -1
+	holders := d.dir.sharers(addr) &^ (1 << uint(reqCPU))
+	if holders == 0 {
+		return sr
+	}
 	reqNode := d.icn.NodeOf(reqCPU)
-	for _, h := range d.hiers {
-		if h.cpu == reqCPU {
-			continue
-		}
+	for m := holders; m != 0; m &= m - 1 {
+		cpu := bits.TrailingZeros64(m)
+		h := d.hiers[cpu]
+		l3 := h.l3.peek(addr) // valid: the directory names L3 holders only
 		l2 := h.l2.peek(addr)
-		l3 := h.l3.peek(addr)
-		if l2 == nil && l3 == nil {
-			continue
-		}
-		state := Invalid
-		if l3 != nil {
-			state = l3.state
-		}
+		state := l3.state
 		if l2 != nil && l2.state > state {
 			state = l2.state
 		}
-		if state == Invalid {
-			continue
-		}
-		if hops := d.icn.Hops(reqNode, d.icn.NodeOf(h.cpu)); hops > sr.FarHops {
+		if hops := d.icn.Hops(reqNode, d.icn.NodeOf(cpu)); hops > sr.FarHops {
 			sr.FarHops = hops
 		}
 		if state == Modified {
 			sr.HitM = true
-			sr.OwnerCPU = h.cpu
+			sr.OwnerCPU = cpu
 		} else {
 			sr.HitClean = true
 		}
 		if exclusive {
 			h.l1.invalidate(addr)
-			h.l2.invalidate(addr)
-			h.l3.invalidate(addr)
-			d.stats[h.cpu].InvalidationsReceived++
+			if l2 != nil {
+				l2.state = Invalid
+			}
+			l3.state = Invalid
+			d.stats[cpu].InvalidationsReceived++
 		} else {
-			h.l2.downgrade(addr)
-			h.l3.downgrade(addr)
+			if l2 != nil {
+				l2.state = Shared
+			}
+			l3.state = Shared
 		}
+	}
+	if exclusive {
+		d.dir.drop(addr, holders)
 	}
 	return sr
 }
@@ -370,10 +386,12 @@ func (d *Domain) l2Insert(h *hierarchy, addr uint64, state MESIState, readyAt in
 // Castout events accumulate into ev, charged to the accessing CPU.
 func (d *Domain) l3Insert(h *hierarchy, ev *EventDelta, addr uint64, state MESIState, readyAt, now int64) {
 	victim, evicted := h.l3.insert(addr, state, readyAt)
+	d.dir.add(addr, h.cpu)
 	if !evicted {
 		return
 	}
 	va := h.l3.victimAddr(victim)
+	d.dir.drop(va, 1<<uint(h.cpu))
 	wasM := victim.state == Modified
 	if found, innerM := h.l2.invalidate(va); found && innerM {
 		wasM = true
@@ -415,19 +433,18 @@ func (h *hierarchy) claimMSHR(now, readyAt int64) bool {
 	return false
 }
 
-// Access performs one memory access by cpu at cycle now and returns its
-// timing and event classification. Demand accesses block until data
-// arrives; prefetches never block the issuing CPU.
+// Access performs one memory access by cpu at cycle now and writes its
+// timing and event classification to res. Demand accesses block until
+// data arrives; prefetches never block the issuing CPU.
 //
-// The PMU-visible events the access generated come back in the result's Ev
-// field; the same deltas are folded into the per-CPU CPUStats here, in one
-// place, so Stats and the sum of returned deltas can never disagree.
-func (d *Domain) Access(cpu int, addr uint64, kind AccessKind, now int64) AccessResult {
-	h := d.hiers[cpu]
+// The PMU-visible events the access generated come back in res.Ev; the
+// same deltas are folded into the per-CPU CPUStats here, in one place, so
+// Stats and the sum of reported deltas can never disagree.
+func (d *Domain) Access(cpu int, addr uint64, kind AccessKind, now int64, res *AccessResult) {
+	*res = AccessResult{}
 	st := &d.stats[cpu]
-	var ev EventDelta
-	res := d.access(h, st, &ev, addr, kind, now)
-	if ev != (EventDelta{}) { // cache hits generate no events: skip the fold
+	d.access(d.hiers[cpu], st, addr, kind, now, res)
+	if ev := &res.Ev; ev.Any() { // cache hits generate no events: skip the fold
 		st.L2Misses += int64(ev.L2Miss)
 		st.L3Misses += int64(ev.L3Miss)
 		st.Writebacks += int64(ev.Writebacks)
@@ -435,15 +452,21 @@ func (d *Domain) Access(cpu int, addr uint64, kind AccessKind, now int64) Access
 		st.BusRdHit += int64(ev.BusRdHit)
 		st.BusRdHitm += int64(ev.BusRdHitm)
 		st.BusRdInvalAllHitm += int64(ev.BusRdInvalAllHitm)
-		res.Ev = ev
 	}
 	if d.checker != nil {
 		d.checkOnline(cpu, addr&d.lineMask, kind)
 	}
-	return res
 }
 
-func (d *Domain) access(h *hierarchy, st *CPUStats, ev *EventDelta, addr uint64, kind AccessKind, now int64) AccessResult {
+// demand completes a demand access issued at now that finishes at done,
+// satisfied at level, and charges its stall to st.
+func (res *AccessResult) demand(st *CPUStats, now, done int64, level Level) {
+	st.DemandAccesses++
+	st.DemandLatencyTotal += done - now
+	res.Done, res.Latency, res.Level = done, done-now, level
+}
+
+func (d *Domain) access(h *hierarchy, st *CPUStats, addr uint64, kind AccessKind, now int64, res *AccessResult) {
 	la := addr & d.lineMask
 
 	switch kind {
@@ -456,7 +479,8 @@ func (d *Domain) access(h *hierarchy, st *CPUStats, ev *EventDelta, addr uint64,
 	}
 
 	if kind.IsPrefetch() {
-		return d.prefetch(h, st, ev, la, kind, now)
+		d.prefetch(h, st, la, kind, now, res)
+		return
 	}
 
 	wantsX := kind.wantsExclusive()
@@ -465,9 +489,8 @@ func (d *Domain) access(h *hierarchy, st *CPUStats, ev *EventDelta, addr uint64,
 	if kind == LoadInt {
 		if h.l1.lookup(la) != nil && h.l2.peek(la) != nil {
 			st.L1Hits++
-			st.DemandAccesses++
-			st.DemandLatencyTotal += d.cfg.Lat.L1Hit
-			return AccessResult{Done: now + d.cfg.Lat.L1Hit, Latency: d.cfg.Lat.L1Hit, Level: LvlL1}
+			res.demand(st, now, now+d.cfg.Lat.L1Hit, LvlL1)
+			return
 		}
 	}
 
@@ -491,14 +514,14 @@ func (d *Domain) access(h *hierarchy, st *CPUStats, ev *EventDelta, addr uint64,
 				h.l1.insert(la, Shared, done)
 			}
 			st.L2Hits++
-			st.DemandAccesses++
-			st.DemandLatencyTotal += done - now
-			return AccessResult{Done: done, Latency: done - now, Level: LvlL2}
+			res.demand(st, now, done, LvlL2)
+			return
 		}
 		// Shared line, exclusive intent: upgrade.
-		return d.upgrade(h, st, ev, la, kind, now)
+		d.upgrade(h, st, la, now, res)
+		return
 	}
-	ev.L2Miss++
+	res.Ev.L2Miss++
 
 	// L3.
 	if l3 := h.l3.lookup(la); l3 != nil {
@@ -518,41 +541,40 @@ func (d *Domain) access(h *hierarchy, st *CPUStats, ev *EventDelta, addr uint64,
 				h.l1.insert(la, Shared, done)
 			}
 			st.L3Hits++
-			st.DemandAccesses++
-			st.DemandLatencyTotal += done - now
-			return AccessResult{Done: done, Latency: done - now, Level: LvlL3}
+			res.demand(st, now, done, LvlL3)
+			return
 		}
-		return d.upgrade(h, st, ev, la, kind, now)
+		d.upgrade(h, st, la, now, res)
+		return
 	}
-	ev.L3Miss++
+	res.Ev.L3Miss++
 
 	// System transaction.
-	return d.fill(h, st, ev, la, kind, now, false)
+	d.fill(h, st, la, kind, now, false, res)
 }
 
 // upgrade performs an invalidate-only ownership upgrade of a Shared line.
-func (d *Domain) upgrade(h *hierarchy, st *CPUStats, ev *EventDelta, la uint64, kind AccessKind, now int64) AccessResult {
+func (d *Domain) upgrade(h *hierarchy, st *CPUStats, la uint64, now int64, res *AccessResult) {
 	sr := d.snoop(h.cpu, la, true)
 	home := d.homeNode(la, h.cpu)
 	done := d.icn.Transact(h.cpu, home, TxnUpgrade, sr, now)
-	ev.BusMemory++
+	res.Ev.BusMemory++
 	st.BusUpgrades++
-	coherent := sr.HitClean || sr.HitM
-	if coherent {
+	res.Coherent = sr.HitClean || sr.HitM
+	if res.Coherent {
 		st.CoherentMisses++
 	}
 	if l3 := h.l3.peek(la); l3 != nil {
 		l3.state = Modified
 	}
 	d.l2Insert(h, la, Modified, done)
-	st.DemandAccesses++
-	st.DemandLatencyTotal += done - now
-	return AccessResult{Done: done, Latency: done - now, Level: LvlL2, Coherent: coherent, BusTxn: true}
+	res.BusTxn = true
+	res.demand(st, now, done, LvlL2)
 }
 
 // fill services a demand miss (or a prefetch when asPrefetch is true) with
 // a system transaction and installs the line.
-func (d *Domain) fill(h *hierarchy, st *CPUStats, ev *EventDelta, la uint64, kind AccessKind, now int64, asPrefetch bool) AccessResult {
+func (d *Domain) fill(h *hierarchy, st *CPUStats, la uint64, kind AccessKind, now int64, asPrefetch bool, res *AccessResult) {
 	wantsX := kind.wantsExclusive()
 	sr := d.snoop(h.cpu, la, wantsX)
 	home := d.homeNode(la, h.cpu)
@@ -562,6 +584,7 @@ func (d *Domain) fill(h *hierarchy, st *CPUStats, ev *EventDelta, la uint64, kin
 		txn = TxnReadExcl
 	}
 	done := d.icn.Transact(h.cpu, home, txn, sr, now)
+	ev := &res.Ev
 	ev.BusMemory++
 
 	coherent := false
@@ -609,60 +632,65 @@ func (d *Domain) fill(h *hierarchy, st *CPUStats, ev *EventDelta, la uint64, kin
 		h.l1.insert(la, Shared, done)
 	}
 
+	res.Coherent, res.BusTxn = coherent, true
 	if asPrefetch {
-		return AccessResult{Done: now, Latency: done - now, Level: level, Coherent: coherent, BusTxn: true}
+		res.Done, res.Latency, res.Level = now, done-now, level
+		return
 	}
-	st.DemandAccesses++
-	st.DemandLatencyTotal += done - now
-	return AccessResult{Done: done, Latency: done - now, Level: level, Coherent: coherent, BusTxn: true}
+	res.demand(st, now, done, level)
 }
 
 // prefetch handles lfetch/lfetch.excl: non-binding, non-blocking, dropped
 // when no MSHR is free (as real lfetch is dropped when resources are
 // exhausted).
-func (d *Domain) prefetch(h *hierarchy, st *CPUStats, ev *EventDelta, la uint64, kind AccessKind, now int64) AccessResult {
+func (d *Domain) prefetch(h *hierarchy, st *CPUStats, la uint64, kind AccessKind, now int64, res *AccessResult) {
+	res.Done, res.Level = now, LvlNone
 	// Already present (or being filled): nothing to do. An exclusive
 	// prefetch of a line held Shared performs an upgrade.
 	if l2 := h.l2.lookup(la); l2 != nil {
 		if kind == PrefExcl && l2.state == Shared {
-			sr := d.snoop(h.cpu, la, true)
-			home := d.homeNode(la, h.cpu)
-			d.icn.Transact(h.cpu, home, TxnUpgrade, sr, now)
-			ev.BusMemory++
-			st.BusUpgrades++
+			d.prefetchUpgrade(h, st, la, now, res)
 			l2.state = Exclusive
 			if l3 := h.l3.peek(la); l3 != nil {
 				l3.state = Exclusive
 			}
-			return AccessResult{Done: now, Level: LvlL2, Coherent: sr.HitClean || sr.HitM, BusTxn: true}
+			res.Level = LvlL2
 		}
-		return AccessResult{Done: now, Level: LvlNone}
+		return
 	}
-	ev.L2Miss++ // the prefetch missed L2 (it may still hit L3)
+	res.Ev.L2Miss++ // the prefetch missed L2 (it may still hit L3)
 	if l3 := h.l3.lookup(la); l3 != nil {
 		if kind == PrefExcl && l3.state == Shared {
-			sr := d.snoop(h.cpu, la, true)
-			home := d.homeNode(la, h.cpu)
-			d.icn.Transact(h.cpu, home, TxnUpgrade, sr, now)
-			ev.BusMemory++
-			st.BusUpgrades++
+			d.prefetchUpgrade(h, st, la, now, res)
 			l3.state = Exclusive
 			d.l2Insert(h, la, Exclusive, now+d.cfg.Lat.L3Hit)
-			return AccessResult{Done: now, Level: LvlL3, Coherent: sr.HitClean || sr.HitM, BusTxn: true}
+			res.Level = LvlL3
+			return
 		}
 		d.l2Insert(h, la, l3.state, now+d.cfg.Lat.L3Hit)
-		return AccessResult{Done: now, Level: LvlNone}
+		return
 	}
-	ev.L3Miss++
+	res.Ev.L3Miss++
 
 	// Need a fill: claim an MSHR or drop.
 	if h.activeMSHRs(now) >= len(h.mshr) {
 		st.PrefetchesDropped++
-		return AccessResult{Done: now, Level: LvlNone, Dropped: true}
+		res.Dropped = true
+		return
 	}
-	res := d.fill(h, st, ev, la, kind, now, true)
+	d.fill(h, st, la, kind, now, true, res)
 	h.claimMSHR(now, now+res.Latency)
-	return res
+}
+
+// prefetchUpgrade is the invalidate-only upgrade an lfetch.excl of a
+// Shared line issues; the caller installs the Exclusive state.
+func (d *Domain) prefetchUpgrade(h *hierarchy, st *CPUStats, la uint64, now int64, res *AccessResult) {
+	sr := d.snoop(h.cpu, la, true)
+	home := d.homeNode(la, h.cpu)
+	d.icn.Transact(h.cpu, home, TxnUpgrade, sr, now)
+	res.Ev.BusMemory++
+	st.BusUpgrades++
+	res.Coherent, res.BusTxn = sr.HitClean || sr.HitM, true
 }
 
 // Probe returns the MESI state of addr in cpu's hierarchy without touching

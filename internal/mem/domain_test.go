@@ -1,6 +1,9 @@
 package mem
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func smpDomain(t *testing.T, ncpu int) *Domain {
 	t.Helper()
@@ -28,16 +31,23 @@ func numaDomain(t *testing.T, ncpu int) *Domain {
 
 const testAddr = 0x40000
 
+// access is Domain.Access returning its result by value.
+func access(d *Domain, cpu int, addr uint64, kind AccessKind, now int64) AccessResult {
+	var res AccessResult
+	d.Access(cpu, addr, kind, now, &res)
+	return res
+}
+
 func TestColdMissThenHit(t *testing.T) {
 	d := smpDomain(t, 2)
-	r1 := d.Access(0, testAddr, LoadFP, 0)
+	r1 := access(d, 0, testAddr, LoadFP, 0)
 	if r1.Level != LvlMemory || !r1.BusTxn {
 		t.Fatalf("cold access = %+v, want memory fill", r1)
 	}
 	if r1.Latency < d.cfg.Lat.Memory {
 		t.Fatalf("cold latency %d < memory latency %d", r1.Latency, d.cfg.Lat.Memory)
 	}
-	r2 := d.Access(0, testAddr, LoadFP, r1.Done)
+	r2 := access(d, 0, testAddr, LoadFP, r1.Done)
 	if r2.Level != LvlL2 {
 		t.Fatalf("second access level = %v, want L2", r2.Level)
 	}
@@ -48,7 +58,7 @@ func TestColdMissThenHit(t *testing.T) {
 
 func TestExclusiveOnSoleReader(t *testing.T) {
 	d := smpDomain(t, 2)
-	d.Access(0, testAddr, LoadFP, 0)
+	access(d, 0, testAddr, LoadFP, 0)
 	if s := d.Probe(0, testAddr); s != Exclusive {
 		t.Fatalf("sole reader state = %v, want E", s)
 	}
@@ -56,8 +66,8 @@ func TestExclusiveOnSoleReader(t *testing.T) {
 
 func TestSharedOnSecondReader(t *testing.T) {
 	d := smpDomain(t, 2)
-	d.Access(0, testAddr, LoadFP, 0)
-	r := d.Access(1, testAddr, LoadFP, 0)
+	access(d, 0, testAddr, LoadFP, 0)
+	r := access(d, 1, testAddr, LoadFP, 0)
 	if !r.Coherent {
 		t.Fatal("second reader's miss not flagged coherent")
 	}
@@ -71,10 +81,10 @@ func TestSharedOnSecondReader(t *testing.T) {
 
 func TestStoreInvalidatesOtherCopies(t *testing.T) {
 	d := smpDomain(t, 2)
-	d.Access(0, testAddr, LoadFP, 0)
-	d.Access(1, testAddr, LoadFP, 0)
+	access(d, 0, testAddr, LoadFP, 0)
+	access(d, 1, testAddr, LoadFP, 0)
 	// CPU1 writes: upgrade must invalidate CPU0's copy.
-	r := d.Access(1, testAddr, Store, 100)
+	r := access(d, 1, testAddr, Store, 100)
 	if !r.Coherent {
 		t.Fatal("upgrade not flagged coherent")
 	}
@@ -94,8 +104,8 @@ func TestStoreInvalidatesOtherCopies(t *testing.T) {
 
 func TestReadOfModifiedLineIsHITM(t *testing.T) {
 	d := smpDomain(t, 2)
-	d.Access(0, testAddr, Store, 0) // CPU0 owns M
-	r := d.Access(1, testAddr, LoadFP, 100)
+	access(d, 0, testAddr, Store, 0) // CPU0 owns M
+	r := access(d, 1, testAddr, LoadFP, 100)
 	if r.Level != LvlRemote || !r.Coherent {
 		t.Fatalf("read of remote M = %+v, want cache-to-cache", r)
 	}
@@ -115,8 +125,8 @@ func TestReadOfModifiedLineIsHITM(t *testing.T) {
 
 func TestStoreToRemoteModifiedIsInvalAllHitm(t *testing.T) {
 	d := smpDomain(t, 2)
-	d.Access(0, testAddr, Store, 0)
-	r := d.Access(1, testAddr, Store, 100)
+	access(d, 0, testAddr, Store, 0)
+	r := access(d, 1, testAddr, Store, 100)
 	if !r.Coherent {
 		t.Fatal("RFO of remote M not coherent")
 	}
@@ -130,9 +140,9 @@ func TestStoreToRemoteModifiedIsInvalAllHitm(t *testing.T) {
 
 func TestSilentEToMUpgrade(t *testing.T) {
 	d := smpDomain(t, 2)
-	d.Access(0, testAddr, LoadFP, 0) // E
+	access(d, 0, testAddr, LoadFP, 0) // E
 	before := d.Stats(0).BusMemory
-	d.Access(0, testAddr, Store, 50)
+	access(d, 0, testAddr, Store, 50)
 	if d.Stats(0).BusMemory != before {
 		t.Fatal("E->M upgrade generated a bus transaction")
 	}
@@ -143,7 +153,7 @@ func TestSilentEToMUpgrade(t *testing.T) {
 
 func TestPrefetchSharedInstallsLine(t *testing.T) {
 	d := smpDomain(t, 2)
-	r := d.Access(0, testAddr, PrefShrd, 0)
+	r := access(d, 0, testAddr, PrefShrd, 0)
 	if r.Done != 0 {
 		t.Fatalf("prefetch blocked the CPU: done = %d", r.Done)
 	}
@@ -151,7 +161,7 @@ func TestPrefetchSharedInstallsLine(t *testing.T) {
 		t.Fatal("prefetch miss issued no transaction")
 	}
 	// Demand load immediately after: partial hit, waits for the fill.
-	r2 := d.Access(0, testAddr, LoadFP, 1)
+	r2 := access(d, 0, testAddr, LoadFP, 1)
 	if r2.Level != LvlL2 {
 		t.Fatalf("post-prefetch level = %v, want L2", r2.Level)
 	}
@@ -159,7 +169,7 @@ func TestPrefetchSharedInstallsLine(t *testing.T) {
 		t.Fatalf("demand completed at %d before fill at %d", r2.Done, r.Latency)
 	}
 	// Demand load long after: full hit.
-	r3 := d.Access(0, testAddr, LoadFP, r.Latency+100)
+	r3 := access(d, 0, testAddr, LoadFP, r.Latency+100)
 	if r3.Latency != d.cfg.Lat.L2Hit {
 		t.Fatalf("late demand latency = %d, want %d", r3.Latency, d.cfg.Lat.L2Hit)
 	}
@@ -167,13 +177,13 @@ func TestPrefetchSharedInstallsLine(t *testing.T) {
 
 func TestPrefetchExclInstallsExclusive(t *testing.T) {
 	d := smpDomain(t, 2)
-	d.Access(0, testAddr, PrefExcl, 0)
+	access(d, 0, testAddr, PrefExcl, 0)
 	if s := d.Probe(0, testAddr); s != Exclusive {
 		t.Fatalf("lfetch.excl installed %v, want E (ownership)", s)
 	}
 	// A subsequent store is then a pure L2 hit: no upgrade transaction.
 	before := d.Stats(0).BusMemory
-	d.Access(0, testAddr, Store, 500)
+	access(d, 0, testAddr, Store, 500)
 	if d.Stats(0).BusMemory != before {
 		t.Fatal("store after lfetch.excl still paid a bus transaction")
 	}
@@ -183,10 +193,10 @@ func TestPrefetchSharedThenStorePaysUpgrade(t *testing.T) {
 	// The contrast with lfetch.excl: prefetch Shared while another CPU
 	// holds a copy, then store -> upgrade transaction required.
 	d := smpDomain(t, 2)
-	d.Access(1, testAddr, LoadFP, 0) // CPU1 holds the line
-	d.Access(0, testAddr, PrefShrd, 10)
+	access(d, 1, testAddr, LoadFP, 0) // CPU1 holds the line
+	access(d, 0, testAddr, PrefShrd, 10)
 	before := d.Stats(0).BusUpgrades
-	d.Access(0, testAddr, Store, 500)
+	access(d, 0, testAddr, Store, 500)
 	if d.Stats(0).BusUpgrades != before+1 {
 		t.Fatal("store after shared prefetch did not upgrade")
 	}
@@ -196,14 +206,14 @@ func TestPrefetchDroppedWhenMSHRsFull(t *testing.T) {
 	d := smpDomain(t, 1)
 	n := d.cfg.MSHRs
 	for i := 0; i <= n; i++ {
-		d.Access(0, testAddr+uint64(i*4096), PrefShrd, 0) // distinct sets
+		access(d, 0, testAddr+uint64(i*4096), PrefShrd, 0) // distinct sets
 	}
 	st := d.Stats(0)
 	if st.PrefetchesDropped != 1 {
 		t.Fatalf("PrefetchesDropped = %d, want 1 (MSHRs=%d)", st.PrefetchesDropped, n)
 	}
 	// After the fills complete, MSHRs free up.
-	r := d.Access(0, testAddr+uint64((n+2)*4096), PrefShrd, 10_000)
+	r := access(d, 0, testAddr+uint64((n+2)*4096), PrefShrd, 10_000)
 	if r.Dropped {
 		t.Fatal("prefetch dropped after MSHRs drained")
 	}
@@ -211,9 +221,9 @@ func TestPrefetchDroppedWhenMSHRsFull(t *testing.T) {
 
 func TestPrefetchToPresentLineIsFree(t *testing.T) {
 	d := smpDomain(t, 1)
-	d.Access(0, testAddr, LoadFP, 0)
+	access(d, 0, testAddr, LoadFP, 0)
 	before := d.Stats(0).BusMemory
-	r := d.Access(0, testAddr, PrefShrd, 100)
+	r := access(d, 0, testAddr, PrefShrd, 100)
 	if r.BusTxn || d.Stats(0).BusMemory != before {
 		t.Fatal("prefetch to a resident line generated traffic")
 	}
@@ -221,9 +231,9 @@ func TestPrefetchToPresentLineIsFree(t *testing.T) {
 
 func TestPrefetchExclUpgradesSharedResident(t *testing.T) {
 	d := smpDomain(t, 2)
-	d.Access(0, testAddr, LoadFP, 0)
-	d.Access(1, testAddr, LoadFP, 0) // both Shared
-	d.Access(0, testAddr, PrefExcl, 100)
+	access(d, 0, testAddr, LoadFP, 0)
+	access(d, 1, testAddr, LoadFP, 0) // both Shared
+	access(d, 0, testAddr, PrefExcl, 100)
 	if s := d.Probe(0, testAddr); s != Exclusive {
 		t.Fatalf("state after lfetch.excl on S = %v, want E", s)
 	}
@@ -237,11 +247,11 @@ func TestWritebackOnL3Eviction(t *testing.T) {
 	// Dirty one line, then sweep enough lines through the same L3 set to
 	// evict it. L3: 1.5MB 12-way 128B lines -> 1024 sets; same-set stride
 	// = 1024*128 = 128KB.
-	d.Access(0, testAddr, Store, 0)
+	access(d, 0, testAddr, Store, 0)
 	const stride = 1024 * 128
 	now := int64(1000)
 	for i := 1; i <= 12; i++ {
-		d.Access(0, testAddr+uint64(i*stride), LoadFP, now)
+		access(d, 0, testAddr+uint64(i*stride), LoadFP, now)
 		now += 500
 	}
 	if d.Stats(0).Writebacks == 0 {
@@ -254,11 +264,11 @@ func TestWritebackOnL3Eviction(t *testing.T) {
 
 func TestInclusionL3EvictInvalidatesL2(t *testing.T) {
 	d := smpDomain(t, 1)
-	d.Access(0, testAddr, LoadFP, 0)
+	access(d, 0, testAddr, LoadFP, 0)
 	const stride = 1024 * 128
 	now := int64(1000)
 	for i := 1; i <= 12; i++ {
-		d.Access(0, testAddr+uint64(i*stride), LoadFP, now)
+		access(d, 0, testAddr+uint64(i*stride), LoadFP, now)
 		now += 500
 	}
 	// The line must be gone from L2 as well (inclusive hierarchy).
@@ -274,7 +284,7 @@ func TestBusContentionSerializesTransactions(t *testing.T) {
 	// strictly increasing by at least the occupancy window.
 	var dones []int64
 	for c := 0; c < 4; c++ {
-		r := d.Access(c, uint64(0x100000+c*0x10000), LoadFP, 0)
+		r := access(d, c, uint64(0x100000+c*0x10000), LoadFP, 0)
 		dones = append(dones, r.Done)
 	}
 	occ := d.cfg.Lat.BusOccupancyData
@@ -288,16 +298,16 @@ func TestBusContentionSerializesTransactions(t *testing.T) {
 func TestNUMARemoteCostsMoreThanLocal(t *testing.T) {
 	d := numaDomain(t, 8)
 	// First touch by CPU0 homes the page on node 0.
-	local := d.Access(0, testAddr, Store, 0)
+	local := access(d, 0, testAddr, Store, 0)
 	// CPU6 (node 3) reads the dirty line: remote HITM.
-	remote := d.Access(6, testAddr, LoadFP, 10_000)
+	remote := access(d, 6, testAddr, LoadFP, 10_000)
 	if remote.Latency <= local.Latency {
 		t.Fatalf("remote HITM latency %d not above local fill %d", remote.Latency, local.Latency)
 	}
 	// And the remote HITM must exceed what the SMP charges for HITM.
 	smp := smpDomain(t, 8)
-	smp.Access(0, testAddr, Store, 0)
-	smpRemote := smp.Access(6, testAddr, LoadFP, 10_000)
+	access(smp, 0, testAddr, Store, 0)
+	smpRemote := access(smp, 6, testAddr, LoadFP, 10_000)
 	if remote.Latency <= smpRemote.Latency {
 		t.Fatalf("NUMA HITM %d not above SMP HITM %d", remote.Latency, smpRemote.Latency)
 	}
@@ -305,12 +315,12 @@ func TestNUMARemoteCostsMoreThanLocal(t *testing.T) {
 
 func TestNUMAFirstTouchPlacement(t *testing.T) {
 	d := numaDomain(t, 8)
-	d.Access(5, testAddr, Store, 0) // CPU5 = node 2
+	access(d, 5, testAddr, Store, 0) // CPU5 = node 2
 	if n := d.Memory().PeekHomeNode(testAddr); n != 2 {
 		t.Fatalf("home node = %d, want 2", n)
 	}
 	// Page already placed: a later toucher does not move it.
-	d.Access(0, testAddr+8, LoadFP, 100)
+	access(d, 0, testAddr+8, LoadFP, 100)
 	if n := d.Memory().PeekHomeNode(testAddr); n != 2 {
 		t.Fatalf("home node moved to %d", n)
 	}
@@ -318,9 +328,9 @@ func TestNUMAFirstTouchPlacement(t *testing.T) {
 
 func TestCoherentRatio(t *testing.T) {
 	d := smpDomain(t, 2)
-	d.Access(0, testAddr, LoadFP, 0)
-	d.Access(1, testAddr, LoadFP, 0)        // coherent (BusRdHit)
-	d.Access(1, testAddr+0x8000, LoadFP, 0) // not coherent
+	access(d, 0, testAddr, LoadFP, 0)
+	access(d, 1, testAddr, LoadFP, 0)        // coherent (BusRdHit)
+	access(d, 1, testAddr+0x8000, LoadFP, 0) // not coherent
 	st := d.Stats(1)
 	if got := st.CoherentRatio(); got != 0.5 {
 		t.Fatalf("CoherentRatio = %v, want 0.5", got)
@@ -329,8 +339,8 @@ func TestCoherentRatio(t *testing.T) {
 
 func TestStatsAddAndTotal(t *testing.T) {
 	d := smpDomain(t, 2)
-	d.Access(0, testAddr, LoadFP, 0)
-	d.Access(1, testAddr+0x8000, Store, 0)
+	access(d, 0, testAddr, LoadFP, 0)
+	access(d, 1, testAddr+0x8000, Store, 0)
 	tot := d.TotalStats()
 	if tot.Loads != 1 || tot.Stores != 1 || tot.BusMemory != 2 {
 		t.Fatalf("TotalStats = %+v", tot)
@@ -339,7 +349,7 @@ func TestStatsAddAndTotal(t *testing.T) {
 
 func TestResetStats(t *testing.T) {
 	d := smpDomain(t, 1)
-	d.Access(0, testAddr, LoadFP, 0)
+	access(d, 0, testAddr, LoadFP, 0)
 	d.ResetStats()
 	if got := d.Stats(0); got != (CPUStats{}) {
 		t.Fatalf("stats after reset: %+v", got)
@@ -348,8 +358,8 @@ func TestResetStats(t *testing.T) {
 
 func TestLoadBiasAcquiresExclusive(t *testing.T) {
 	d := smpDomain(t, 2)
-	d.Access(1, testAddr, LoadFP, 0)
-	d.Access(0, testAddr, LoadBias, 100)
+	access(d, 1, testAddr, LoadFP, 0)
+	access(d, 0, testAddr, LoadBias, 100)
 	if s := d.Probe(0, testAddr); s != Exclusive {
 		t.Fatalf("ld.bias state = %v, want E", s)
 	}
@@ -360,13 +370,13 @@ func TestLoadBiasAcquiresExclusive(t *testing.T) {
 
 func TestL1DServesIntegerLoads(t *testing.T) {
 	d := smpDomain(t, 1)
-	d.Access(0, testAddr, LoadInt, 0)
-	r := d.Access(0, testAddr, LoadInt, 1000)
+	access(d, 0, testAddr, LoadInt, 0)
+	r := access(d, 0, testAddr, LoadInt, 1000)
 	if r.Level != LvlL1 || r.Latency != d.cfg.Lat.L1Hit {
 		t.Fatalf("second int load = %+v, want L1 hit", r)
 	}
 	// FP loads bypass L1D: always at least L2 latency.
-	rf := d.Access(0, testAddr, LoadFP, 2000)
+	rf := access(d, 0, testAddr, LoadFP, 2000)
 	if rf.Level == LvlL1 {
 		t.Fatal("FP load served by L1D")
 	}
@@ -378,5 +388,77 @@ func TestConfigValidation(t *testing.T) {
 	m := NewMemory(1<<20, cfg.PageSize)
 	if _, err := NewDomain(cfg, m); err == nil {
 		t.Fatal("accepted mismatched coherence line sizes")
+	}
+}
+
+// TestSharerDirectoryFollowsL3Presence: the directory gains a CPU's bit
+// on the L3 fill, keeps it across a downgrade, loses it to an invalidating
+// snoop and to an L3 eviction, allocates mask regions only where lines
+// were filled, and reads empty for a line outside simulated memory.
+func TestSharerDirectoryFollowsL3Presence(t *testing.T) {
+	d := smpDomain(t, 2)
+	if n := len(d.dir.regions); n != 16 {
+		t.Fatalf("%d mask regions for 16 MB of memory, want 16", n)
+	}
+	access(d, 0, testAddr, Store, 0)
+	access(d, 1, testAddr, LoadFP, 1000) // HITM: cpu0 downgrades to S
+	if got := d.dir.sharers(testAddr); got != 0b11 {
+		t.Fatalf("after store and remote read: mask %#b, want 0b11", got)
+	}
+	access(d, 1, testAddr, Store, 2000) // upgrade invalidates cpu0
+	if got := d.dir.sharers(testAddr); got != 0b10 {
+		t.Fatalf("after remote upgrade: mask %#b, want 0b10", got)
+	}
+	// Twelve more lines in the same L3 set evict the line from cpu1.
+	const stride = 1024 * 128
+	now := int64(3000)
+	for i := 1; i <= 12; i++ {
+		access(d, 1, testAddr+uint64(i*stride), LoadFP, now)
+		now += 500
+	}
+	if got := d.dir.sharers(testAddr); got != 0 {
+		t.Fatalf("after L3 eviction: mask %#b, want 0", got)
+	}
+	for i, r := range d.dir.regions {
+		if want := i == 0 || i == 1; (r != nil) != want {
+			t.Errorf("region %d allocated = %v, want %v", i, r != nil, want)
+		}
+	}
+	outside := d.mem.Size() + 4*128
+	d.dir.add(outside, 1)
+	if got := d.dir.sharers(outside); got != 0 {
+		t.Fatalf("line outside memory: mask %#b, want 0", got)
+	}
+}
+
+// TestCPUBoundOnEveryShape: every machine shape is limited to
+// MaxTopologyCPUs, the width of a sharer mask.
+func TestCPUBoundOnEveryShape(t *testing.T) {
+	nodes := func(n int) Config {
+		c := AltixNUMA(n)
+		c.Nodes = []NodeConfig{{CPUs: n - 1}, {CPUs: 1}}
+		return c
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"smp-64", Itanium2SMP(64), true},
+		{"smp-65", Itanium2SMP(65), false},
+		{"altix-64", AltixNUMA(64), true},
+		{"altix-65", AltixNUMA(65), false},
+		{"nodes-64", nodes(64), true},
+		{"nodes-65", nodes(65), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.cfg.Validate()
+			if (err == nil) != tc.ok {
+				t.Fatalf("Validate() = %v, want ok=%v", err, tc.ok)
+			}
+			if err != nil && !strings.Contains(err.Error(), "exceeds 64") {
+				t.Fatalf("error %q does not name the bound", err)
+			}
+		})
 	}
 }

@@ -82,7 +82,7 @@ func TestMESIInvariantsUnderRandomTraffic(t *testing.T) {
 			cpu := int(op.CPU) % ncpu
 			addr := base + uint64(op.Line%nlines)*128
 			kind := kindOf(op.Kind)
-			res := d.Access(cpu, addr, kind, now)
+			res := access(d, cpu, addr, kind, now)
 			if res.Done < now {
 				t.Logf("time ran backwards: %d -> %d", now, res.Done)
 				return false
@@ -160,18 +160,18 @@ func TestDataIntegrityUnderCoherenceTraffic(t *testing.T) {
 		switch r.Intn(4) {
 		case 0:
 			v := r.Int63()
-			d.Access(cpu, addr, Store, now)
+			access(d, cpu, addr, Store, now)
 			m.WriteI64(addr, v)
 			want[addr] = v
 		case 1:
-			d.Access(cpu, addr, LoadInt, now)
+			access(d, cpu, addr, LoadInt, now)
 			if w, ok := want[addr]; ok && m.ReadI64(addr) != w {
 				t.Fatalf("addr %#x = %d, want %d", addr, m.ReadI64(addr), w)
 			}
 		case 2:
-			d.Access(cpu, addr, PrefShrd, now)
+			access(d, cpu, addr, PrefShrd, now)
 		case 3:
-			d.Access(cpu, addr, PrefExcl, now)
+			access(d, cpu, addr, PrefExcl, now)
 		}
 		now += 7
 	}
@@ -187,18 +187,18 @@ func TestEvictionNeverLosesOwnership(t *testing.T) {
 	// copy; a subsequent access by another CPU must come from memory, not
 	// find a stale owner.
 	d := smpDomain(t, 2)
-	d.Access(0, testAddr, Store, 0)
+	access(d, 0, testAddr, Store, 0)
 	// Force eviction by sweeping the same L3 set.
 	const stride = 1024 * 128
 	now := int64(1000)
 	for i := 1; i <= 13; i++ {
-		d.Access(0, testAddr+uint64(i*stride), LoadFP, now)
+		access(d, 0, testAddr+uint64(i*stride), LoadFP, now)
 		now += 300
 	}
 	if s := d.Probe(0, testAddr); s != Invalid {
 		t.Fatalf("evicted line still %v in owner", s)
 	}
-	r := d.Access(1, testAddr, LoadFP, now)
+	r := access(d, 1, testAddr, LoadFP, now)
 	if r.Level == LvlRemote {
 		t.Fatal("read after eviction was served cache-to-cache")
 	}

@@ -44,9 +44,11 @@ type NodeConfig struct {
 	MemBytes uint64 `json:",omitempty"`
 }
 
-// MaxTopologyCPUs bounds the total CPU count a declared node list may
-// carry. 64 opens the asymmetric shapes the scenario matrix sweeps while
-// keeping a single validated spec's machine affordable.
+// MaxTopologyCPUs bounds the CPU count of every machine shape. 64 opens
+// the asymmetric shapes the scenario matrix sweeps while keeping a single
+// validated spec's machine affordable, and it is the width of the sharer
+// directory's uint64 mask and of the CPU field of the run loop's leader
+// key (internal/machine).
 const MaxTopologyCPUs = 64
 
 // NodeList resolves the configuration's machine shape to an explicit node
@@ -90,9 +92,6 @@ func (c Config) validateTopology() error {
 		}
 		if total != c.NumCPUs {
 			return fmt.Errorf("mem: node list carries %d CPUs, config says %d", total, c.NumCPUs)
-		}
-		if total > MaxTopologyCPUs {
-			return fmt.Errorf("mem: node list carries %d CPUs, max %d", total, MaxTopologyCPUs)
 		}
 		if len(c.Nodes) > 1 && !c.NUMA {
 			return fmt.Errorf("mem: %d-node topology requires NUMA", len(c.Nodes))

@@ -173,8 +173,8 @@ func TestFirstTouchNodeListParity(t *testing.T) {
 		if lcg%3 == 0 {
 			kind = Store
 		}
-		r1 := dLegacy.Access(cpu, addr, kind, now)
-		r2 := dList.Access(cpu, addr, kind, now)
+		r1 := access(dLegacy, cpu, addr, kind, now)
+		r2 := access(dList, cpu, addr, kind, now)
 		if r1 != r2 {
 			t.Fatalf("access %d (cpu %d, addr %#x): legacy %+v != node-list %+v", i, cpu, addr, r1, r2)
 		}
