@@ -212,30 +212,6 @@ func TestRunAllClockBound(t *testing.T) {
 	}
 }
 
-// TestNewCPUBound: no machine shape builds with more CPUs than a leader
-// key's id field (and a sharer mask) holds.
-func TestNewCPUBound(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mem  mem.Config
-		ok   bool
-	}{
-		{"smp-64", mem.Itanium2SMP(64), true},
-		{"smp-65", mem.Itanium2SMP(65), false},
-		{"altix-64", mem.AltixNUMA(64), true},
-		{"altix-65", mem.AltixNUMA(65), false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig(1)
-			cfg.Mem = tc.mem
-			cfg.Mem.MemBytes = 1 << 20
-			if _, err := New(cfg, ia64.NewImage()); (err == nil) != tc.ok {
-				t.Fatalf("New = %v, want ok=%v", err, tc.ok)
-			}
-		})
-	}
-}
-
 // BenchmarkRunAll times the causal engine on 8 CPUs running an ALU-only
 // counted loop from one tying clock: every group takes one cycle, so each
 // leader runs for a single group before a CPU with its old clock takes
