@@ -1,17 +1,22 @@
-# CI entry points. `make ci` is the gate a change must pass: static
-# checks, a full build, the whole module under the race detector (with
-# the short corpus — the service layer runs concurrent sessions, so
-# every package rides along), the full tier-1 test suite, and a
-# one-iteration benchmark smoke so the hot path cannot silently stop
-# compiling or regress to pathological cost.
+# CI entry points. `make ci` is the gate a change must pass: formatting
+# and static checks, a full build, the whole module under the race
+# detector (with the short corpus — the service layer runs concurrent
+# sessions, so every package rides along), the full tier-1 test suite,
+# and a one-iteration benchmark smoke so the hot path cannot silently
+# stop compiling or regress to pathological cost.
 
 GO ?= go
 BENCH_LABEL ?= $(shell date -u +%Y-%m-%d)
 SOAK_DURATION ?= 30s
 
-.PHONY: ci vet build race test bench bench-smoke trace-smoke fuzz-smoke strategy-smoke layout-smoke stream-smoke matrix-smoke soak-smoke results loc
+.PHONY: ci fmt vet build race test bench bench-smoke trace-smoke fuzz-smoke strategy-smoke layout-smoke stream-smoke matrix-smoke soak-smoke results loc
 
-ci: vet build race test bench-smoke trace-smoke fuzz-smoke strategy-smoke layout-smoke stream-smoke matrix-smoke
+ci: fmt vet build race test bench-smoke trace-smoke fuzz-smoke strategy-smoke layout-smoke stream-smoke matrix-smoke
+
+# Every Go file gofmt-clean: lists the files gofmt would change and
+# fails when there are any.
+fmt:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt -l:"; echo "$$files"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

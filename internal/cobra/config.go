@@ -111,14 +111,6 @@ type Config struct {
 	// cache (the paper's design); false patches prefetches in place.
 	UseTraceCache bool
 
-	// PatchJournalBound, when > 0, overrides the image's patch-journal
-	// length bound (ia64.Image.SetPatchJournalBound). Patch-heavy engines
-	// such as layout raise it so executing CPUs keep resynchronizing
-	// their decode caches incrementally instead of falling back to full
-	// refetches. omitempty keeps scheduler/ledger content hashes of
-	// configurations predating the knob byte-stable.
-	PatchJournalBound int `json:"patch_journal_bound,omitempty"`
-
 	// RollbackTolerance: a patch is rolled back when IPC over the
 	// patched loop's active windows falls more than this fraction below
 	// the pre-patch baseline.

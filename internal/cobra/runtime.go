@@ -167,9 +167,6 @@ func New(m *machine.Machine, cfg Config) *Runtime {
 	if cfg.Obs == nil {
 		cfg.Obs = m.Observer()
 	}
-	if cfg.PatchJournalBound > 0 {
-		m.Image().SetPatchJournalBound(cfg.PatchJournalBound)
-	}
 	// The Stats counters always live in a registry: the observer's when
 	// metrics are enabled (so they export with everything else), a private
 	// one otherwise.

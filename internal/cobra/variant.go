@@ -50,7 +50,8 @@ type slotWord struct {
 // them. Every deployment is one — the in-place rewrite (one variant whose
 // dispatch writes its slots where they stand), a single trace, a
 // multi-version table, a layout copy — so a phase change, a rollback and
-// a re-engagement all cost the same journaled slot patches.
+// a re-engagement all cost the same slot writes, one image generation
+// each.
 type VariantSet struct {
 	Region   Region
 	Variants []Variant

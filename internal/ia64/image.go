@@ -22,17 +22,17 @@ type Func struct {
 
 // Image is a program binary: a flat array of encoded instruction words plus
 // a function table. The PC of an executing thread is a slot index into the
-// image. Images are mutated at runtime by the COBRA patcher; a generation
-// counter lets per-CPU decode caches detect staleness cheaply.
+// image. The COBRA patcher rewrites and extends the image at runtime, and
+// every simulated CPU executes the image's own decoded slots (Code): there
+// is one copy of the running program, as in the paper, where the optimizer
+// patches the binary every thread executes.
 //
-// Patching is guarded by a mutex so a concurrent optimization thread can
-// rewrite code while simulated CPUs execute, mirroring the paper's
-// user-mode optimizer sharing the address space of the running program.
-// The generation counter is atomic so the executing CPUs' per-bundle
-// staleness check is a single load with no lock traffic, and a bounded
-// journal of patched slots lets a stale decode cache resynchronize by
-// re-decoding only the words that actually changed instead of the whole
-// image (see SyncDecode).
+// Mutations take the mutex and bump an atomic generation counter, so an
+// executing CPU checks for a change once per issue group with a single
+// lock-free load and re-reads the slot slice only when the image moved.
+// Edits must therefore land between issue groups, as the machine's
+// timers do: the mutex orders them against other readers of the image,
+// not against executing CPUs.
 type Image struct {
 	mu    sync.RWMutex
 	words []Word // 2*i and 2*i+1 hold slot i
@@ -48,31 +48,7 @@ type Image struct {
 	// are ever registered.
 	byEntry []int
 	maxEnd  []int
-
-	// plog journals Patch calls since generation plogBase: an entry per
-	// patch, recording the generation that patch produced and the slot it
-	// rewrote. Appends need no entries — they only extend the image, and
-	// SyncDecode copies the tail positionally.
-	plog     []patchRec
-	plogBase uint64 // complete history is available for gens > plogBase
-	// plogCap overrides the default plogMax journal bound when > 0
-	// (SetPatchJournalBound).
-	plogCap int
 }
-
-// patchRec is one patch journal entry.
-type patchRec struct {
-	gen uint64
-	pc  int
-}
-
-// plogMax is the default patch-journal bound; once exceeded, the oldest
-// half is dropped and decode caches older than the drop point fall back
-// to a full re-fetch. The hint-rewrite engines patch a handful of slots
-// per optimizer pass, so for them the journal never wraps between two
-// executions of a CPU; heavier patch planes (block layout) can raise the
-// bound per image with SetPatchJournalBound.
-const plogMax = 512
 
 // NewImage returns an empty image.
 func NewImage() *Image {
@@ -80,7 +56,7 @@ func NewImage() *Image {
 }
 
 // Clone returns a deep copy of the image: an independent binary whose
-// encoded words, decode cache and function table share nothing with the
+// encoded words, decoded slots and function table share nothing with the
 // original. A pristine compiled image can thus be cloned once per run and
 // executed/patched concurrently without the runs observing each other —
 // the basis of the workload build cache.
@@ -93,12 +69,8 @@ func (im *Image) Clone() *Image {
 		funcs:   append([]Func(nil), im.funcs...),
 		byEntry: append([]int(nil), im.byEntry...),
 		maxEnd:  append([]int(nil), im.maxEnd...),
-		plogCap: im.plogCap,
 	}
 	c.gen.Store(im.gen.Load())
-	// The clone starts with an empty journal: any decode cache attaching to
-	// it syncs from generation 0 with a full fetch anyway.
-	c.plogBase = c.gen.Load()
 	return c
 }
 
@@ -110,9 +82,9 @@ func (im *Image) Len() int {
 }
 
 // Generation returns the mutation generation counter. It increments on
-// every Patch and Append, so a cached decode tagged with the current
-// generation is exactly up to date. The load is lock-free: it sits on the
-// simulator's per-bundle hot path.
+// every Patch, Append and RemoveTail, so a slot slice read by Code at the
+// current generation is exactly up to date. The load is lock-free: it sits
+// on the simulator's per-issue-group hot path.
 func (im *Image) Generation() uint64 {
 	return im.gen.Load()
 }
@@ -132,7 +104,7 @@ func (im *Image) appendLocked(instrs []Instr) int {
 		im.words = append(im.words, w0, w1)
 		im.dec = append(im.dec, in)
 	}
-	im.gen.Add(1) // decode caches must observe the new slots
+	im.gen.Add(1) // executing CPUs must re-read Code: dec may have moved
 	return start
 }
 
@@ -234,16 +206,16 @@ func (im *Image) Fetch(pc int) Instr {
 	return im.dec[pc]
 }
 
-// FetchRange decodes slots [lo, hi) into dst, which is grown as needed, and
-// returns it. It is the bulk fetch used to fill decode caches.
-func (im *Image) FetchRange(lo, hi int, dst []Instr) []Instr {
+// Code returns the decoded slots, indexed by PC, and the generation they
+// belong to. The slice is the image's own: callers must not modify it,
+// and it stays current only until the generation moves. A Patch rewrites
+// a slot in place, but an Append may move the slots to a new array and a
+// RemoveTail shortens them, so a holder re-reads Code whenever
+// Generation differs from the generation it was given.
+func (im *Image) Code() ([]Instr, uint64) {
 	im.mu.RLock()
 	defer im.mu.RUnlock()
-	if hi > len(im.dec) {
-		hi = len(im.dec)
-	}
-	dst = append(dst[:0], im.dec[lo:hi]...)
-	return dst
+	return im.dec[:len(im.dec):len(im.dec)], im.gen.Load()
 }
 
 // Words returns the raw encoded word pair of slot pc — the bytes a binary
@@ -271,35 +243,8 @@ func (im *Image) Patch(pc int, in Instr) (Instr, error) {
 	old := im.dec[pc]
 	im.words[2*pc], im.words[2*pc+1] = w0, w1
 	im.dec[pc] = chk
-	gen := im.gen.Add(1)
-	im.plog = append(im.plog, patchRec{gen: gen, pc: pc})
-	bound := plogMax
-	if im.plogCap > 0 {
-		bound = im.plogCap
-	}
-	if len(im.plog) > bound {
-		drop := len(im.plog) / 2
-		im.plogBase = im.plog[drop-1].gen
-		im.plog = append(im.plog[:0], im.plog[drop:]...)
-	}
+	im.gen.Add(1)
 	return old, nil
-}
-
-// SetPatchJournalBound overrides the patch-journal length bound (default
-// plogMax). Strategies that patch many slots per optimizer pass — block-
-// layout deployment patches an order of magnitude more than the hint
-// rewrites plogMax was sized for — raise it so concurrently executing
-// CPUs keep resynchronizing incrementally instead of silently falling
-// back to full image refetches. Values below 2 are clamped to 2 (the
-// overflow policy drops half the journal, which needs at least one
-// surviving record).
-func (im *Image) SetPatchJournalBound(n int) {
-	im.mu.Lock()
-	defer im.mu.Unlock()
-	if n < 2 {
-		n = 2
-	}
-	im.plogCap = n
 }
 
 // RemoveTail truncates the image to n slots, dropping every function
@@ -307,12 +252,8 @@ func (im *Image) SetPatchJournalBound(n int) {
 // unwind a partially deployed trace — emitted copy plus function-table
 // entry — when the subsequent entry-slot redirect fails; it is not a
 // general editing primitive, and callers must own the entire tail they
-// cut. Removal resets the journal base to the post-removal generation:
-// a later Append may reuse the freed slots with different content, and
-// since appends are not journaled, a cache synced before the removal
-// could otherwise resynchronize "incrementally" while still holding the
-// removed tail. Forcing those caches onto the full-refetch path is the
-// only correct option.
+// cut. Removal bumps the generation, so a CPU holding the longer slice
+// re-reads Code before it could execute a removed slot.
 func (im *Image) RemoveTail(n int) {
 	im.mu.Lock()
 	defer im.mu.Unlock()
@@ -329,56 +270,7 @@ func (im *Image) RemoveTail(n int) {
 	}
 	im.funcs = kept
 	im.rebuildFuncIndex()
-	im.plog = im.plog[:0]
-	im.plogBase = im.gen.Add(1)
-}
-
-// SyncDecode brings a decode cache dst, last synchronized at generation
-// have, up to date with the image, and returns the new cache and
-// generation. When the patch journal still covers every generation after
-// have, only the patched slots are re-decoded and appended slots copied;
-// otherwise the whole image is fetched. Callers should test Generation()
-// != have first — that check is lock-free.
-func (im *Image) SyncDecode(dst []Instr, have uint64) ([]Instr, uint64) {
-	dst, gen, _ := im.SyncDecodeStats(dst, have)
-	return dst, gen
-}
-
-// SyncDecodeStats is SyncDecode with re-decode accounting: the third
-// result is the number of patched slots replayed from the journal, or -1
-// when the journal no longer covered the gap and the whole image was
-// refetched. A resident-variant switch (one entry-slot repoint) must
-// report exactly 1 — the cost model multi-version patching is built on.
-func (im *Image) SyncDecodeStats(dst []Instr, have uint64) ([]Instr, uint64, int) {
-	im.mu.RLock()
-	defer im.mu.RUnlock()
-	gen := im.gen.Load()
-	if gen == have && len(dst) == len(im.dec) {
-		return dst, gen, 0
-	}
-	if have >= im.plogBase && len(dst) <= len(im.dec) {
-		redecoded := 0
-		for _, p := range im.plog {
-			if p.gen > have && p.pc < len(dst) {
-				dst[p.pc] = im.dec[p.pc]
-				redecoded++
-			}
-		}
-		dst = append(dst, im.dec[len(dst):]...)
-		return dst, gen, redecoded
-	}
-	dst = append(dst[:0], im.dec...)
-	return dst, gen, -1
-}
-
-// PatchWords rewrites slot pc with raw words, validating them first. It is
-// the lowest-level patch primitive (what a real binary patcher does).
-func (im *Image) PatchWords(pc int, w0, w1 Word) (Instr, error) {
-	in, err := Decode(w0, w1)
-	if err != nil {
-		return Instr{}, fmt.Errorf("ia64: invalid patch words at slot %d: %w", pc, err)
-	}
-	return im.Patch(pc, in)
+	im.gen.Add(1)
 }
 
 // OpCount counts instructions in [lo, hi) matching keep. It backs the
@@ -405,24 +297,4 @@ type StaticCounts struct {
 	BrCtop  int // software-pipelined counted loops
 	BrCloop int // counted loops
 	BrWtop  int // software-pipelined while loops
-}
-
-// CountStatic computes Table 1 statistics over the whole image.
-func (im *Image) CountStatic() StaticCounts {
-	im.mu.RLock()
-	defer im.mu.RUnlock()
-	var c StaticCounts
-	for _, in := range im.dec {
-		switch {
-		case in.Op == OpLfetch:
-			c.Lfetch++
-		case in.Op == OpBr && in.Br == BrCtop:
-			c.BrCtop++
-		case in.Op == OpBr && in.Br == BrCloop:
-			c.BrCloop++
-		case in.Op == OpBr && in.Br == BrWtop:
-			c.BrWtop++
-		}
-	}
-	return c
 }

@@ -3,7 +3,7 @@ package ia64
 import "testing"
 
 // distinct returns an instruction whose encoding is unique per i, so a
-// stale cache slot can never coincidentally match fresh content.
+// stale slot can never coincidentally match fresh content.
 func distinct(i int) Instr {
 	return Instr{Op: OpMovI, R1: uint8(i % 32), Imm: int64(1000 + i)}
 }
@@ -11,7 +11,7 @@ func distinct(i int) Instr {
 func sameStream(t *testing.T, step string, got []Instr, img *Image) {
 	t.Helper()
 	if len(got) != img.Len() {
-		t.Fatalf("%s: cache len %d, image len %d", step, len(got), img.Len())
+		t.Fatalf("%s: code len %d, image len %d", step, len(got), img.Len())
 	}
 	for pc := range got {
 		if got[pc] != img.Fetch(pc) {
@@ -122,12 +122,11 @@ func TestFuncAtMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// TestRemoveTailInvalidatesPreRemovalCaches pins the cache-coherence
-// contract of code-cache unwinding: appends are not journaled, so after a
-// RemoveTail the freed slots can be reused with different content at a
-// matching length — a decode cache synced before the removal must be
-// forced onto the full-refetch path (-1), never an incremental replay
-// that would keep the removed tail alive.
+// TestRemoveTailInvalidatesPreRemovalCaches pins the generation contract
+// code-cache unwinding relies on: after a RemoveTail the freed slots can
+// be reused with different content at a matching length, so a CPU still
+// holding the pre-removal Code slice must see the generation move, and
+// its re-read must return the new tail, never the removed one.
 func TestRemoveTailInvalidatesPreRemovalCaches(t *testing.T) {
 	img := NewImage()
 	for i := 0; i < 16; i++ {
@@ -136,11 +135,15 @@ func TestRemoveTailInvalidatesPreRemovalCaches(t *testing.T) {
 	img.AddFunc("head", 0, 8)
 	img.AddFunc("tail", 8, 16)
 
-	dec, gen := syncAll(img)
+	_, gen := img.Code()
 
 	img.RemoveTail(8)
-	if img.Len() != 8 {
-		t.Fatalf("Len = %d after RemoveTail(8), want 8", img.Len())
+	if img.Generation() != gen+1 {
+		t.Fatalf("RemoveTail moved the generation %d -> %d, want one step", gen, img.Generation())
+	}
+	code, g := img.Code()
+	if len(code) != 8 || g != img.Generation() {
+		t.Fatalf("Code after RemoveTail(8): len %d at gen %d, want 8 at %d", len(code), g, img.Generation())
 	}
 	if _, ok := img.FuncAt(12); ok {
 		t.Fatal("FuncAt inside removed tail still resolves")
@@ -153,20 +156,22 @@ func TestRemoveTailInvalidatesPreRemovalCaches(t *testing.T) {
 	}
 
 	// Reuse the freed slots with different content, restoring the exact
-	// pre-removal length — the trap an incremental resync would fall into.
+	// pre-removal length: only the generation tells the two tails apart.
 	for i := 0; i < 8; i++ {
 		img.Append(distinct(100 + i))
 	}
 	img.AddFunc("tail2", 8, 16)
 
-	dec, gen, n := img.SyncDecodeStats(dec, gen)
-	if n != -1 {
-		t.Fatalf("pre-removal cache resynced incrementally (n=%d), want -1 full refetch", n)
+	code, g = img.Code()
+	if g <= gen+1 || g != img.Generation() {
+		t.Fatalf("Code after re-append at gen %d, image at %d, pre-removal %d", g, img.Generation(), gen)
 	}
-	if gen != img.Generation() {
-		t.Fatalf("gen = %d, want %d", gen, img.Generation())
+	sameStream(t, "after remove+reappend", code, img)
+	for pc := 8; pc < 16; pc++ {
+		if code[pc] != distinct(100+pc-8) {
+			t.Fatalf("slot %d = %+v, want the re-appended tail", pc, code[pc])
+		}
 	}
-	sameStream(t, "after remove+reappend", dec, img)
 	if f, ok := img.FuncAt(12); !ok || f.Name != "tail2" {
 		t.Fatalf("FuncAt(12) = (%+v, %v), want tail2", f, ok)
 	}
@@ -182,249 +187,4 @@ func TestRemoveTailOutOfRangeIsNoop(t *testing.T) {
 	if img.Len() != 2 || img.Generation() != gen {
 		t.Fatalf("no-op RemoveTail changed image: len=%d gen=%d", img.Len(), img.Generation())
 	}
-}
-
-// TestPatchJournalBoundaryAfterOverflowDrop runs a mirror model of the
-// journal drop policy beside the real image and asserts the exact
-// boundary: a cache synced at precisely plogBase (the generation of the
-// last dropped record) still replays incrementally, one generation older
-// falls back to a full refetch, and both paths produce byte-identical
-// decode streams.
-func TestPatchJournalBoundaryAfterOverflowDrop(t *testing.T) {
-	const bound = 8
-	img := NewImage()
-	for i := 0; i < 24; i++ {
-		img.Append(distinct(i))
-	}
-	img.SetPatchJournalBound(bound)
-
-	snap := map[uint64][]Instr{}
-	record := func() {
-		snap[img.Generation()] = img.FetchRange(0, img.Len(), nil)
-	}
-	record()
-
-	var entries []uint64 // mirror of the journal's generations
-	var modelBase uint64 // mirror of plogBase
-	drops := 0
-	for k := 0; k < 40; k++ {
-		if _, err := img.Patch((k*7)%24, distinct(500+k)); err != nil {
-			t.Fatal(err)
-		}
-		entries = append(entries, img.Generation())
-		record()
-		if len(entries) > bound {
-			drop := len(entries) / 2
-			modelBase = entries[drop-1]
-			entries = append(entries[:0], entries[drop:]...)
-			drops++
-		}
-	}
-	if drops < 2 {
-		t.Fatalf("only %d journal drops; stress did not exercise compaction", drops)
-	}
-
-	cacheAt := func(g uint64) []Instr {
-		s, ok := snap[g]
-		if !ok {
-			t.Fatalf("no snapshot at generation %d", g)
-		}
-		return append([]Instr(nil), s...)
-	}
-
-	// have == plogBase: the oldest generation the journal still covers.
-	dec, gen, n := img.SyncDecodeStats(cacheAt(modelBase), modelBase)
-	if n < 0 {
-		t.Fatalf("sync at have==plogBase fell back to full refetch (n=%d)", n)
-	}
-	if n != len(entries) {
-		t.Fatalf("sync at plogBase replayed %d slots, mirror journal has %d", n, len(entries))
-	}
-	if gen != img.Generation() {
-		t.Fatalf("gen = %d, want %d", gen, img.Generation())
-	}
-	sameStream(t, "incremental at plogBase", dec, img)
-
-	// have == plogBase-1: one generation past the journal's reach.
-	dec2, _, n2 := img.SyncDecodeStats(cacheAt(modelBase-1), modelBase-1)
-	if n2 != -1 {
-		t.Fatalf("sync at plogBase-1 replayed %d, want -1", n2)
-	}
-	sameStream(t, "fallback at plogBase-1", dec2, img)
-	for pc := range dec {
-		if dec[pc] != dec2[pc] {
-			t.Fatalf("slot %d differs between incremental and fallback paths", pc)
-		}
-	}
-}
-
-// TestSetPatchJournalBoundRaisesIncrementalWindow exercises both
-// directions of the tunable: a raised bound keeps a cache incremental
-// across more patches than the default journal survives, and a bound
-// below the minimum clamps to 2 rather than disabling compaction.
-func TestSetPatchJournalBoundRaisesIncrementalWindow(t *testing.T) {
-	img := NewImage()
-	for i := 0; i < 8; i++ {
-		img.Append(distinct(i))
-	}
-	img.SetPatchJournalBound(2048)
-	dec, gen := syncAll(img)
-	total := plogMax + 200
-	for i := 0; i < total; i++ {
-		if _, err := img.Patch(i%8, distinct(100+i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dec, gen, n := img.SyncDecodeStats(dec, gen)
-	if n != total {
-		t.Fatalf("raised bound replayed %d slots, want %d (no compaction)", n, total)
-	}
-	sameStream(t, "raised bound", dec, img)
-	_ = gen
-
-	img2 := NewImage()
-	for i := 0; i < 4; i++ {
-		img2.Append(distinct(i))
-	}
-	img2.SetPatchJournalBound(0) // clamps to 2
-	dec2, gen2 := syncAll(img2)
-	for i := 0; i < 3; i++ {
-		if _, err := img2.Patch(i, distinct(50+i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Three patches against a bound of 2 drop the first record, so a
-	// cache from before the first patch must full-refetch.
-	dec2, _, n2 := img2.SyncDecodeStats(dec2, gen2)
-	if n2 != -1 {
-		t.Fatalf("clamped bound replayed %d, want -1 after compaction", n2)
-	}
-	sameStream(t, "clamped bound", dec2, img2)
-}
-
-// TestSyncDecodeStatsShortCacheEdges is the table-driven edge suite for
-// the incremental path: patches landing beyond the cache's length must
-// not be counted as replays (the positional tail copy delivers them), and
-// interleaved appends must not desynchronize the replay accounting.
-func TestSyncDecodeStatsShortCacheEdges(t *testing.T) {
-	type step struct {
-		patchPC int // -1: no patch
-		appendN int
-	}
-	cases := []struct {
-		name    string
-		initial int
-		steps   []step
-		wantN   int
-	}{
-		{
-			name:    "patch beyond cache length only",
-			initial: 8,
-			steps:   []step{{patchPC: -1, appendN: 4}, {patchPC: 10}},
-			wantN:   0,
-		},
-		{
-			name:    "in-range patches interleaved with appends and beyond-range patches",
-			initial: 8,
-			steps: []step{
-				{patchPC: 2},
-				{patchPC: -1, appendN: 2},
-				{patchPC: 9},
-				{patchPC: -1, appendN: 1},
-				{patchPC: 1},
-			},
-			wantN: 2,
-		},
-		{
-			name:    "same beyond-range slot journaled twice",
-			initial: 6,
-			steps: []step{
-				{patchPC: -1, appendN: 2},
-				{patchPC: 7},
-				{patchPC: 7},
-				{patchPC: 3},
-			},
-			wantN: 1,
-		},
-		{
-			name:    "append only",
-			initial: 4,
-			steps:   []step{{patchPC: -1, appendN: 5}},
-			wantN:   0,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			img := NewImage()
-			for i := 0; i < tc.initial; i++ {
-				img.Append(distinct(i))
-			}
-			dec, gen := syncAll(img)
-			for si, s := range tc.steps {
-				for i := 0; i < s.appendN; i++ {
-					img.Append(distinct(200 + 10*si + i))
-				}
-				if s.patchPC >= 0 {
-					if _, err := img.Patch(s.patchPC, distinct(300+10*si)); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			dec, gen, n := img.SyncDecodeStats(dec, gen)
-			if n != tc.wantN {
-				t.Fatalf("replayed %d slots, want %d", n, tc.wantN)
-			}
-			if gen != img.Generation() {
-				t.Fatalf("gen = %d, want %d", gen, img.Generation())
-			}
-			sameStream(t, "after steps", dec, img)
-		})
-	}
-}
-
-// TestSyncDecodeStatsCloneJournalBase pins the clone's journal base: a
-// cache attaching at exactly the clone generation is up to date, stays
-// incremental across the clone's own patches, and a cache claiming a
-// pre-clone generation (whose history the clone never had) full-fetches.
-func TestSyncDecodeStatsCloneJournalBase(t *testing.T) {
-	img := NewImage()
-	for i := 0; i < 8; i++ {
-		img.Append(distinct(i))
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := img.Patch(i, distinct(40+i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := img.Clone()
-	cloneGen := c.Generation()
-
-	dec := c.FetchRange(0, c.Len(), nil)
-	dec, gen, n := c.SyncDecodeStats(dec, cloneGen)
-	if n != 0 || gen != cloneGen {
-		t.Fatalf("sync at clone generation: n=%d gen=%d, want 0/%d", n, gen, cloneGen)
-	}
-
-	if _, err := c.Patch(3, distinct(77)); err != nil {
-		t.Fatal(err)
-	}
-	dec, gen, n = c.SyncDecodeStats(dec, gen)
-	if n != 1 {
-		t.Fatalf("one clone patch replayed %d slots, want exactly 1", n)
-	}
-	sameStream(t, "clone incremental", dec, c)
-
-	stale := make([]Instr, c.Len())
-	stale, _, n = c.SyncDecodeStats(stale, cloneGen-1)
-	if n != -1 {
-		t.Fatalf("pre-clone generation replayed %d, want -1", n)
-	}
-	sameStream(t, "pre-clone fallback", stale, c)
-
-	fresh, _, n := c.SyncDecodeStats(nil, 0)
-	if n != -1 {
-		t.Fatalf("nil cache replayed %d, want -1", n)
-	}
-	sameStream(t, "nil cache", fresh, c)
-	_ = gen
 }

@@ -118,12 +118,15 @@ func TestImagePatchOutOfRange(t *testing.T) {
 func TestImagePatchWordsValidates(t *testing.T) {
 	img := NewImage()
 	img.Append(Instr{Op: OpNop})
-	if _, err := img.PatchWords(0, Word(0xff), 0); err == nil {
-		t.Fatal("PatchWords accepted an invalid opcode")
+	gen := img.Generation()
+	if _, err := img.Patch(0, Instr{Op: 0xff}); err == nil {
+		t.Fatal("Patch accepted an invalid opcode")
 	}
-	// Valid words must apply.
-	w0, w1 := Encode(Instr{Op: OpLfetch, R2: 10, Hint: HintExcl})
-	if _, err := img.PatchWords(0, w0, w1); err != nil {
+	if img.Fetch(0).Op != OpNop || img.Generation() != gen {
+		t.Fatal("a refused patch changed the image")
+	}
+	// A valid rewrite must apply.
+	if _, err := img.Patch(0, Instr{Op: OpLfetch, R2: 10, Hint: HintExcl}); err != nil {
 		t.Fatal(err)
 	}
 	if got := img.Fetch(0); got.Hint != HintExcl {
@@ -150,34 +153,6 @@ func TestImageFuncTable(t *testing.T) {
 	fs := img.Funcs()
 	if len(fs) != 2 || fs[0].Name != "a" || fs[1].Name != "b" {
 		t.Fatalf("Funcs() = %+v", fs)
-	}
-}
-
-func TestCountStatic(t *testing.T) {
-	img := NewImage()
-	img.Append(
-		Instr{Op: OpLfetch, Hint: HintNT1},
-		Instr{Op: OpLfetch, Hint: HintExcl},
-		Instr{Op: OpBr, Br: BrCtop},
-		Instr{Op: OpBr, Br: BrCloop},
-		Instr{Op: OpBr, Br: BrCloop},
-		Instr{Op: OpBr, Br: BrWtop},
-		Instr{Op: OpBr, Br: BrCond},
-		Instr{Op: OpNop},
-	)
-	c := img.CountStatic()
-	want := StaticCounts{Lfetch: 2, BrCtop: 1, BrCloop: 2, BrWtop: 1}
-	if c != want {
-		t.Fatalf("CountStatic = %+v, want %+v", c, want)
-	}
-}
-
-func TestFetchRange(t *testing.T) {
-	img := NewImage()
-	img.Append(Instr{Op: OpNop}, Instr{Op: OpAdd, R1: 1}, Instr{Op: OpHalt})
-	got := img.FetchRange(1, 10, nil)
-	if len(got) != 2 || got[0].Op != OpAdd || got[1].Op != OpHalt {
-		t.Fatalf("FetchRange = %+v", got)
 	}
 }
 
@@ -287,257 +262,4 @@ func TestDumpFunc(t *testing.T) {
 			t.Errorf("DumpFunc output missing %q:\n%s", want, out)
 		}
 	}
-}
-
-// syncAll fully materializes a decode cache via SyncDecode from scratch.
-func syncAll(img *Image) ([]Instr, uint64) {
-	return img.SyncDecode(nil, 0)
-}
-
-func TestSyncDecodeIncrementalPatch(t *testing.T) {
-	img := NewImage()
-	for i := 0; i < 16; i++ {
-		img.Append(Instr{Op: OpAddI, R1: uint8(i), R2: uint8(i), Imm: int64(i)})
-	}
-	dec, gen := syncAll(img)
-	if len(dec) != 16 || gen != img.Generation() {
-		t.Fatalf("initial sync: len=%d gen=%d (image gen %d)", len(dec), gen, img.Generation())
-	}
-
-	if _, err := img.Patch(5, Instr{Op: OpNop}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := img.Patch(11, Instr{Op: OpMovI, R1: 7, Imm: 99}); err != nil {
-		t.Fatal(err)
-	}
-	dec, gen = img.SyncDecode(dec, gen)
-	if gen != img.Generation() {
-		t.Fatalf("sync gen = %d, want %d", gen, img.Generation())
-	}
-	for pc := 0; pc < img.Len(); pc++ {
-		if dec[pc] != img.Fetch(pc) {
-			t.Fatalf("slot %d stale after incremental sync: %+v vs %+v", pc, dec[pc], img.Fetch(pc))
-		}
-	}
-
-	// A second sync at the same generation is a no-op returning the same
-	// backing array.
-	dec2, gen2 := img.SyncDecode(dec, gen)
-	if gen2 != gen || &dec2[0] != &dec[0] {
-		t.Fatal("up-to-date sync must return the cache unchanged")
-	}
-}
-
-func TestSyncDecodeCopiesAppendedTail(t *testing.T) {
-	img := NewImage()
-	img.Append(Instr{Op: OpNop}, Instr{Op: OpNop})
-	dec, gen := syncAll(img)
-
-	img.Append(Instr{Op: OpMovI, R1: 3, Imm: 42}, Instr{Op: OpHalt})
-	if _, err := img.Patch(0, Instr{Op: OpMovI, R1: 1, Imm: 1}); err != nil {
-		t.Fatal(err)
-	}
-	dec, gen = img.SyncDecode(dec, gen)
-	if len(dec) != 4 {
-		t.Fatalf("len = %d after append sync, want 4", len(dec))
-	}
-	for pc := 0; pc < 4; pc++ {
-		if dec[pc] != img.Fetch(pc) {
-			t.Fatalf("slot %d wrong after append+patch sync", pc)
-		}
-	}
-	_ = gen
-}
-
-// TestSyncDecodeStatsCountsReplayedSlots pins the incremental-cost
-// contract multi-version patching relies on: a variant switch is one
-// entry-slot repoint, so a decode cache catches up by replaying exactly
-// one journaled slot — and a cache that fell behind the journal reports
-// the full-refetch sentinel instead.
-func TestSyncDecodeStatsCountsReplayedSlots(t *testing.T) {
-	img := NewImage()
-	for i := 0; i < 16; i++ {
-		img.Append(Instr{Op: OpAddI, R1: uint8(i), R2: uint8(i), Imm: int64(i)})
-	}
-	dec, gen := syncAll(img)
-
-	// Up to date: nothing replayed.
-	dec, gen, n := img.SyncDecodeStats(dec, gen)
-	if n != 0 {
-		t.Fatalf("up-to-date sync replayed %d slots, want 0", n)
-	}
-
-	// One dispatch-branch repoint (what VariantSet.Switch does).
-	if _, err := img.Patch(0, Instr{Op: OpBr, Br: BrAlways, Imm: 8}); err != nil {
-		t.Fatal(err)
-	}
-	dec, gen, n = img.SyncDecodeStats(dec, gen)
-	if n != 1 {
-		t.Fatalf("variant switch replayed %d slots, want exactly 1", n)
-	}
-	if dec[0] != img.Fetch(0) {
-		t.Fatal("replayed slot is stale")
-	}
-
-	// Two switches between syncs: two replayed slots (same pc journaled
-	// twice counts per record — the journal is a log, not a set).
-	if _, err := img.Patch(0, Instr{Op: OpBr, Br: BrAlways, Imm: 12}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := img.Patch(3, Instr{Op: OpNop}); err != nil {
-		t.Fatal(err)
-	}
-	dec, gen, n = img.SyncDecodeStats(dec, gen)
-	if n != 2 {
-		t.Fatalf("two patches replayed %d slots, want 2", n)
-	}
-
-	// Journal overflow: full refetch reported as -1.
-	for i := 0; i < plogMax+200; i++ {
-		if _, err := img.Patch(i%16, Instr{Op: OpMovI, R1: uint8(i % 4), Imm: int64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dec, gen, n = img.SyncDecodeStats(dec, gen)
-	if n != -1 {
-		t.Fatalf("overflowed journal replayed %d, want -1 (full refetch)", n)
-	}
-	for pc := 0; pc < 16; pc++ {
-		if dec[pc] != img.Fetch(pc) {
-			t.Fatalf("slot %d stale after full refetch", pc)
-		}
-	}
-	_ = gen
-}
-
-func TestSyncDecodeJournalOverflowFallsBackToFullFetch(t *testing.T) {
-	img := NewImage()
-	for i := 0; i < 8; i++ {
-		img.Append(Instr{Op: OpNop})
-	}
-	dec, gen := syncAll(img)
-
-	// Overflow the patch journal so the cache's generation predates
-	// plogBase; SyncDecode must still produce an exact copy (full refetch).
-	for i := 0; i < plogMax+200; i++ {
-		if _, err := img.Patch(i%8, Instr{Op: OpMovI, R1: uint8(i % 4), Imm: int64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dec, gen = img.SyncDecode(dec, gen)
-	if gen != img.Generation() {
-		t.Fatalf("gen = %d, want %d", gen, img.Generation())
-	}
-	for pc := 0; pc < 8; pc++ {
-		if dec[pc] != img.Fetch(pc) {
-			t.Fatalf("slot %d stale after journal overflow", pc)
-		}
-	}
-}
-
-func TestCloneSyncsFromScratch(t *testing.T) {
-	img := NewImage()
-	img.Append(Instr{Op: OpMovI, R1: 2, Imm: 7}, Instr{Op: OpHalt})
-	for i := 0; i < 3; i++ {
-		if _, err := img.Patch(0, Instr{Op: OpMovI, R1: 2, Imm: int64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := img.Clone()
-	dec, gen := syncAll(c)
-	if gen != c.Generation() || len(dec) != c.Len() {
-		t.Fatalf("clone sync: len=%d gen=%d", len(dec), gen)
-	}
-	for pc := 0; pc < c.Len(); pc++ {
-		if dec[pc] != c.Fetch(pc) {
-			t.Fatalf("clone slot %d wrong", pc)
-		}
-	}
-	// Patching the clone must not disturb the original's decode stream.
-	if _, err := c.Patch(0, Instr{Op: OpNop}); err != nil {
-		t.Fatal(err)
-	}
-	if img.Fetch(0).Op == OpNop {
-		t.Fatal("patching clone mutated original")
-	}
-}
-
-// TestCloneThenOverflowKeepsPlogBaseConsistent pins the interaction the
-// journal-compaction path has with Clone: a decode cache attached to a
-// clone taken from a heavily-patched original, kept in sync across the
-// clone's own journal overflow, must stay an exact copy at every step —
-// including an intermediate incremental sync whose generation falls
-// between the clone generation and the compaction drop point.
-func TestCloneThenOverflowKeepsPlogBaseConsistent(t *testing.T) {
-	img := NewImage()
-	for i := 0; i < 8; i++ {
-		img.Append(Instr{Op: OpNop})
-	}
-	// Advance the original's generation well past zero (and through one
-	// compaction) so the clone inherits a non-trivial generation.
-	for i := 0; i < plogMax+17; i++ {
-		if _, err := img.Patch(i%8, Instr{Op: OpMovI, R1: uint8(i % 4), Imm: int64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	c := img.Clone()
-	dec, gen := syncAll(c)
-	if gen != c.Generation() {
-		t.Fatalf("clone attach: gen = %d, want %d", gen, c.Generation())
-	}
-
-	verify := func(step string) {
-		t.Helper()
-		if gen != c.Generation() {
-			t.Fatalf("%s: gen = %d, want %d", step, gen, c.Generation())
-		}
-		for pc := 0; pc < c.Len(); pc++ {
-			if dec[pc] != c.Fetch(pc) {
-				t.Fatalf("%s: slot %d stale: %+v vs %+v", step, pc, dec[pc], c.Fetch(pc))
-			}
-		}
-	}
-
-	// A few patches on the clone, then an incremental sync: the cache's
-	// generation now sits a little above the clone generation.
-	for i := 0; i < 5; i++ {
-		if _, err := c.Patch(i, Instr{Op: OpMovI, R1: 9, Imm: int64(100 + i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dec, gen = c.SyncDecode(dec, gen)
-	verify("pre-overflow incremental sync")
-
-	// Overflow the clone's journal. The compaction drop point lands beyond
-	// the cache's generation, so this sync must take the full-fetch path —
-	// an incremental replay over the truncated journal would miss the
-	// dropped records.
-	for i := 0; i < plogMax+200; i++ {
-		if _, err := c.Patch(i%8, Instr{Op: OpMovI, R1: uint8(i % 4), Imm: int64(1000 + i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dec, gen = c.SyncDecode(dec, gen)
-	verify("post-overflow sync")
-
-	// And the mirror direction: overflowing the original after the clone
-	// was taken must not disturb a cache attached to the clone.
-	for i := 0; i < plogMax+50; i++ {
-		if _, err := img.Patch(i%8, Instr{Op: OpMovI, R1: 5, Imm: int64(5000 + i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dec, gen = c.SyncDecode(dec, gen)
-	verify("after original overflowed")
-
-	// A cache whose generation exactly equals plogBase is the boundary of
-	// the incremental gate (complete history is available for gens >
-	// plogBase, so have == plogBase qualifies): patch exactly once past the
-	// boundary and re-sync.
-	if _, err := c.Patch(3, Instr{Op: OpHalt}); err != nil {
-		t.Fatal(err)
-	}
-	dec, gen = c.SyncDecode(dec, gen)
-	verify("boundary incremental sync")
 }

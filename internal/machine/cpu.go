@@ -27,25 +27,16 @@ type CPU struct {
 
 	InstRetired int64
 
-	m      *Machine
-	dec    []ia64.Instr
-	decGen uint64
+	m *Machine
+	// code is the image's decoded slots as of generation codeGen (see
+	// ia64.Image.Code): the running program itself, not a copy.
+	code    []ia64.Instr
+	codeGen uint64
 }
 
 func newCPU(m *Machine, id int) *CPU {
 	c := &CPU{ID: id, Halted: true, m: m, PMU: hpm.NewPMU(id)}
 	return c
-}
-
-// refillDecode mirrors the image into the CPU's decode cache when the
-// binary has been patched or extended. The generation probe is a lock-free
-// atomic load — it runs once per issue group — and resynchronization after
-// a patch re-decodes only the journaled slots, not the whole image.
-func (c *CPU) refillDecode() {
-	if c.m.img.Generation() == c.decGen {
-		return
-	}
-	c.dec, c.decGen = c.m.img.SyncDecode(c.dec, c.decGen)
 }
 
 // feedMemEvents translates the event deltas of one memory access into PMU
@@ -91,17 +82,21 @@ func (c *CPU) stepBundle() (int64, error) {
 	if c.Halted {
 		return 0, nil
 	}
-	c.refillDecode()
+	// One lock-free load per group: only a patch, append or tail removal
+	// since the last group makes the CPU re-read the slice header.
+	if img := c.m.img; img.Generation() != c.codeGen {
+		c.code, c.codeGen = img.Code()
+	}
 	startCycle := c.Cycle
 	c.Cycle++ // issue cost of the group
 
 	var retired int64
 	bundles := 0
 	for {
-		if c.PC < 0 || c.PC >= len(c.dec) {
+		if c.PC < 0 || c.PC >= len(c.code) {
 			return retired, fmt.Errorf("machine: CPU %d fetched out-of-image PC %d", c.ID, c.PC)
 		}
-		in := &c.dec[c.PC]
+		in := &c.code[c.PC]
 		pc := c.PC
 		c.PC++
 		retired++

@@ -280,6 +280,111 @@ func TestPatchTakesEffectMidRun(t *testing.T) {
 	}
 }
 
+// TestCPUsExecuteCurrentCode: two CPUs run a one-bundle counted loop,
+// one iteration per issue group, while timers edit the image three ways
+// in turn: patch the loop's increment in place; append a block and
+// redirect the loop into it, which moves the slots to a new array; and
+// cut that block off to append a different one of the same length. Each
+// iteration adds its code version's weight to r9 and one to r8, so the
+// final sums prove that every CPU executed the edited code from its
+// first issue group after each edit on, and the old code before it.
+func TestCPUsExecuteCurrentCode(t *testing.T) {
+	const n = 1500
+	addWeight := func(w int64) ia64.Instr { return ia64.Instr{Op: ia64.OpAddI, R1: 9, R2: 9, Imm: w} }
+	count := ia64.Instr{Op: ia64.OpAddI, R1: 8, R2: 8, Imm: 1}
+
+	img := ia64.NewImage()
+	a := ia64.NewAsm(img, "loop")
+	a.Emit(ia64.Instr{Op: ia64.OpMovToLC, R2: 10})
+	a.PadToBundle()
+	a.Label("top")
+	top := a.Emit(addWeight(1))
+	a.Emit(count)
+	a.Br(ia64.BrCloop, 0, "top")
+	a.Emit(ia64.Instr{Op: ia64.OpHalt})
+	entry, err := a.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	top += entry
+
+	// block is the loop body of weight w at slot start, padded with halts
+	// to several times the image's length so appending it must move the
+	// slots to a new array.
+	block := func(w int64, start int) []ia64.Instr {
+		b := []ia64.Instr{addWeight(w), count, {Op: ia64.OpBr, Br: ia64.BrCloop, Imm: int64(start)}}
+		for len(b) < 64 {
+			b = append(b, ia64.Instr{Op: ia64.OpHalt})
+		}
+		return b
+	}
+
+	m := testMachine(t, img, 2)
+	var marks [][2]int64 // r8 of each CPU when each edit lands
+	mark := func() { marks = append(marks, [2]int64{m.CPU(0).RF.GR(8), m.CPU(1).RF.GR(8)}) }
+	blockAt := img.Len()
+	edits := []func(){
+		func() {
+			if _, err := img.Patch(top, addWeight(2)); err != nil {
+				t.Error(err)
+			}
+		},
+		func() {
+			before, _ := img.Code()
+			if got := img.Append(block(4, blockAt)...); got != blockAt {
+				t.Errorf("block appended at %d, want %d", got, blockAt)
+			}
+			if after, _ := img.Code(); &after[0] == &before[0] {
+				t.Error("the append left the slots in place; the test lost its point")
+			}
+			if _, err := img.Patch(top, ia64.Instr{Op: ia64.OpBr, Br: ia64.BrAlways, Imm: int64(blockAt)}); err != nil {
+				t.Error(err)
+			}
+		},
+		func() {
+			img.RemoveTail(blockAt)
+			img.Append(block(8, blockAt)...)
+		},
+	}
+	for i, edit := range edits {
+		m.AddTimer(&Timer{NextAt: int64(400 * (i + 1)), Fn: func(now int64) int64 {
+			mark()
+			edit()
+			return 0
+		}})
+	}
+	for cpu := 0; cpu < 2; cpu++ {
+		m.StartThread(cpu, entry, cpu+1, func(rf *ia64.RegFile) { rf.SetGR(10, n-1) })
+	}
+	if _, err := m.RunAll([]int{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if len(marks) != len(edits) {
+		t.Fatalf("%d of %d edits landed", len(marks), len(edits))
+	}
+
+	weights := []int64{1, 2, 4, 8}
+	for cpu := 0; cpu < 2; cpu++ {
+		var want, prev int64
+		for p, w := range weights {
+			end := int64(n)
+			if p < len(marks) {
+				end = marks[p][cpu]
+			}
+			if end <= prev {
+				t.Fatalf("CPU %d ran no iteration of code version %d", cpu, p)
+			}
+			want += w * (end - prev)
+			prev = end
+		}
+		rf := &m.CPU(cpu).RF
+		if rf.GR(8) != n || rf.GR(9) != want {
+			t.Fatalf("CPU %d: %d iterations summing %d, want %d summing %d (edits at %v)",
+				cpu, rf.GR(8), rf.GR(9), n, want, marks)
+		}
+	}
+}
+
 func TestTimersFireInRegistrationOrderAtEqualCycles(t *testing.T) {
 	// Three timers: two due at the same cycle (must fire in registration
 	// order) and one due earlier (must fire first). The dispatch contract is

@@ -29,9 +29,6 @@ import "fmt"
 type Config struct {
 	// Trace enables the cycle-domain event tracer.
 	Trace bool
-	// TraceCap bounds the buffered event count (0 = default 1<<20).
-	// Events beyond the cap are counted as dropped, never reallocated.
-	TraceCap int
 	// SampleEvents additionally records one instant event per delivered
 	// perfmon sample — dense; useful for inspecting sampling behaviour,
 	// too noisy for routine patch-lifecycle traces.
@@ -46,9 +43,6 @@ type Config struct {
 	// end. The bus feeds off the metrics and decisions surfaces, so
 	// enable those too for the full stream.
 	Events bool
-	// EventHistory bounds the bus's retained-event ring used for
-	// subscriber resume (0 = DefaultBusHistory).
-	EventHistory int
 	// EventSubscribers bounds concurrent bus subscriptions
 	// (0 = DefaultBusSubscribers).
 	EventSubscribers int
@@ -70,7 +64,7 @@ type Observer struct {
 func New(cfg Config) *Observer {
 	o := &Observer{sampleEvents: cfg.SampleEvents}
 	if cfg.Trace {
-		o.trace = NewTracer(cfg.TraceCap)
+		o.trace = NewTracer(DefaultTraceCap)
 	}
 	if cfg.Metrics {
 		o.metrics = NewRegistry()
@@ -79,7 +73,7 @@ func New(cfg Config) *Observer {
 		o.decisions = NewDecisionLog()
 	}
 	if cfg.Events {
-		o.bus = NewEventBus(cfg.EventHistory, cfg.EventSubscribers)
+		o.bus = NewEventBus(DefaultBusHistory, cfg.EventSubscribers)
 		o.metrics.AttachBus(o.bus)
 		o.decisions.AttachBus(o.bus)
 	}

@@ -263,7 +263,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		key:      key,
 		name:     req.Spec.Name(),
 		artifact: req.Artifacts,
-		observer: req.Artifacts.observer(),
+		observer: req.Artifacts.observer(s.cfg.StreamSubscribers),
 		ctx:      ctx,
 		cancel:   cancel,
 		created:  time.Now(),

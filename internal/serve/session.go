@@ -48,16 +48,19 @@ type ArtifactConfig struct {
 
 func (a ArtifactConfig) any() bool { return a.Trace || a.Metrics || a.Decisions || a.Events }
 
-func (a ArtifactConfig) observer() *obs.Observer {
+// observer builds the session's observer; subscribers bounds its event
+// stream like the server's (Config.StreamSubscribers).
+func (a ArtifactConfig) observer(subscribers int) *obs.Observer {
 	if !a.any() {
 		return nil
 	}
 	return obs.New(obs.Config{
-		Trace:        a.Trace,
-		SampleEvents: a.TraceSamples,
-		Metrics:      a.Metrics || a.Events,
-		Decisions:    a.Decisions || a.Events,
-		Events:       a.Events,
+		Trace:            a.Trace,
+		SampleEvents:     a.TraceSamples,
+		Metrics:          a.Metrics || a.Events,
+		Decisions:        a.Decisions || a.Events,
+		Events:           a.Events,
+		EventSubscribers: subscribers,
 	})
 }
 

@@ -423,28 +423,44 @@ func TestEventszStream(t *testing.T) {
 
 // TestStreamSubscriberLimit: the configured subscriber bound answers
 // excess stream requests with 429 + Retry-After instead of admitting an
-// unbounded reader population.
+// unbounded reader population, on /eventsz and on each session's stream.
 func TestStreamSubscriberLimit(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, StreamSubscribers: 1})
 
 	first := getStream(t, ts.URL+"/eventsz", "")
 	defer first.Body.Close()
+	want429(t, ts.URL+"/eventsz")
 
-	resp, err := http.Get(ts.URL + "/eventsz")
+	// Releasing the first slot re-admits.
+	first.Body.Close()
+	waitFor429Clear(t, ts.URL+"/eventsz")
+
+	spec := longSpec()
+	spec["artifacts"] = map[string]bool{"events": true}
+	info := submit(t, ts.URL, spec)
+	url := ts.URL + "/sessions/" + info.ID + "/events"
+	sessFirst := getStream(t, url, "")
+	defer sessFirst.Body.Close()
+	want429(t, url)
+	if st := getInfo(t, ts.URL, info.ID).State; st.Terminal() {
+		t.Fatalf("session already %s at the check; its stream was not live", st)
+	}
+}
+
+// want429 requires url to refuse a subscriber with 429 + Retry-After.
+func want429(t *testing.T, url string) {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second subscriber: status %d, want 429", resp.StatusCode)
+		t.Fatalf("second subscriber to %s: status %d, want 429", url, resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
-
-	// Releasing the first slot re-admits.
-	first.Body.Close()
-	waitFor429Clear(t, ts.URL+"/eventsz")
 }
 
 // waitFor429Clear retries until the stream admits a subscriber (slot

@@ -55,13 +55,11 @@ func buildBranchyKernel(img *ia64.Image, reps int64) (ia64.Func, error) {
 
 // layoutSmokeConfig floors the control thresholds (the verify fault
 // harness's settings) so the adaptive trigger fires within a short run,
-// with the trace cache on (layout needs somewhere to emit) and a raised
-// patch journal bound (the hardening tunable, exercised end to end).
+// with the trace cache on (layout needs somewhere to emit).
 func layoutSmokeConfig() cobra.Config {
 	cfg := cobra.DefaultConfig(cobra.StrategyAdaptive)
 	cfg.Engine = "layout"
 	cfg.UseTraceCache = true
-	cfg.PatchJournalBound = 4096
 	cfg.OptimizeInterval = 1_000
 	cfg.MinCoherentEvents = 1
 	cfg.CoherentShareThreshold = 0.01

@@ -7,9 +7,9 @@ import (
 
 // multiVersion keeps every applicable rewrite of a hot region resident
 // in the code cache and adapts to phase changes by switching the
-// region's dispatch branch between variants. A switch is one journaled
-// one-word patch (ia64.Image.SyncDecodeStats replays exactly one slot),
-// against a full rollback + redeploy cycle for the destructive engines.
+// region's dispatch branch between variants. A switch is one slot write,
+// one image generation, against a full rollback + redeploy cycle for the
+// destructive engines.
 type multiVersion struct{}
 
 func (multiVersion) Name() string { return "multiversion" }

@@ -12,8 +12,8 @@
 //   - "multiversion": profile-guided multi-version rewriting (Meng et
 //     al.) — every applicable rewrite of a hot region is deployed into
 //     the code cache at once and kept resident; phase changes flip the
-//     region's dispatch branch between variants (a one-word patch, one
-//     journal record) instead of churning rollback + redeploy.
+//     region's dispatch branch between variants (one slot write, one
+//     image generation) instead of churning rollback + redeploy.
 //   - "causal": Coz-style causal what-if ranking (Curtsinger & Berger) —
 //     before committing a deploy, each candidate's predicted
 //     whole-program IPC is computed by virtually removing the share of

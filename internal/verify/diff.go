@@ -89,26 +89,55 @@ func ParseMode(s string) (Mode, error) {
 	return 0, fmt.Errorf("verify: unknown mode %q", s)
 }
 
-func (m Mode) useTrace() bool {
-	return m == ModeTraceNop || m == ModeTraceExcl || m.useVariants() || m.useLayout()
+// deadline indexes a patchPlan's cycles.
+type deadline int
+
+const (
+	atDeploy   deadline = iota // deploy the variant table
+	atSwitch                   // switch to another resident variant
+	atRollback                 // restore the original code
+)
+
+// step is one dispatch of a live-patch schedule: at its deadline the
+// plan switches to variant (-1 = the original code). The atDeploy step
+// first deploys the mode's variant table.
+type step struct {
+	at      deadline
+	variant int
 }
 
-// useVariants reports whether the mode patches through a resident
-// multi-version table instead of a single destructive deploy.
-func (m Mode) useVariants() bool {
-	return m == ModeVariantSwitch || m == ModeVariantRollback
+// modePlan is how one patch mode live-patches the program. Every
+// dispatch is a Patcher.Switch, and the architectural result must stay
+// bit-identical through every schedule.
+type modePlan struct {
+	trace bool // trace-cache patcher; false rewrites in place
+	// layout deploys one BOLT-style reordered copy of the layout target,
+	// built at deploy time; otherwise the table holds one variant per
+	// rewrite of every lfetch in the patch target.
+	layout   bool
+	rewrites []cobra.Rewrite
+	steps    []step // in time order
 }
 
-// useLayout reports whether the mode deploys a reordered block copy.
-func (m Mode) useLayout() bool {
-	return m == ModeLayout || m == ModeLayoutRollback
-}
+var (
+	nop     = []cobra.Rewrite{cobra.RewriteNop}
+	excl    = []cobra.Rewrite{cobra.RewriteExcl}
+	nopExcl = []cobra.Rewrite{cobra.RewriteNop, cobra.RewriteExcl}
+)
 
-func (m Mode) rewrite() cobra.Rewrite {
-	if m == ModeInPlaceExcl || m == ModeTraceExcl {
-		return cobra.RewriteExcl
-	}
-	return cobra.RewriteNop
+// modePlans holds the plan of every patch mode (ModePlacement patches
+// nothing).
+var modePlans = map[Mode]modePlan{
+	ModeInPlaceNop:      {rewrites: nop, steps: []step{{atDeploy, 0}}},
+	ModeInPlaceExcl:     {rewrites: excl, steps: []step{{atDeploy, 0}}},
+	ModeTraceNop:        {trace: true, rewrites: nop, steps: []step{{atDeploy, 0}}},
+	ModeTraceExcl:       {trace: true, rewrites: excl, steps: []step{{atDeploy, 0}}},
+	ModeRollback:        {rewrites: nop, steps: []step{{atDeploy, 0}, {atRollback, -1}}},
+	ModeVariantSwitch:   {trace: true, rewrites: nopExcl, steps: []step{{atDeploy, 0}, {atSwitch, 1}}},
+	ModeVariantRollback: {trace: true, rewrites: nopExcl, steps: []step{{atDeploy, 0}, {atSwitch, 1}, {atRollback, -1}}},
+	ModeLayout:          {trace: true, layout: true, steps: []step{{atDeploy, 0}}},
+	ModeLayoutRollback:  {trace: true, layout: true, steps: []step{{atDeploy, 0}, {atRollback, -1}}},
+	ModeMigration:       {rewrites: nop, steps: []step{{atDeploy, 0}}},
 }
 
 // cpuState is the logical architectural register state of one CPU:
@@ -225,10 +254,8 @@ func diffStates(want, got *archState, limit int) []string {
 
 // patchPlan schedules a live patch during a run. nil means baseline.
 type patchPlan struct {
-	mode       Mode
-	deployAt   int64 // cycle the deploy timer fires
-	switchAt   int64 // variant modes: cycle the dispatch switches variants
-	rollbackAt int64 // ModeRollback/ModeVariantRollback: cycle of the restore timer
+	mode Mode
+	at   [3]int64 // cycle of each deadline the mode's steps use
 }
 
 // runOutcome is everything one execution of a generated program yields.
@@ -357,58 +384,6 @@ func triagePatchErr(err error) error {
 	return err
 }
 
-// armVariantTimers schedules the multi-version patch plan: at deployAt a
-// two-variant table (nop and excl rewrites of every lfetch in the
-// target) is deployed resident and the nop variant dispatched; at
-// switchAt the dispatch branch flips to the excl variant mid-phase;
-// ModeVariantRollback additionally restores the original entry at
-// rollbackAt. Dispatch transitions are single-word journaled patches,
-// and the architectural result must stay bit-identical through every
-// combination.
-func armVariantTimers(m *machine.Machine, patcher *cobra.Patcher, region cobra.Region, target Loop, plan *patchPlan, out *runOutcome, deployErr *error) {
-	var vs *cobra.VariantSet
-	m.AddTimer(&machine.Timer{NextAt: plan.deployAt, Fn: func(now int64) int64 {
-		specs := []cobra.VariantSpec{
-			{Rewrite: cobra.RewriteNop, Slots: target.Lfetches},
-			{Rewrite: cobra.RewriteExcl, Slots: target.Lfetches},
-		}
-		set, err := patcher.DeployVariants(region, specs)
-		if err == nil {
-			err = patcher.Switch(set, 0)
-		}
-		if err = triagePatchErr(err); err != nil {
-			*deployErr = err
-			return 0
-		}
-		vs = set
-		out.deployed = vs != nil
-		return 0
-	}})
-	m.AddTimer(&machine.Timer{NextAt: plan.switchAt, Fn: func(now int64) int64 {
-		if vs == nil {
-			return 0 // deploy declined; nothing resident to switch
-		}
-		if len(vs.Variants) < 2 {
-			*deployErr = fmt.Errorf("variant table resident with %d variants, want 2", len(vs.Variants))
-			return 0
-		}
-		if err := patcher.Switch(vs, 1); err != nil && *deployErr == nil {
-			*deployErr = err
-		}
-		return 0
-	}})
-	if plan.mode == ModeVariantRollback {
-		m.AddTimer(&machine.Timer{NextAt: plan.rollbackAt, Fn: func(now int64) int64 {
-			if vs != nil {
-				if err := patcher.Switch(vs, -1); err != nil && *deployErr == nil {
-					*deployErr = err
-				}
-			}
-			return 0
-		}})
-	}
-}
-
 // syntheticEdges builds a deterministic pseudo-profile for the layout
 // fuzz modes: every in-region taken edge — each branch's target plus the
 // latch's backward edge — gets a seed- and slot-derived weight, so across
@@ -433,16 +408,17 @@ func syntheticEdges(img *ia64.Image, region cobra.Region, seed int64) map[cobra.
 	return edges
 }
 
-// armLayoutTimers schedules the block-layout plan: at deployAt the layout
-// target's region is partitioned into basic blocks, a hot-path-first
-// order computed from the synthetic edge profile, and the reordered copy
-// deployed resident and dispatched through the entry word;
-// ModeLayoutRollback restores the original entry at rollbackAt. Reordered
-// execution must stay architecturally bit-identical — connectors retire
-// extra branches, so layout modes are judged on state, never on
-// instruction counts.
-func armLayoutTimers(m *machine.Machine, patcher *cobra.Patcher, img *ia64.Image, p *Program, plan *patchPlan, out *runOutcome, deployErr *error) {
-	target := p.LayoutTarget()
+// armPatch registers one timer per step of plan's schedule, in order,
+// so steps due at the same cycle fire in schedule order. A deploy the
+// patcher declines (triagePatchErr) leaves the run unpatched and every
+// later step a no-op; any other failure is recorded in *deployErr.
+func armPatch(env *runEnv, p *Program, plan *patchPlan, out *runOutcome, deployErr *error) {
+	mp := modePlans[plan.mode]
+	patcher := cobra.NewPatcher(env.img, mp.trace)
+	target := p.PatchTarget()
+	if mp.layout {
+		target = p.LayoutTarget()
+	}
 	region := cobra.Region{
 		Key:      cobra.LoopKey{Head: target.Head, BranchPC: target.BranchPC},
 		Start:    target.Head,
@@ -450,9 +426,38 @@ func armLayoutTimers(m *machine.Machine, patcher *cobra.Patcher, img *ia64.Image
 		FuncName: "fuzz.kernel",
 	}
 	var vs *cobra.VariantSet
-	m.AddTimer(&machine.Timer{NextAt: plan.deployAt, Fn: func(now int64) int64 {
-		an := cobra.NewAnalyzer(img, m.Memory())
-		spec := an.BuildLayout(region, syntheticEdges(img, region, p.Cfg.Seed))
+	for _, st := range mp.steps {
+		env.m.AddTimer(&machine.Timer{NextAt: plan.at[st.at], Fn: func(now int64) int64 {
+			if st.at == atDeploy {
+				set, err := patcher.DeployVariants(region, mp.specs(env, p, region, target))
+				if err == nil {
+					err = patcher.Switch(set, st.variant)
+				}
+				if err != nil {
+					*deployErr = triagePatchErr(err)
+					return 0
+				}
+				vs = set
+				out.deployed = true
+			} else if vs != nil {
+				if err := patcher.Switch(vs, st.variant); err != nil && *deployErr == nil {
+					*deployErr = err
+				}
+			}
+			return 0
+		}})
+	}
+}
+
+// specs builds the mode's variant table for region at deploy time. A
+// layout copy is ordered hot-path-first by the synthetic edge profile.
+// Reordered execution must stay architecturally bit-identical;
+// connectors retire extra branches, so layout modes are judged on
+// state, never on instruction counts.
+func (mp modePlan) specs(env *runEnv, p *Program, region cobra.Region, target Loop) []cobra.VariantSpec {
+	if mp.layout {
+		an := cobra.NewAnalyzer(env.img, env.m.Memory())
+		spec := an.BuildLayout(region, syntheticEdges(env.img, region, p.Cfg.Seed))
 		if !spec.PlacesBefore(region.Key.Head, region.Key.BranchPC) {
 			// The synthetic profile asked for a forward latch; the engine
 			// would refuse such an order, so fall back to the identity
@@ -461,28 +466,13 @@ func armLayoutTimers(m *machine.Machine, patcher *cobra.Patcher, img *ia64.Image
 				spec.Order[i] = i
 			}
 		}
-		set, err := patcher.DeployVariants(region, []cobra.VariantSpec{{Rewrite: cobra.RewriteLayout, Layout: &spec}})
-		if err == nil {
-			err = patcher.Switch(set, 0)
-		}
-		if err = triagePatchErr(err); err != nil {
-			*deployErr = err
-			return 0
-		}
-		vs = set
-		out.deployed = vs != nil
-		return 0
-	}})
-	if plan.mode == ModeLayoutRollback {
-		m.AddTimer(&machine.Timer{NextAt: plan.rollbackAt, Fn: func(now int64) int64 {
-			if vs != nil {
-				if err := patcher.Switch(vs, -1); err != nil && *deployErr == nil {
-					*deployErr = err
-				}
-			}
-			return 0
-		}})
+		return []cobra.VariantSpec{{Rewrite: cobra.RewriteLayout, Layout: &spec}}
 	}
+	var specs []cobra.VariantSpec
+	for _, rw := range mp.rewrites {
+		specs = append(specs, cobra.VariantSpec{Rewrite: rw, Slots: target.Lfetches})
+	}
+	return specs
 }
 
 // runProgram executes p on a fresh machine, optionally live-patching it
@@ -501,42 +491,7 @@ func runScenario(p *Program, plan *patchPlan, sc *numaScenario) (*runOutcome, er
 	out := &runOutcome{}
 	var deployErr error
 	if plan != nil {
-		patcher := cobra.NewPatcher(env.img, plan.mode.useTrace())
-		target := p.PatchTarget()
-		region := cobra.Region{
-			Key:      cobra.LoopKey{Head: target.Head, BranchPC: target.BranchPC},
-			Start:    target.Head,
-			End:      target.BranchPC,
-			FuncName: "fuzz.kernel",
-		}
-		if plan.mode.useLayout() {
-			armLayoutTimers(m, patcher, env.img, p, plan, out, &deployErr)
-		} else if plan.mode.useVariants() {
-			armVariantTimers(m, patcher, region, target, plan, out, &deployErr)
-		} else {
-			var vs *cobra.VariantSet
-			m.AddTimer(&machine.Timer{NextAt: plan.deployAt, Fn: func(now int64) int64 {
-				set, err := patcher.DeployVariants(region, []cobra.VariantSpec{{Rewrite: plan.mode.rewrite(), Slots: target.Lfetches}})
-				if err == nil {
-					err = patcher.Switch(set, 0)
-				}
-				if deployErr = triagePatchErr(err); err == nil {
-					vs = set
-				}
-				out.deployed = vs != nil
-				return 0
-			}})
-			if plan.mode == ModeRollback {
-				m.AddTimer(&machine.Timer{NextAt: plan.rollbackAt, Fn: func(now int64) int64 {
-					if vs != nil {
-						if err := patcher.Switch(vs, -1); err != nil && deployErr == nil {
-							deployErr = err
-						}
-					}
-					return 0
-				}})
-			}
-		}
+		armPatch(env, p, plan, out, &deployErr)
 	}
 
 	if err := env.run(p); err != nil {
@@ -722,7 +677,7 @@ func VerifySeed(cfg GenConfig, modes []Mode, faults []FaultKind) SeedReport {
 				depAt = 1
 			}
 			swAt, rbAt = depAt+1, depAt+2
-			patched, err := runScenario(p, &patchPlan{mode: mode, deployAt: depAt, switchAt: swAt, rollbackAt: rbAt},
+			patched, err := runScenario(p, &patchPlan{mode: mode, at: [3]int64{depAt, swAt, rbAt}},
 				&numaScenario{placement: mem.PlaceFirstTouch})
 			if err != nil {
 				rep.Err = "migration-patched-baseline: " + err.Error()
@@ -741,7 +696,7 @@ func VerifySeed(cfg GenConfig, modes []Mode, faults []FaultKind) SeedReport {
 				},
 			}
 		}
-		run, err := runScenario(p, &patchPlan{mode: mode, deployAt: depAt, switchAt: swAt, rollbackAt: rbAt}, sc)
+		run, err := runScenario(p, &patchPlan{mode: mode, at: [3]int64{depAt, swAt, rbAt}}, sc)
 		if err != nil {
 			rep.Err = mode.String() + ": " + err.Error()
 			return rep
