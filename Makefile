@@ -2,16 +2,17 @@
 # and static checks, a full build, the whole module under the race
 # detector (with the short corpus — the service layer runs concurrent
 # sessions, so every package rides along), the full tier-1 test suite,
-# and a one-iteration benchmark smoke so the hot path cannot silently
-# stop compiling or regress to pathological cost.
+# the end-to-end benchmark's own module, and a one-iteration benchmark
+# smoke so the hot path cannot silently stop compiling or regress to
+# pathological cost.
 
 GO ?= go
 BENCH_LABEL ?= $(shell date -u +%Y-%m-%d)
 SOAK_DURATION ?= 30s
 
-.PHONY: ci fmt vet build race test bench bench-smoke trace-smoke fuzz-smoke strategy-smoke layout-smoke stream-smoke matrix-smoke soak-smoke results loc
+.PHONY: ci fmt vet build race test perfbench-check bench bench-smoke trace-smoke fuzz-smoke strategy-smoke layout-smoke stream-smoke matrix-smoke soak-smoke results loc
 
-ci: fmt vet build race test bench-smoke trace-smoke fuzz-smoke strategy-smoke layout-smoke stream-smoke matrix-smoke
+ci: fmt vet build race test perfbench-check bench-smoke trace-smoke fuzz-smoke strategy-smoke layout-smoke stream-smoke matrix-smoke
 
 # Every Go file gofmt-clean: lists the files gofmt would change and
 # fails when there are any.
@@ -33,6 +34,12 @@ race:
 
 test:
 	$(GO) test ./...
+
+# The end-to-end benchmark (perfbench/, its own module) calls the
+# scheduler, experiment, service and perfmon APIs: vet and test it so a
+# change to them cannot break the benchmark while the rest stays green.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # 30 seconds (SOAK_DURATION) of concurrent clients hammering an
 # in-process cobrad under the race detector: sustained submissions,

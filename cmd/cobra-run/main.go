@@ -23,6 +23,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -121,7 +122,7 @@ func main() {
 	job := sched.Job[workload.Measurement]{
 		Key:  key,
 		Name: spec.Name(),
-		Run: func() (workload.Measurement, error) {
+		Run: func(context.Context) (workload.Measurement, error) {
 			i, err := spec.Instantiate(nil, observer)
 			if err != nil {
 				return workload.Measurement{}, err

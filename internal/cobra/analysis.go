@@ -68,9 +68,6 @@ func (a *Analyzer) RegionFor(k LoopKey) Region {
 // Contains reports whether pc falls inside the region.
 func (r Region) Contains(pc int) bool { return pc >= r.Start && pc <= r.End }
 
-// ContainsLoopPC reports whether pc is inside the loop body proper.
-func (r Region) ContainsLoopPC(pc int) bool { return pc >= r.Key.Head && pc <= r.Key.BranchPC }
-
 // Prefetches returns the slots of all lfetch instructions in the region
 // (prologue burst + steady state).
 func (a *Analyzer) Prefetches(r Region) []int {

@@ -124,14 +124,6 @@ type Config struct {
 	// patch decisions. Excluded from JSON so scheduler content hashes of a
 	// configuration are identical with and without observability attached.
 	Obs *obs.Observer `json:"-"`
-
-	// SelfCheck replays the decision log's lifecycle state machine at the
-	// end of every optimizer pass and latches any violation (see
-	// Runtime.SelfCheckViolations). A verification knob, not an experiment
-	// parameter: excluded from JSON so scheduler content hashes are
-	// unchanged, and requires an observer with decisions enabled to have
-	// anything to replay.
-	SelfCheck bool `json:"-"`
 }
 
 // DefaultConfig returns the configuration used throughout the evaluation.

@@ -13,13 +13,11 @@ import (
 type USB struct {
 	CPU     int
 	samples []perfmon.Sample
-	total   int64
 }
 
 // Push appends a sample (called by the monitoring thread).
 func (u *USB) Push(s perfmon.Sample) {
 	u.samples = append(u.samples, s)
-	u.total++
 }
 
 // Drain returns and clears buffered samples.
@@ -28,9 +26,6 @@ func (u *USB) Drain() []perfmon.Sample {
 	u.samples = nil
 	return out
 }
-
-// Total returns the lifetime sample count.
-func (u *USB) Total() int64 { return u.total }
 
 // LoopKey identifies a loop discovered from BTB profiles: the backward
 // taken branch and its target.
@@ -105,17 +100,6 @@ func (w Window) CoherentShare() float64 {
 		return 0
 	}
 	return float64(w.BusHitm) / float64(w.L2Misses)
-}
-
-// MissRate returns combined coherence+capacity pressure per kilocycle.
-// It is a diagnostic metric only: the re-adaptation controller judges
-// patches on IPC (see Window.IPC), which cannot be gamed by running
-// slower.
-func (w Window) MissRate() float64 {
-	if w.Cycles == 0 {
-		return 0
-	}
-	return float64(w.BusHitm+w.L2Misses) * 1000 / float64(w.Cycles)
 }
 
 // Profiler aggregates samples from all monitoring threads into system-wide

@@ -144,10 +144,6 @@ type Runtime struct {
 	obs      *obs.Observer
 	windows  int
 	lastPass int64
-
-	// selfCheckViolations latches decision-log lifecycle violations found
-	// by the per-pass replay when Config.SelfCheck is set.
-	selfCheckViolations []string
 }
 
 // emaAlpha is the smoothing factor of the pre-patch IPC baselines.
@@ -212,11 +208,6 @@ func (r *Runtime) Driver() *perfmon.Driver { return r.driver }
 // interpose on the monitor path: re-Attach a perfmon handler that drops or
 // corrupts samples before forwarding into the real buffer.
 func (r *Runtime) USB(cpu int) *USB { return r.usbs[cpu] }
-
-// SelfCheckViolations returns the decision-log lifecycle violations caught
-// by the per-pass replay. Always empty unless Config.SelfCheck is set and
-// an illegal state transition was recorded.
-func (r *Runtime) SelfCheckViolations() []string { return r.selfCheckViolations }
 
 // Stats returns a snapshot of the runtime's activity counters.
 func (r *Runtime) Stats() Stats { return r.stats.snapshot() }
@@ -422,14 +413,6 @@ func (r *Runtime) optimizePass(now int64) {
 			GlobalIPCEMA:  r.globalEMA,
 		})
 	}
-	// Online lifecycle oracle: with SelfCheck on, every pass replays the
-	// decision log through the legality checker so a fuzz or fault-injection
-	// run fails at the pass that recorded the illegal transition, not in a
-	// post-mortem.
-	if r.cfg.SelfCheck && len(r.selfCheckViolations) == 0 {
-		r.selfCheckViolations = r.obs.Decisions().Violations()
-	}
-
 	r.windows++
 	r.lastPass = now
 	r.prof.ResetWindow()

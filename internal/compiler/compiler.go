@@ -214,8 +214,6 @@ func (t *tempAlloc) put(r uint8) {
 	}
 }
 
-func (t *tempAlloc) owns(r uint8) bool { return r >= t.first && r <= t.last }
-
 func compileFunc(img *ia64.Image, prog *loopir.Program, f *loopir.Func, bases ArrayMap, opt Options) (*CompiledFunc, error) {
 	g := &fnGen{
 		prog: prog, fn: f, bases: bases, opt: opt,
@@ -297,11 +295,6 @@ func (g *fnGen) namedGR(name string) (uint8, error) {
 	g.nextGR++
 	g.intRegs[name] = r
 	return r, nil
-}
-
-// anonGR allocates an unnamed loop-scoped register (cursor, bound).
-func (g *fnGen) anonGR(tag string) (uint8, error) {
-	return g.namedGR(fmt.Sprintf("·%s%d", tag, len(g.intRegs)))
 }
 
 // releaseGR frees a named register for reuse after a loop body closes.

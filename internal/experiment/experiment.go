@@ -5,6 +5,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/cobra"
@@ -34,13 +35,13 @@ type Options struct {
 	// ArtifactDir, when non-empty, attaches a per-cell observer (trace,
 	// metrics, decision log) to every executed measurement job and dumps
 	// its artifacts there, file names keyed by the cell's content hash so
-	// they line up with run-ledger entries. Cached cells write nothing —
-	// their artifacts are from the run that recorded them.
+	// they line up with run-ledger entries (see measureJob). Cached cells
+	// write nothing — their artifacts are from the run that recorded them.
 	ArtifactDir string
 }
 
 func (o Options) schedOptions() sched.Options {
-	return sched.Options{Workers: o.Jobs, Ledger: o.Ledger, Hooks: o.Hooks, ArtifactDir: o.ArtifactDir}
+	return sched.Options{Workers: o.Jobs, Ledger: o.Ledger, Hooks: o.Hooks}
 }
 
 func (o Options) buildCache() *workload.BuildCache {
@@ -162,43 +163,57 @@ func QuickDaxpyScale() DaxpyScale {
 	}
 }
 
+// measureJob builds the scheduler job measuring one cell: build makes the
+// cell's instance from its build config, and Run measures it. With an
+// artifact dir, the executed cell creates its own observer (never shared
+// across concurrent jobs), attaches it to the build, and writes its
+// trace, metrics and decision log under its content-hash key before the
+// job resolves. A write failure fails the cell as "artifacts: …", so it
+// is never ledgered; a ledger hit never runs, so it writes nothing.
+func measureJob(key, name string, bc workload.BuildConfig, dir string, build func(workload.BuildConfig) (*workload.Instance, error)) sched.Job[workload.Measurement] {
+	return sched.Job[workload.Measurement]{
+		Key:  key,
+		Name: name,
+		Run: func(context.Context) (workload.Measurement, error) {
+			cfg := bc
+			if dir != "" {
+				cfg.Obs = obs.New(obs.Config{Trace: true, Metrics: true, Decisions: true})
+			}
+			inst, err := build(cfg)
+			if err != nil {
+				return workload.Measurement{}, err
+			}
+			m, err := inst.Measure()
+			if err != nil || dir == "" {
+				return m, err
+			}
+			if err := obs.WriteArtifacts(dir, key, cfg.Obs); err != nil {
+				return workload.Measurement{}, fmt.Errorf("artifacts: %w", err)
+			}
+			return m, nil
+		},
+	}
+}
+
 // daxpyJob builds the scheduler job measuring one Figure 3 cell. The key
 // hashes the full cell identity (kernel parameters, variant, machine and
 // compiler config), so equal cells dedup within a sweep — the 1-thread
 // prefetch normalization anchor and the (1, prefetch) bar are one job —
 // and ledger entries survive exactly as long as the configuration is
 // unchanged.
-func daxpyJob(cache *workload.BuildCache, ws int64, threads, reps int, v workload.Variant, withObs bool) sched.Job[workload.Measurement] {
+func daxpyJob(cache *workload.BuildCache, ws int64, threads, reps int, v workload.Variant, dir string) sched.Job[workload.Measurement] {
 	p := workload.DaxpyParams{WorkingSetBytes: ws, OuterReps: reps}
 	bc := workload.SMPConfig(threads)
-	// The observer is created inside Run (one per executed cell, never
-	// shared across concurrent jobs) and read back by the Artifacts hook,
-	// which the scheduler always calls after Run on the same worker.
-	var o *obs.Observer
-	job := sched.Job[workload.Measurement]{
-		Key:  sched.KeyOf("daxpy-cell", p, int(v), bc),
-		Name: fmt.Sprintf("daxpy/ws=%dK/t=%d/%s", ws>>10, threads, v),
-		Run: func() (workload.Measurement, error) {
-			if withObs {
-				o = obs.New(obs.Config{Trace: true, Metrics: true, Decisions: true})
-				bc.Obs = o
-			}
-			w := workload.Daxpy(p)
-			inst, err := cache.Build(sched.KeyOf("daxpy", p), w, bc)
-			if err != nil {
-				return workload.Measurement{}, err
-			}
-			if _, err := workload.ApplyVariant(inst, v); err != nil {
-				return workload.Measurement{}, err
-			}
-			return inst.Measure()
-		},
-	}
-	if withObs {
-		key := job.Key
-		job.Artifacts = func(dir string) error { return obs.WriteArtifacts(dir, key, o) }
-	}
-	return job
+	key := sched.KeyOf("daxpy-cell", p, int(v), bc)
+	name := fmt.Sprintf("daxpy/ws=%dK/t=%d/%s", ws>>10, threads, v)
+	return measureJob(key, name, bc, dir, func(bc workload.BuildConfig) (*workload.Instance, error) {
+		inst, err := cache.Build(sched.KeyOf("daxpy", p), workload.Daxpy(p), bc)
+		if err != nil {
+			return nil, err
+		}
+		_, err = workload.ApplyVariant(inst, v)
+		return inst, err
+	})
 }
 
 // Figure3Sched regenerates Figure 3(a) (prefetch vs noprefetch) or 3(b)
@@ -225,10 +240,10 @@ func Figure3Sched(panel byte, scale DaxpyScale, opt Options) ([]DaxpyCell, error
 	var jobs []sched.Job[workload.Measurement]
 	for _, ws := range scale.WorkingSets {
 		reps := scale.RepsFor(ws)
-		jobs = append(jobs, daxpyJob(cache, ws, 1, reps, workload.VariantPrefetch, opt.ArtifactDir != ""))
+		jobs = append(jobs, daxpyJob(cache, ws, 1, reps, workload.VariantPrefetch, opt.ArtifactDir))
 		for _, th := range scale.Threads {
 			for _, v := range []workload.Variant{workload.VariantPrefetch, alt} {
-				jobs = append(jobs, daxpyJob(cache, ws, th, reps, v, opt.ArtifactDir != ""))
+				jobs = append(jobs, daxpyJob(cache, ws, th, reps, v, opt.ArtifactDir))
 			}
 		}
 	}
@@ -283,11 +298,10 @@ func Table1Sched(class npb.Class, opt Options) ([]Table1Row, error) {
 	bc := workload.SMPConfig(1)
 	var jobs []sched.Job[Table1Row]
 	for _, name := range npb.Names {
-		name := name
 		jobs = append(jobs, sched.Job[Table1Row]{
 			Key:  sched.KeyOf("table1", name, p, bc),
 			Name: fmt.Sprintf("table1/%s.%s", name, class),
-			Run: func() (Table1Row, error) {
+			Run: func(context.Context) (Table1Row, error) {
 				w, err := npb.Build(name, p)
 				if err != nil {
 					return Table1Row{}, err
@@ -337,35 +351,19 @@ type NPBResult struct {
 // configuration, so the content hash changes with any of them. The three
 // strategies of one benchmark share a compiled artifact through the build
 // cache: COBRA attaches at run time and never alters the compile.
-func npbJob(cache *workload.BuildCache, machine MachineKind, class npb.Class, name string, s StrategyLabel, withObs bool) sched.Job[workload.Measurement] {
+func npbJob(cache *workload.BuildCache, machine MachineKind, class npb.Class, name string, s StrategyLabel, dir string) sched.Job[workload.Measurement] {
 	p := npb.Params{Class: class}
 	bc := machine.config()
 	bc.Cobra = cobraFor(s, machine)
-	var o *obs.Observer
-	job := sched.Job[workload.Measurement]{
-		Key:  sched.KeyOf("npb-cell", name, p, bc),
-		Name: fmt.Sprintf("%s/%s.%s/%s", machineShort(machine), name, class, s),
-		Run: func() (workload.Measurement, error) {
-			if withObs {
-				o = obs.New(obs.Config{Trace: true, Metrics: true, Decisions: true})
-				bc.Obs = o
-			}
-			w, err := npb.Build(name, p)
-			if err != nil {
-				return workload.Measurement{}, err
-			}
-			inst, err := cache.Build(sched.KeyOf("npb", name, p), w, bc)
-			if err != nil {
-				return workload.Measurement{}, err
-			}
-			return inst.Measure()
-		},
-	}
-	if withObs {
-		key := job.Key
-		job.Artifacts = func(dir string) error { return obs.WriteArtifacts(dir, key, o) }
-	}
-	return job
+	key := sched.KeyOf("npb-cell", name, p, bc)
+	label := fmt.Sprintf("%s/%s.%s/%s", machineShort(machine), name, class, s)
+	return measureJob(key, label, bc, dir, func(bc workload.BuildConfig) (*workload.Instance, error) {
+		w, err := npb.Build(name, p)
+		if err != nil {
+			return nil, err
+		}
+		return cache.Build(sched.KeyOf("npb", name, p), w, bc)
+	})
 }
 
 func machineShort(m MachineKind) string {
@@ -389,7 +387,7 @@ func RunNPBSched(machine MachineKind, class npb.Class, benches []string, opt Opt
 	var jobs []sched.Job[workload.Measurement]
 	for _, name := range benches {
 		for _, s := range Strategies {
-			jobs = append(jobs, npbJob(cache, machine, class, name, s, opt.ArtifactDir != ""))
+			jobs = append(jobs, npbJob(cache, machine, class, name, s, opt.ArtifactDir))
 		}
 	}
 	results := sched.Run(jobs, opt.schedOptions())

@@ -1,8 +1,10 @@
 package experiment_test
 
 import (
+	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -137,5 +139,135 @@ func TestIncrementalLedgerSkipsUnchangedCells(t *testing.T) {
 	}
 	if executed.Load() == 0 {
 		t.Fatal("NUMA sweep executed nothing")
+	}
+}
+
+// artifactSweep runs the quick Figure 3(a) sweep on led into dir and
+// returns the keys of the cells that executed and how many were cached.
+func artifactSweep(t *testing.T, led *sched.Ledger, dir string) (executed []string, cached int, err error) {
+	t.Helper()
+	opt := experiment.Options{
+		Jobs:        2,
+		Ledger:      led,
+		ArtifactDir: dir,
+		// Hooks are serialized by the scheduler: no lock needed.
+		Hooks: sched.Hooks{
+			Started: func(ev sched.Event) { executed = append(executed, ev.Key) },
+			Cached:  func(sched.Event) { cached++ },
+		},
+	}
+	_, err = experiment.Figure3Sched('a', experiment.QuickDaxpyScale(), opt)
+	return executed, cached, err
+}
+
+func dirEntries(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestFigure3ArtifactsPerExecutedCell: every executed cell writes its
+// trace, metrics and decision log under its 16-hex-digit key prefix —
+// the deduplicated normalization anchor once — and a rerun on the same
+// ledger is all hits and writes nothing.
+func TestFigure3ArtifactsPerExecutedCell(t *testing.T) {
+	led, err := sched.OpenLedger(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	executed, cached, err := artifactSweep(t, led, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(executed) != 4 || cached != 0 {
+		t.Fatalf("cold sweep: %d executed, %d cached; want 4 and 0", len(executed), cached)
+	}
+	var want []string
+	for _, key := range executed {
+		for _, ext := range []string{".decisions.txt", ".metrics.json", ".trace.json"} {
+			want = append(want, key[:16]+ext)
+		}
+	}
+	sort.Strings(want)
+	if got := dirEntries(t, dir); !reflect.DeepEqual(got, want) {
+		t.Fatalf("artifact files = %q, want %q", got, want)
+	}
+
+	empty := t.TempDir()
+	executed, cached, err = artifactSweep(t, led, empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(executed) != 0 || cached != 4 {
+		t.Fatalf("warm sweep: %d executed, %d cached; want 0 and 4", len(executed), cached)
+	}
+	if got := dirEntries(t, empty); len(got) != 0 {
+		t.Fatalf("ledger hits wrote artifacts: %q", got)
+	}
+}
+
+// TestFigure3ArtifactsDisabledWithoutDir: with no ArtifactDir the cells
+// attach no observer and write nothing, not even into the working
+// directory, and measure exactly what an observed sweep measures.
+func TestFigure3ArtifactsDisabledWithoutDir(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cwd := t.TempDir()
+	if err := os.Chdir(cwd); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+
+	scale := experiment.QuickDaxpyScale()
+	plain, err := experiment.Figure3Sched('a', scale, experiment.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dirEntries(t, cwd); len(got) != 0 {
+		t.Fatalf("sweep without ArtifactDir wrote %q", got)
+	}
+	observed, err := experiment.Figure3Sched('a', scale, experiment.Options{ArtifactDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, observed) {
+		t.Fatalf("observing the sweep changed its cells:\n%+v\n%+v", plain, observed)
+	}
+}
+
+// TestFigure3ArtifactWriteFailureFailsCell: a cell whose artifacts cannot
+// be written (the artifact dir is a regular file) fails as "artifacts: …"
+// and is not ledgered, so the next run executes it again.
+func TestFigure3ArtifactWriteFailureFailsCell(t *testing.T) {
+	led, err := sched.OpenLedger(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := artifactSweep(t, led, file); err == nil || !strings.Contains(err.Error(), "artifacts: ") {
+		t.Fatalf("sweep into a regular file: err = %v, want an artifacts: failure", err)
+	}
+	if n, err := led.Len(); err != nil || n != 0 {
+		t.Fatalf("ledger holds %d entries (%v) after failed cells, want 0", n, err)
+	}
+	executed, cached, err := artifactSweep(t, led, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(executed) != 4 || cached != 0 {
+		t.Fatalf("rerun: %d executed, %d cached; want 4 and 0", len(executed), cached)
 	}
 }

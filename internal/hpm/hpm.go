@@ -106,7 +106,6 @@ type PMU struct {
 	dear           DEARSample
 
 	overflow OverflowHandler
-	frozen   bool
 
 	// slotOf[ev] is 1+slot of the counter tracking ev, or 0. At most one
 	// counter may track a given event; this makes Add O(1), which matters
@@ -153,17 +152,13 @@ func (p *PMU) SetDEARFilter(minLatency, every int64) {
 	p.dear = DEARSample{}
 }
 
-// Freeze stops all counting (PMC freeze bit); Unfreeze resumes.
-func (p *PMU) Freeze()   { p.frozen = true }
-func (p *PMU) Unfreeze() { p.frozen = false }
-
 // Add counts n occurrences of ev, firing overflow handlers as periods
 // cross. The untracked-event check comes first: it is the common case on
 // the simulator's per-instruction path (unmonitored runs program no
 // counters), and none of the checks' order is observable.
 func (p *PMU) Add(ev Event, n int64) {
 	slot := p.slotOf[ev]
-	if slot == 0 || p.frozen || n == 0 {
+	if slot == 0 || n == 0 {
 		return
 	}
 	c := &p.counters[slot-1]
@@ -191,9 +186,6 @@ func (p *PMU) ReadAll() [NumCounters]Counter {
 
 // RecordBranch pushes a taken branch into the BTB ring.
 func (p *PMU) RecordBranch(brPC, targetPC int) {
-	if p.frozen {
-		return
-	}
 	p.btb[p.btbPos] = BranchPair{BranchPC: brPC, TargetPC: targetPC}
 	p.btbPos = (p.btbPos + 1) % BTBEntries
 	if p.btbLen < BTBEntries {
@@ -215,7 +207,7 @@ func (p *PMU) ReadBTB() []BranchPair {
 // latency threshold are ignored; qualifying loads are decimated by the
 // programmed rate, and the most recent capture is held until read.
 func (p *PMU) RecordLoad(pc int, addr uint64, latency int64) {
-	if p.frozen || latency < p.dearMinLatency {
+	if latency < p.dearMinLatency {
 		return
 	}
 	p.dearCount++
@@ -230,15 +222,4 @@ func (p *PMU) ReadDEAR() DEARSample {
 	s := p.dear
 	p.dear.Valid = false
 	return s
-}
-
-// Reset clears all counters, the BTB and the DEAR but keeps programming.
-func (p *PMU) Reset() {
-	for i := range p.counters {
-		p.counters[i].Value = 0
-		p.counters[i].armed = p.counters[i].Period
-	}
-	p.btbPos, p.btbLen = 0, 0
-	p.dear = DEARSample{}
-	p.dearCount = 0
 }

@@ -60,29 +60,6 @@ func TestOverflowPropertyCountMatchesPeriods(t *testing.T) {
 	}
 }
 
-func TestFreezeStopsCounting(t *testing.T) {
-	p := NewPMU(0)
-	p.Program(0, EvCPUCycles, 0)
-	p.Freeze()
-	p.Add(EvCPUCycles, 10)
-	p.RecordBranch(1, 2)
-	p.RecordLoad(3, 0x100, 1000)
-	if _, v := p.Read(0); v != 0 {
-		t.Fatal("counter advanced while frozen")
-	}
-	if len(p.ReadBTB()) != 0 {
-		t.Fatal("BTB recorded while frozen")
-	}
-	if p.ReadDEAR().Valid {
-		t.Fatal("DEAR recorded while frozen")
-	}
-	p.Unfreeze()
-	p.Add(EvCPUCycles, 10)
-	if _, v := p.Read(0); v != 10 {
-		t.Fatal("counter did not resume after unfreeze")
-	}
-}
-
 func TestBTBKeepsLastFourOldestFirst(t *testing.T) {
 	p := NewPMU(0)
 	for i := 1; i <= 6; i++ {
@@ -155,34 +132,6 @@ func TestDEARKeepsLatest(t *testing.T) {
 	p.RecordLoad(2, 0x20, 200)
 	if s := p.ReadDEAR(); s.PC != 2 {
 		t.Fatalf("DEAR kept PC %d, want latest (2)", s.PC)
-	}
-}
-
-func TestResetKeepsProgramming(t *testing.T) {
-	p := NewPMU(0)
-	p.Program(0, EvL3Misses, 10)
-	p.Add(EvL3Misses, 5)
-	p.RecordBranch(1, 2)
-	p.Reset()
-	if _, v := p.Read(0); v != 0 {
-		t.Fatal("Reset did not clear counter value")
-	}
-	if ev, _ := p.Read(0); ev != EvL3Misses {
-		t.Fatal("Reset cleared counter programming")
-	}
-	if len(p.ReadBTB()) != 0 {
-		t.Fatal("Reset did not clear BTB")
-	}
-	// Overflow countdown restarts from the full period.
-	fires := 0
-	p.SetOverflowHandler(func(int, Event) { fires++ })
-	p.Add(EvL3Misses, 9)
-	if fires != 0 {
-		t.Fatal("overflow fired early after Reset")
-	}
-	p.Add(EvL3Misses, 1)
-	if fires != 1 {
-		t.Fatal("overflow did not fire at full period after Reset")
 	}
 }
 

@@ -127,34 +127,11 @@ type Instr struct {
 	Imm  int64 // immediate / branch target slot index
 }
 
-// IsMemory reports whether the instruction accesses data memory.
-func (in Instr) IsMemory() bool {
-	switch in.Op {
-	case OpLd, OpSt, OpLdf, OpStf, OpLfetch:
-		return true
-	}
-	return false
-}
-
-// IsLoad reports whether the instruction is a demand load.
-func (in Instr) IsLoad() bool { return in.Op == OpLd || in.Op == OpLdf }
-
 // IsStore reports whether the instruction is a store.
 func (in Instr) IsStore() bool { return in.Op == OpSt || in.Op == OpStf }
 
 // IsBranch reports whether the instruction is a branch.
 func (in Instr) IsBranch() bool { return in.Op == OpBr }
-
-// IsLoopBranch reports whether the instruction closes one of the three
-// Itanium loop forms the paper's Table 1 counts.
-func (in Instr) IsLoopBranch() bool {
-	return in.Op == OpBr && (in.Br == BrCloop || in.Br == BrCtop || in.Br == BrWtop)
-}
-
-// Rotates reports whether executing the branch rotates the register file.
-func (in Instr) Rotates() bool {
-	return in.Op == OpBr && (in.Br == BrCtop || in.Br == BrWtop)
-}
 
 func (o Op) String() string {
 	if int(o) < len(opNames) {

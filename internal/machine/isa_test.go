@@ -241,23 +241,3 @@ func TestDualBundleIssueTiming(t *testing.T) {
 		t.Fatalf("6 ALU ops took %d cycles, want <= 3 (dual bundle issue)", c.Cycle)
 	}
 }
-
-func TestPMUFrozenDuringNothing(t *testing.T) {
-	// Freeze/unfreeze semantics across a run: freezing before the run
-	// suppresses all counting.
-	img := ia64.NewImage()
-	a := ia64.NewAsm(img, "f")
-	a.Emit(ia64.Instr{Op: ia64.OpAddI, R1: 4, R2: 4, Imm: 1})
-	a.Emit(ia64.Instr{Op: ia64.OpHalt})
-	entry, _ := a.Close()
-	m := testMachine(t, img, 1)
-	m.PMU(0).Program(0, 2 /* EvInstRetired */, 0)
-	m.PMU(0).Freeze()
-	m.StartThread(0, entry, 1, nil)
-	if _, err := m.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, v := m.PMU(0).Read(0); v != 0 {
-		t.Fatalf("frozen PMU counted %d", v)
-	}
-}

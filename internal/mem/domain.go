@@ -276,9 +276,6 @@ func NewDomain(cfg Config, m *Memory) (*Domain, error) {
 // Memory returns the backing memory.
 func (d *Domain) Memory() *Memory { return d.mem }
 
-// Interconnect returns the interconnect (for topology queries).
-func (d *Domain) Interconnect() Interconnect { return d.icn }
-
 // Config returns the domain configuration.
 func (d *Domain) Config() Config { return d.cfg }
 
@@ -706,11 +703,4 @@ func (d *Domain) Probe(cpu int, addr uint64) MESIState {
 		state = l.state
 	}
 	return state
-}
-
-// ResetStats zeroes all per-CPU counters (experiment warm-up boundaries).
-func (d *Domain) ResetStats() {
-	for i := range d.stats {
-		d.stats[i] = CPUStats{}
-	}
 }

@@ -347,15 +347,6 @@ func TestStatsAddAndTotal(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	d := smpDomain(t, 1)
-	access(d, 0, testAddr, LoadFP, 0)
-	d.ResetStats()
-	if got := d.Stats(0); got != (CPUStats{}) {
-		t.Fatalf("stats after reset: %+v", got)
-	}
-}
-
 func TestLoadBiasAcquiresExclusive(t *testing.T) {
 	d := smpDomain(t, 2)
 	access(d, 1, testAddr, LoadFP, 0)

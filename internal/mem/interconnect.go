@@ -108,9 +108,6 @@ func (b *Bus) Transact(reqCPU, homeNode int, kind TxnKind, snoop SnoopResult, no
 	return start + service
 }
 
-// Reset clears contention state between experiment repetitions.
-func (b *Bus) Reset() { b.busyUntil = 0 }
-
 // NUMA models the SGI Altix: CPUsPerNode processors share a node-local bus
 // and memory; nodes connect through a fat-tree whose distance grows
 // logarithmically with the node count. Remote memory and especially remote
@@ -122,21 +119,6 @@ type NUMA struct {
 	numNodes int
 	linkBusy []int64 // per-node egress link contention
 	memBusy  []int64 // per-node memory controller contention
-}
-
-// NewNUMA builds a cc-NUMA interconnect for numCPUs processors grouped
-// cpusPerNode to a node — the legacy uniform shape, expressed as a node
-// list so uniform and asymmetric machines share one implementation.
-func NewNUMA(lat LatencyParams, numCPUs, cpusPerNode int) *NUMA {
-	var nodes []NodeConfig
-	for remaining := numCPUs; remaining > 0; remaining -= cpusPerNode {
-		n := cpusPerNode
-		if n > remaining {
-			n = remaining
-		}
-		nodes = append(nodes, NodeConfig{CPUs: n})
-	}
-	return NewNUMANodes(lat, nodes)
 }
 
 // NewNUMANodes builds a cc-NUMA interconnect from an explicit — possibly
@@ -221,12 +203,4 @@ func (n *NUMA) Transact(reqCPU, homeNode int, kind TxnKind, snoop SnoopResult, n
 	}
 	n.linkBusy[reqNode] = start + occ
 	return start + service
-}
-
-// Reset clears contention state between experiment repetitions.
-func (n *NUMA) Reset() {
-	for i := range n.linkBusy {
-		n.linkBusy[i] = 0
-		n.memBusy[i] = 0
-	}
 }

@@ -222,12 +222,3 @@ func (m *Memory) PeekHomeNode(addr uint64) int {
 
 // PageSize returns the NUMA page size.
 func (m *Memory) PageSize() uint64 { return m.pageSize }
-
-// ResetPlacement clears all page-home assignments and restores per-node
-// capacity budgets (used between experiment repetitions).
-func (m *Memory) ResetPlacement() {
-	for i := range m.home {
-		m.home[i] = -1
-	}
-	copy(m.place.capPages, m.place.initCap)
-}

@@ -54,9 +54,7 @@ const MaxTopologyCPUs = 64
 // NodeList resolves the configuration's machine shape to an explicit node
 // list. A declared Nodes list is returned as-is; otherwise the legacy
 // (NumCPUs, CPUsPerNode, NUMA) triple is expanded: one all-CPU node on
-// the SMP, ceil(NumCPUs/CPUsPerNode) uniform nodes on the NUMA machine —
-// exactly the shapes NewNUMA has always built, so legacy configurations
-// resolve to topologies with identical CPU→node maps.
+// the SMP, ceil(NumCPUs/CPUsPerNode) uniform nodes on the NUMA machine.
 func (c Config) NodeList() []NodeConfig {
 	if len(c.Nodes) > 0 {
 		out := make([]NodeConfig, len(c.Nodes))
@@ -122,10 +120,8 @@ type placement struct {
 	numNodes int
 	bindNode int16
 
-	// capPages is the remaining page budget per node (-1 = unbounded);
-	// initCap preserves the configured budgets for ResetPlacement.
+	// capPages is the remaining page budget per node (-1 = unbounded).
 	capPages []int64
-	initCap  []int64
 
 	// spill is the bind policy's node probe order: BindNode first, then
 	// every other node sorted by (hops from BindNode, node id).
@@ -146,14 +142,12 @@ func (m *Memory) ConfigurePlacement(policy PlacementPolicy, nodes []NodeConfig, 
 	}
 	p.bindNode = int16(bindNode)
 	p.capPages = make([]int64, p.numNodes)
-	p.initCap = make([]int64, p.numNodes)
 	for i := range p.capPages {
 		cap := int64(-1)
 		if i < len(nodes) && nodes[i].MemBytes > 0 {
 			cap = int64(nodes[i].MemBytes / m.pageSize)
 		}
 		p.capPages[i] = cap
-		p.initCap[i] = cap
 	}
 	if policy == PlaceBind {
 		p.spill = spillOrder(p.numNodes, bindNode, hops)

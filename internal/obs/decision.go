@@ -127,12 +127,13 @@ type Decision struct {
 	Evidence Evidence `json:"evidence"`
 }
 
-// DecisionLog records lifecycle decisions per region and can validate
-// that every region's history is a legal state-machine walk. A nil
+// DecisionLog records lifecycle decisions per region and checks each one
+// against the lifecycle state machine as it is recorded. A nil
 // *DecisionLog is the disabled state.
 type DecisionLog struct {
-	decisions []Decision
-	last      map[uint64]PatchState
+	decisions  []Decision
+	last       map[uint64]PatchState
+	violations []string
 
 	// bus, when attached, receives every recorded decision as a live
 	// KindDecision event at the instant Record runs — the streaming
@@ -157,7 +158,8 @@ func (l *DecisionLog) AttachBus(b *EventBus) {
 }
 
 // Record appends a decision. From is filled in from the region's last
-// recorded state so callers only name the destination.
+// recorded state so callers only name the destination; an illegal
+// transition is still recorded, and also noted as a violation.
 func (l *DecisionLog) Record(cycle int64, region uint64, window int, to PatchState, reason string, ev Evidence) {
 	if l == nil {
 		return
@@ -171,6 +173,9 @@ func (l *DecisionLog) Record(cycle int64, region uint64, window int, to PatchSta
 		To:       to,
 		Reason:   reason,
 		Evidence: ev,
+	}
+	if !LegalTransition(d.From, to) {
+		l.violations = append(l.violations, fmt.Sprintf("seq %d region %#x: illegal transition %q -> %q (%s)", d.Seq, region, d.From, to, reason))
 	}
 	l.decisions = append(l.decisions, d)
 	l.last[region] = to
@@ -196,26 +201,14 @@ func (l *DecisionLog) State(region uint64) PatchState {
 	return l.last[region]
 }
 
-// Violations replays every region's decision history through
-// LegalTransition and returns a description of each illegal step. An
-// empty result means the audit trail is a valid state-machine walk.
+// Violations describes each illegal transition recorded so far, in
+// record order. An empty result means the audit trail is a valid
+// state-machine walk.
 func (l *DecisionLog) Violations() []string {
 	if l == nil {
 		return nil
 	}
-	var out []string
-	state := make(map[uint64]PatchState)
-	for _, d := range l.decisions {
-		from := state[d.Region]
-		if d.From != from {
-			out = append(out, fmt.Sprintf("seq %d region %#x: recorded from=%q but replay says %q", d.Seq, d.Region, d.From, from))
-		}
-		if !LegalTransition(from, d.To) {
-			out = append(out, fmt.Sprintf("seq %d region %#x: illegal transition %q -> %q (%s)", d.Seq, d.Region, from, d.To, d.Reason))
-		}
-		state[d.Region] = d.To
-	}
-	return out
+	return l.violations
 }
 
 // Explain writes the human-readable audit report: one chronological line

@@ -102,9 +102,6 @@ func (rt *Runtime) cpuOf(tid int) int {
 	return rt.affinity[tid]
 }
 
-// NumThreads returns the worker thread count.
-func (rt *Runtime) NumThreads() int { return rt.nthreads }
-
 // Machine returns the underlying machine.
 func (rt *Runtime) Machine() *machine.Machine { return rt.m }
 
@@ -210,6 +207,3 @@ func (rt *Runtime) Serial(fn ia64.Func, bind Binder) error {
 	}
 	return nil
 }
-
-// ResetStats clears the region log (warm-up boundaries).
-func (rt *Runtime) ResetStats() { rt.stats = nil }

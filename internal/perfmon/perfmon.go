@@ -2,9 +2,10 @@
 // (§3): it programs each CPU's PMU for overflow-driven sampling, and on
 // every overflow captures a sample record — PC, process/thread/CPU ids, the
 // four performance counters, the eight BTB addresses (four branch/target
-// pairs) and the latest DEAR capture — into a Kernel Sampling Buffer, then
-// notifies the registered monitoring thread, which copies the record into
-// its User Sampling Buffer.
+// pairs) and the latest DEAR capture — and hands it straight to the CPU's
+// monitoring thread, which copies the record into its User Sampling
+// Buffer. The paper's Kernel Sampling Buffer only carries the record
+// across that hand-off, so the model keeps no copy of its own.
 //
 // The sampling interrupt plus copy costs simulated time: each delivered
 // sample charges the sampled CPU a configurable overhead, so COBRA's
@@ -85,18 +86,16 @@ func DefaultConfig() Config {
 type Driver struct {
 	cfg      Config
 	ctx      Context
-	ksb      []Sample // kernel sampling buffer (shared memory area)
-	ksbCap   int
 	handlers []Handler
 	nextIdx  int64
-	dropped  int64
+	dropped  int64 // samples captured with no monitoring thread attached
 
 	// Observability: sampleTrace is non-nil only when per-sample instants
 	// were explicitly enabled (they are dense — one event per delivered
-	// sample); the counters are nil-safe and track delivery and overflow.
+	// sample); the counters are nil-safe and track captures and drops.
 	sampleTrace *obs.Tracer
 	cSamples    *obs.Counter
-	cKSBDropped *obs.Counter
+	cDropped    *obs.Counter
 }
 
 // NewDriver initializes sampling on every CPU of ctx. The four counters
@@ -108,7 +107,7 @@ func NewDriver(cfg Config, ctx Context) *Driver {
 	if cfg.CyclePeriod <= 0 {
 		cfg.CyclePeriod = DefaultConfig().CyclePeriod
 	}
-	d := &Driver{cfg: cfg, ctx: ctx, ksbCap: 1 << 16}
+	d := &Driver{cfg: cfg, ctx: ctx}
 	d.handlers = make([]Handler, ctx.NumCPUs())
 	for cpu := 0; cpu < ctx.NumCPUs(); cpu++ {
 		pmu := ctx.PMU(cpu)
@@ -127,7 +126,7 @@ func NewDriver(cfg Config, ctx Context) *Driver {
 	return d
 }
 
-// SetObserver attaches an observability sink (nil detaches): delivered
+// SetObserver attaches an observability sink (nil detaches): captured
 // and dropped sample counts go to the metrics registry, and — only when
 // the observer was built with SampleEvents — one instant event per
 // delivered sample goes to the tracer, on the sampled CPU's track.
@@ -135,7 +134,7 @@ func (d *Driver) SetObserver(o *obs.Observer) {
 	d.sampleTrace = o.SampleTrace()
 	reg := o.Metrics()
 	d.cSamples = reg.Counter("perfmon.samples")
-	d.cKSBDropped = reg.Counter("perfmon.ksb_dropped")
+	d.cDropped = reg.Counter("perfmon.dropped")
 }
 
 // Attach registers the monitoring-thread handler for cpu (one monitoring
@@ -144,11 +143,8 @@ func (d *Driver) Attach(cpu int, h Handler) {
 	d.handlers[cpu] = h
 }
 
-// Detach removes the handler for cpu.
-func (d *Driver) Detach(cpu int) { d.handlers[cpu] = nil }
-
-// capture snapshots the PMU state of cpu into the KSB and signals the
-// monitoring thread.
+// capture snapshots the PMU state of cpu and delivers it to the
+// monitoring thread; with none attached the sample is dropped.
 func (d *Driver) capture(cpu int) {
 	pmu := d.ctx.PMU(cpu)
 	s := Sample{
@@ -163,12 +159,6 @@ func (d *Driver) capture(cpu int) {
 		DEAR:     pmu.ReadDEAR(),
 	}
 	d.nextIdx++
-	if len(d.ksb) < d.ksbCap {
-		d.ksb = append(d.ksb, s)
-	} else {
-		d.dropped++
-		d.cKSBDropped.Inc()
-	}
 	d.cSamples.Inc()
 	if d.sampleTrace != nil {
 		d.sampleTrace.Instant("perfmon", "sample", cpu, s.Cycle, map[string]any{
@@ -178,22 +168,16 @@ func (d *Driver) capture(cpu int) {
 	d.ctx.ChargeCycles(cpu, d.cfg.SampleOverhead)
 	if h := d.handlers[cpu]; h != nil {
 		h(s)
+	} else {
+		d.dropped++
+		d.cDropped.Inc()
 	}
 }
 
-// KSBLen returns the number of samples held in the kernel sampling buffer.
-func (d *Driver) KSBLen() int { return len(d.ksb) }
-
-// Dropped returns the number of samples lost to KSB overflow.
+// Dropped returns the number of samples captured on a CPU with no
+// monitoring thread attached. Every OpenMP thread forks (and attaches its
+// monitor) before it runs code, so a COBRA run drops none.
 func (d *Driver) Dropped() int64 { return d.dropped }
-
-// DrainKSB returns and clears the kernel sampling buffer (used by offline
-// analysis tools; the online path is the per-CPU handlers).
-func (d *Driver) DrainKSB() []Sample {
-	out := d.ksb
-	d.ksb = nil
-	return out
-}
 
 // String describes the sampling setup.
 func (d *Driver) String() string {

@@ -70,8 +70,8 @@ func TestSamplesDelivered(t *testing.T) {
 			t.Fatal("sample indices not monotonic")
 		}
 	}
-	if d.KSBLen() != len(got) {
-		t.Fatalf("KSB has %d samples, handlers saw %d", d.KSBLen(), len(got))
+	if d.Dropped() != 0 {
+		t.Fatalf("monitored CPU dropped %d samples", d.Dropped())
 	}
 }
 
@@ -96,22 +96,31 @@ func TestSamplingChargesOverhead(t *testing.T) {
 	}
 }
 
-func TestUnmonitoredCPUStillSamplesToKSB(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CyclePeriod = 1000
-	m, d, entry := testSetup(t, 3000, cfg)
-	// No handler attached: samples must still land in the KSB.
-	base := m.Memory().MustAlloc("a", 8*8192, 128)
-	m.StartThread(0, entry, 1, func(rf *ia64.RegFile) { rf.SetGR(8, int64(base)) })
-	if _, err := m.Run(0); err != nil {
-		t.Fatal(err)
+// TestUnattachedCPUSamplesCountAsDropped: a CPU sampled before any
+// monitoring thread attached still captures (and pays for) every sample,
+// and each one counts as dropped — exactly as many as a monitored run of
+// the same program delivers.
+func TestUnattachedCPUSamplesCountAsDropped(t *testing.T) {
+	run := func(monitored bool) (delivered int, d *Driver) {
+		cfg := DefaultConfig()
+		cfg.CyclePeriod = 1000
+		m, d, entry := testSetup(t, 3000, cfg)
+		if monitored {
+			d.Attach(0, func(Sample) { delivered++ })
+		}
+		base := m.Memory().MustAlloc("a", 8*8192, 128)
+		m.StartThread(0, entry, 1, func(rf *ia64.RegFile) { rf.SetGR(8, int64(base)) })
+		if _, err := m.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		return delivered, d
 	}
-	if d.KSBLen() == 0 {
-		t.Fatal("KSB empty without handler")
+	delivered, d := run(true)
+	if delivered == 0 || d.Dropped() != 0 {
+		t.Fatalf("monitored run: %d delivered, %d dropped", delivered, d.Dropped())
 	}
-	drained := d.DrainKSB()
-	if len(drained) == 0 || d.KSBLen() != 0 {
-		t.Fatal("DrainKSB did not drain")
+	if _, d := run(false); d.Dropped() != int64(delivered) {
+		t.Fatalf("unattached CPU dropped %d samples, want %d", d.Dropped(), delivered)
 	}
 }
 
@@ -134,23 +143,6 @@ func TestBTBInSamples(t *testing.T) {
 		if e.TargetPC != entry+1 {
 			t.Fatalf("BTB target %d, want %d", e.TargetPC, entry+1)
 		}
-	}
-}
-
-func TestDetach(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CyclePeriod = 500
-	m, d, entry := testSetup(t, 5000, cfg)
-	n := 0
-	d.Attach(0, func(Sample) { n++ })
-	d.Detach(0)
-	base := m.Memory().MustAlloc("a", 8*8192, 128)
-	m.StartThread(0, entry, 1, func(rf *ia64.RegFile) { rf.SetGR(8, int64(base)) })
-	if _, err := m.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Fatalf("detached handler received %d samples", n)
 	}
 }
 

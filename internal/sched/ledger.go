@@ -41,9 +41,6 @@ func OpenLedger(dir string) (*Ledger, error) {
 	return &Ledger{dir: dir}, nil
 }
 
-// Dir returns the ledger directory.
-func (l *Ledger) Dir() string { return l.dir }
-
 func (l *Ledger) path(key string) string {
 	return filepath.Join(l.dir, key+".json")
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -98,7 +99,7 @@ func TestLedgerUnreadableEntryIsReported(t *testing.T) {
 	}
 
 	var logs []string
-	res := Run([]Job[int]{{Key: key, Name: "cell", Run: func() (int, error) { return 7, nil }}},
+	res := Run([]Job[int]{{Key: key, Name: "cell", Run: func(context.Context) (int, error) { return 7, nil }}},
 		Options{Ledger: led, Logf: func(f string, a ...any) { logs = append(logs, fmt.Sprintf(f, a...)) }})
 	if res[0].Err != nil || res[0].Cached || res[0].Value != 7 {
 		t.Fatalf("result = %+v, want a fresh execution returning 7", res[0])

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
@@ -19,39 +21,27 @@ var ErrQueueFull = errors.New("sched: pool queue full")
 // drains what it has but accepts nothing new.
 var ErrPoolClosed = errors.New("sched: pool closed")
 
-// PoolOptions configure a Pool.
-type PoolOptions struct {
-	// Workers is the number of concurrent jobs; <= 0 means GOMAXPROCS.
-	Workers int
-	// QueueDepth bounds the number of submitted-but-unstarted jobs;
-	// <= 0 means 2×Workers. A full queue rejects Submit with ErrQueueFull.
-	QueueDepth int
-	// Ledger, Hooks, ArtifactDir and Logf behave exactly as in Options;
-	// Hooks events carry Total == 0 (a service pool has no fixed job count)
-	// and Seq counts monotonically over the pool's lifetime.
-	Ledger      *Ledger
-	Hooks       Hooks
-	ArtifactDir string
-	Logf        func(format string, args ...any)
-}
-
-// Pool is the long-running form of Run: a fixed set of workers consuming
-// a bounded queue of context-carrying jobs, built for service front ends
-// (cmd/cobrad) that submit sessions continuously instead of in batches.
-// It shares the batch scheduler's execution path — ledger reuse with
-// corrupt-entry recovery, panic isolation, cancellation before and during
-// execution, never recording a cancelled job as complete.
+// Pool is where every job executes: a fixed set of workers consuming a
+// bounded queue of context-carrying jobs. Run fills one with a batch and
+// drains it; a service front end (cmd/cobrad) keeps one open and submits
+// sessions continuously. Each job gets ledger reuse with corrupt-entry
+// recovery, panic isolation, and cancellation before and during
+// execution; a cancelled job is never recorded as complete.
 type Pool[T any] struct {
-	opt   PoolOptions
+	opt   Options
+	total int // Event.Total: Run's distinct-job count, 0 on a service pool
 	queue chan poolItem[T]
 	wg    sync.WaitGroup
 
-	mu     sync.Mutex
+	mu     sync.Mutex // guards closed
 	closed bool
+
+	hookMu   sync.Mutex // serializes hooks and guards their counters
+	started  int
+	finished int
 
 	queued  atomic.Int64
 	running atomic.Int64
-	seq     atomic.Int64 // lifetime count of jobs that reached a worker
 }
 
 type poolItem[T any] struct {
@@ -60,14 +50,16 @@ type poolItem[T any] struct {
 	done func(Result[T])
 }
 
-// NewPool starts the workers and returns the pool. Callers must Shutdown
-// to release them.
-func NewPool[T any](opt PoolOptions) *Pool[T] {
+// NewPool starts the workers and returns the pool. depth bounds the
+// number of submitted-but-unstarted jobs; <= 0 means 2×workers, and a
+// full queue rejects Submit with ErrQueueFull. Hooks events carry
+// Total == 0 (a service pool has no fixed job count) and Seq counts over
+// the pool's lifetime. Callers must Shutdown to release the workers.
+func NewPool[T any](opt Options, depth int) *Pool[T] {
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = defaultWorkers()
 	}
-	depth := opt.QueueDepth
 	if depth <= 0 {
 		depth = 2 * workers
 	}
@@ -81,23 +73,14 @@ func NewPool[T any](opt PoolOptions) *Pool[T] {
 
 func (p *Pool[T]) worker() {
 	defer p.wg.Done()
-	sopt := Options{
-		Ledger:      p.opt.Ledger,
-		ArtifactDir: p.opt.ArtifactDir,
-		Logf:        p.opt.Logf,
-	}
 	for it := range p.queue {
 		p.queued.Add(-1)
 		p.running.Add(1)
-		seq := int(p.seq.Add(1))
-		j := it.job
-		r := executeJob(it.ctx, j, sopt, func() {
-			p.emit(p.opt.Hooks.Started, Event{Seq: seq, Name: j.Name, Key: j.Key})
-		})
+		r := p.execute(it.ctx, it.job)
 		if r.Cached {
-			p.emit(p.opt.Hooks.Cached, Event{Seq: seq, Name: j.Name, Key: j.Key})
+			p.emit(p.opt.Hooks.Cached, &p.finished, Event{Name: r.Name, Key: r.Key})
 		} else {
-			p.emit(p.opt.Hooks.Finished, Event{Seq: seq, Name: j.Name, Key: j.Key, Elapsed: r.Elapsed, Err: r.Err})
+			p.emit(p.opt.Hooks.Finished, &p.finished, Event{Name: r.Name, Key: r.Key, Elapsed: r.Elapsed, Err: r.Err})
 		}
 		p.running.Add(-1)
 		if it.done != nil {
@@ -106,23 +89,79 @@ func (p *Pool[T]) worker() {
 	}
 }
 
-// emit serializes hook invocations, matching the batch scheduler's
-// contract that hooks may write to a shared sink without locking.
-func (p *Pool[T]) emit(hook func(Event), ev Event) {
-	if hook == nil {
-		return
+// execute runs one job under ctx: ledger lookup (with corrupt-entry
+// recovery), cancellation before and after execution, panic isolation,
+// and the ledger write. The Started hook fires exactly when real
+// execution begins — never for a ledger hit or a pre-start cancellation.
+func (p *Pool[T]) execute(ctx context.Context, j Job[T]) Result[T] {
+	r := Result[T]{Name: j.Name, Key: j.Key}
+	// A job whose context is already done never starts — and is reported
+	// as cancelled even if a ledger entry exists, so callers observe one
+	// consistent outcome for cancellation regardless of cache state.
+	if err := ctx.Err(); err != nil {
+		r.Err = err
+		return r
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	hook(ev)
+	led := p.opt.Ledger
+	if j.Key != "" && led != nil {
+		hit, err := led.Get(j.Key, &r.Value)
+		if err != nil {
+			// Recovered (corrupt entry quarantined by the ledger): log and
+			// fall through to a fresh execution.
+			p.opt.logf("sched: %v", err)
+		}
+		if hit {
+			r.Cached = true
+			return r
+		}
+	}
+	p.emit(p.opt.Hooks.Started, &p.started, Event{Name: j.Name, Key: j.Key})
+	t0 := time.Now()
+	func() {
+		defer func() {
+			if v := recover(); v != nil {
+				r.Err = &PanicError{Value: v, Stack: debug.Stack()}
+				p.opt.logf("sched: job %s panicked: %v\n%s", j.Name, v, r.Err.(*PanicError).Stack)
+			}
+		}()
+		r.Value, r.Err = j.Run(ctx)
+	}()
+	// A run that raced with cancellation reports the cancellation: the
+	// ledger must never record a cancelled job as complete, and callers
+	// must never observe a "done" result for a session they cancelled.
+	if r.Err == nil {
+		if err := ctx.Err(); err != nil {
+			r.Err = err
+		}
+	}
+	r.Elapsed = time.Since(t0)
+	if r.Err == nil && j.Key != "" && led != nil {
+		// Best effort: a ledger write failure only costs a
+		// future cache hit, never the computed result.
+		_ = led.Put(j.Key, j.Name, r.Value)
+	}
+	return r
+}
+
+// emit counts the event into *n and delivers it to hook. Counting and
+// delivery share one lock, so Seq values are dense per state and hooks
+// may write to a shared sink without locking.
+func (p *Pool[T]) emit(hook func(Event), n *int, ev Event) {
+	p.hookMu.Lock()
+	defer p.hookMu.Unlock()
+	*n++
+	if hook != nil {
+		ev.Seq, ev.Total = *n, p.total
+		hook(ev)
+	}
 }
 
 // Submit enqueues one job without blocking. ctx governs the job's whole
 // lifetime: cancelled while queued means the job never starts and done
-// receives ctx's error; cancelled mid-run is observed by RunCtx jobs. The
-// done callback (may be nil) runs on a worker goroutine after the job
-// resolves. Submit fails fast with ErrQueueFull when the queue is at
-// capacity and ErrPoolClosed after Shutdown began.
+// receives ctx's error; cancelled mid-run is observed by jobs that
+// consult their context. The done callback (may be nil) runs on a worker
+// goroutine after the job resolves. Submit fails fast with ErrQueueFull
+// when the queue is at capacity and ErrPoolClosed after Shutdown began.
 func (p *Pool[T]) Submit(ctx context.Context, j Job[T], done func(Result[T])) error {
 	if ctx == nil {
 		ctx = context.Background()

@@ -16,7 +16,7 @@ import (
 // TestPoolRunsSubmittedJobs is the basic lifecycle: every submitted job
 // executes exactly once and resolves through its done callback.
 func TestPoolRunsSubmittedJobs(t *testing.T) {
-	p := NewPool[int](PoolOptions{Workers: 3, QueueDepth: 16})
+	p := NewPool[int](Options{Workers: 3}, 16)
 	var (
 		mu  sync.Mutex
 		got []int
@@ -27,7 +27,7 @@ func TestPoolRunsSubmittedJobs(t *testing.T) {
 		wg.Add(1)
 		err := p.Submit(context.Background(), Job[int]{
 			Name: fmt.Sprintf("j%d", i),
-			Run:  func() (int, error) { return i * i, nil },
+			Run:  func(context.Context) (int, error) { return i * i, nil },
 		}, func(r Result[int]) {
 			defer wg.Done()
 			if r.Err != nil {
@@ -62,7 +62,7 @@ func TestPoolRunsSubmittedJobs(t *testing.T) {
 // instead of blocking or growing the queue.
 func TestPoolQueueBounds(t *testing.T) {
 	block := make(chan struct{})
-	p := NewPool[int](PoolOptions{Workers: 1, QueueDepth: 2})
+	p := NewPool[int](Options{Workers: 1}, 2)
 	defer func() {
 		close(block)
 		p.Shutdown(context.Background())
@@ -72,7 +72,7 @@ func TestPoolQueueBounds(t *testing.T) {
 	ok := func() error {
 		return p.Submit(context.Background(), Job[int]{
 			Name: "blocker",
-			Run: func() (int, error) {
+			Run: func(context.Context) (int, error) {
 				close(started)
 				<-block
 				return 0, nil
@@ -86,13 +86,13 @@ func TestPoolQueueBounds(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		err := p.Submit(context.Background(), Job[int]{
 			Name: "queued",
-			Run:  func() (int, error) { <-block; return 0, nil },
+			Run:  func(context.Context) (int, error) { <-block; return 0, nil },
 		}, nil)
 		if err != nil {
 			t.Fatalf("queue slot %d: %v", i, err)
 		}
 	}
-	err := p.Submit(context.Background(), Job[int]{Name: "overflow", Run: func() (int, error) { return 0, nil }}, nil)
+	err := p.Submit(context.Background(), Job[int]{Name: "overflow", Run: func(context.Context) (int, error) { return 0, nil }}, nil)
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow submit: err = %v, want ErrQueueFull", err)
 	}
@@ -103,11 +103,11 @@ func TestPoolQueueBounds(t *testing.T) {
 
 // TestPoolSubmitAfterShutdown: intake closes the moment Shutdown begins.
 func TestPoolSubmitAfterShutdown(t *testing.T) {
-	p := NewPool[int](PoolOptions{Workers: 1})
+	p := NewPool[int](Options{Workers: 1}, 0)
 	if err := p.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	err := p.Submit(context.Background(), Job[int]{Name: "late", Run: func() (int, error) { return 0, nil }}, nil)
+	err := p.Submit(context.Background(), Job[int]{Name: "late", Run: func(context.Context) (int, error) { return 0, nil }}, nil)
 	if !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("post-shutdown submit: err = %v, want ErrPoolClosed", err)
 	}
@@ -123,12 +123,12 @@ func TestPoolCancelBeforeStart(t *testing.T) {
 	}
 	block := make(chan struct{})
 	started := make(chan struct{})
-	p := NewPool[int](PoolOptions{Workers: 1, QueueDepth: 4, Ledger: led})
+	p := NewPool[int](Options{Workers: 1, Ledger: led}, 4)
 	defer p.Shutdown(context.Background())
 
 	if err := p.Submit(context.Background(), Job[int]{
 		Name: "blocker",
-		Run:  func() (int, error) { close(started); <-block; return 0, nil },
+		Run:  func(context.Context) (int, error) { close(started); <-block; return 0, nil },
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestPoolCancelBeforeStart(t *testing.T) {
 	if err := p.Submit(ctx, Job[int]{
 		Key:  KeyOf("cancel-before-start"),
 		Name: "victim",
-		Run:  func() (int, error) { ran.Store(true); return 42, nil },
+		Run:  func(context.Context) (int, error) { ran.Store(true); return 42, nil },
 	}, func(r Result[int]) { resolved <- r }); err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestPoolCancelBeforeStart(t *testing.T) {
 	}
 }
 
-// TestPoolCancelMidJob: a RunCtx job observing its context mid-execution
+// TestPoolCancelMidJob: a job observing its context mid-execution
 // resolves as cancelled, and the ledger never records it as complete —
 // the invariant that makes -incremental safe under a service that kills
 // sessions.
@@ -167,7 +167,7 @@ func TestPoolCancelMidJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPool[int](PoolOptions{Workers: 1, Ledger: led})
+	p := NewPool[int](Options{Workers: 1, Ledger: led}, 0)
 	defer p.Shutdown(context.Background())
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -177,7 +177,7 @@ func TestPoolCancelMidJob(t *testing.T) {
 	if err := p.Submit(ctx, Job[int]{
 		Key:  key,
 		Name: "victim",
-		RunCtx: func(jctx context.Context) (int, error) {
+		Run: func(jctx context.Context) (int, error) {
 			close(entered)
 			<-jctx.Done()
 			return 0, jctx.Err()
@@ -199,13 +199,13 @@ func TestPoolCancelMidJob(t *testing.T) {
 // TestPoolCancelRacingCompletion: even when the job function returns a
 // value and a nil error, a context cancelled during execution wins — the
 // result is reported cancelled and stays out of the ledger. This pins the
-// post-run context check in executeJob.
+// post-run context check in Pool.execute.
 func TestPoolCancelRacingCompletion(t *testing.T) {
 	led, err := OpenLedger(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPool[int](PoolOptions{Workers: 1, Ledger: led})
+	p := NewPool[int](Options{Workers: 1, Ledger: led}, 0)
 	defer p.Shutdown(context.Background())
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -214,7 +214,7 @@ func TestPoolCancelRacingCompletion(t *testing.T) {
 	if err := p.Submit(ctx, Job[int]{
 		Key:  key,
 		Name: "racer",
-		RunCtx: func(jctx context.Context) (int, error) {
+		Run: func(jctx context.Context) (int, error) {
 			cancel() // cancellation lands, then the job "completes" anyway
 			return 7, nil
 		},
@@ -234,13 +234,13 @@ func TestPoolCancelRacingCompletion(t *testing.T) {
 // takes down neither its worker nor the process; the pool keeps serving.
 func TestPoolPanicIsolation(t *testing.T) {
 	var logged atomic.Int64
-	p := NewPool[int](PoolOptions{Workers: 1, Logf: func(string, ...any) { logged.Add(1) }})
+	p := NewPool[int](Options{Workers: 1, Logf: func(string, ...any) { logged.Add(1) }}, 0)
 	defer p.Shutdown(context.Background())
 
 	resolved := make(chan Result[int], 1)
 	if err := p.Submit(context.Background(), Job[int]{
 		Name: "bomber",
-		Run:  func() (int, error) { panic("session bug") },
+		Run:  func(context.Context) (int, error) { panic("session bug") },
 	}, func(r Result[int]) { resolved <- r }); err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestPoolPanicIsolation(t *testing.T) {
 	// The same worker must still be alive to run the next job.
 	if err := p.Submit(context.Background(), Job[int]{
 		Name: "survivor",
-		Run:  func() (int, error) { return 1, nil },
+		Run:  func(context.Context) (int, error) { return 1, nil },
 	}, func(r Result[int]) { resolved <- r }); err != nil {
 		t.Fatal(err)
 	}
@@ -272,13 +272,13 @@ func TestPoolPanicIsolation(t *testing.T) {
 // done callbacks fire before Shutdown returns — the drain the service
 // relies on for SIGTERM.
 func TestPoolShutdownDrains(t *testing.T) {
-	p := NewPool[int](PoolOptions{Workers: 2, QueueDepth: 16})
+	p := NewPool[int](Options{Workers: 2}, 16)
 	var resolvedCount atomic.Int64
 	const n = 10
 	for i := 0; i < n; i++ {
 		if err := p.Submit(context.Background(), Job[int]{
 			Name: fmt.Sprintf("drain%d", i),
-			Run: func() (int, error) {
+			Run: func(context.Context) (int, error) {
 				time.Sleep(5 * time.Millisecond)
 				return 0, nil
 			},
@@ -298,12 +298,12 @@ func TestPoolShutdownDrains(t *testing.T) {
 // reports the deadline while a wedged job still drains; cancelling the
 // job's context then lets Wait unwind the workers.
 func TestPoolShutdownDeadline(t *testing.T) {
-	p := NewPool[int](PoolOptions{Workers: 1})
+	p := NewPool[int](Options{Workers: 1}, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	entered := make(chan struct{})
 	if err := p.Submit(ctx, Job[int]{
 		Name: "wedged",
-		RunCtx: func(jctx context.Context) (int, error) {
+		Run: func(jctx context.Context) (int, error) {
 			close(entered)
 			<-jctx.Done()
 			return 0, jctx.Err()
@@ -321,46 +321,38 @@ func TestPoolShutdownDeadline(t *testing.T) {
 	p.Wait() // must return now that the job observed its cancellation
 }
 
-// TestRunContextCancelSkipsQueuedJobs covers the batch scheduler under a
-// context: cancelling during a run resolves not-yet-started jobs with the
-// context error and records none of them in the ledger.
-func TestRunContextCancelSkipsQueuedJobs(t *testing.T) {
+// TestPoolHookCounts: a service pool counts Seq per state — started jobs
+// for Started, finished or cached jobs for Finished and Cached — and
+// reports Total 0, since it has no fixed job count.
+func TestPoolHookCounts(t *testing.T) {
 	led, err := OpenLedger(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	entered := make(chan struct{})
-	var jobs []Job[int]
-	jobs = append(jobs, Job[int]{
-		Key:  KeyOf("batch-cancel", 0),
-		Name: "first",
-		RunCtx: func(jctx context.Context) (int, error) {
-			close(entered)
-			<-jctx.Done()
-			return 0, jctx.Err()
-		},
-	})
-	for i := 1; i < 5; i++ {
-		i := i
-		jobs = append(jobs, Job[int]{
-			Key:  KeyOf("batch-cancel", i),
-			Name: fmt.Sprintf("queued%d", i),
-			Run:  func() (int, error) { return i, nil },
-		})
+	if err := led.Put(KeyOf("hooks", "b"), "b", 2); err != nil {
+		t.Fatal(err)
 	}
-	go func() {
-		<-entered
-		cancel()
-	}()
-	results := RunContext(ctx, jobs, Options{Workers: 1, Ledger: led})
-	for i, r := range results {
-		if !errors.Is(r.Err, context.Canceled) {
-			t.Fatalf("job %d: err = %v, want context.Canceled", i, r.Err)
+	var events []string
+	record := func(state string) func(Event) {
+		return func(ev Event) { events = append(events, fmt.Sprintf("%s %s %d/%d", state, ev.Name, ev.Seq, ev.Total)) }
+	}
+	p := NewPool[int](Options{Workers: 1, Ledger: led, Hooks: Hooks{
+		Started:  record("started"),
+		Finished: record("finished"),
+		Cached:   record("cached"),
+	}}, 4)
+	for _, name := range []string{"a", "b", "c"} {
+		job := Job[int]{Key: KeyOf("hooks", name), Name: name, Run: func(context.Context) (int, error) { return 1, nil }}
+		if err := p.Submit(context.Background(), job, nil); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if n, _ := led.Len(); n != 0 {
-		t.Fatalf("ledger holds %d entries after a fully cancelled run, want 0", n)
+	if err := p.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"started a 1/0", "finished a 1/0", "cached b 2/0", "started c 2/0", "finished c 3/0"}
+	if fmt.Sprint(events) != fmt.Sprint(want) {
+		t.Fatalf("hook events = %q, want %q", events, want)
 	}
 }
 
@@ -434,7 +426,7 @@ func TestRunContinuesPastCorruptLedgerEntry(t *testing.T) {
 	}
 	key := KeyOf("sweep-cell")
 	mk := func() []Job[int] {
-		return []Job[int]{{Key: key, Name: "cell", Run: func() (int, error) { return 9, nil }}}
+		return []Job[int]{{Key: key, Name: "cell", Run: func(context.Context) (int, error) { return 9, nil }}}
 	}
 	Run(mk(), Options{Ledger: led})
 	// Corrupt the recorded entry as a killed write would.

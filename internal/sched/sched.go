@@ -19,9 +19,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
-	"runtime/debug"
-	"sync"
 	"time"
 )
 
@@ -34,22 +31,11 @@ type Job[T any] struct {
 	Key string
 	// Name is the human-readable label used by progress hooks.
 	Name string
-	// Run computes the cell. It must not share mutable state with other
+	// Run computes the cell under the job's context (Pool.Submit's ctx;
+	// context.Background() in Run), which long jobs consult to stop early
+	// when it is cancelled. It must not share mutable state with other
 	// jobs: the scheduler may invoke many Run functions concurrently.
-	// Exactly one of Run and RunCtx must be set.
-	Run func() (T, error)
-	// RunCtx is the context-aware form of Run, for jobs that can be
-	// cancelled mid-execution (long sessions on a service pool). The
-	// context passed is the job's own context (Pool.Submit) or the run
-	// context (RunContext). When both Run and RunCtx are set, RunCtx wins.
-	RunCtx func(ctx context.Context) (T, error)
-	// Artifacts, when non-nil and Options.ArtifactDir is set, is called
-	// after a successful (non-cached) Run with the artifact directory —
-	// the hook jobs use to dump per-cell observability artifacts (traces,
-	// metrics, decision logs) keyed by the job's content hash. An error
-	// surfaces as the job's Err: a cell whose evidence cannot be written
-	// is treated as failed, not silently unobservable.
-	Artifacts func(dir string) error
+	Run func(ctx context.Context) (T, error)
 }
 
 // PanicError is the job error produced when a Run panics: the scheduler
@@ -76,8 +62,12 @@ type Result[T any] struct {
 
 // Event describes a job state change delivered to Hooks.
 type Event struct {
-	Seq     int    // 1-based count of jobs that have reached this state
-	Total   int    // distinct jobs in this Run (after key dedup)
+	// Seq is the 1-based count of jobs started, for Started events, or of
+	// jobs finished or cached, for Finished and Cached events.
+	Seq int
+	// Total is the number of distinct jobs in this Run (after key dedup),
+	// and 0 on a service pool.
+	Total   int
 	Name    string // Job.Name
 	Key     string // Job.Key
 	Elapsed time.Duration
@@ -93,7 +83,7 @@ type Hooks struct {
 	Cached   func(Event) // a job was skipped: its ledger entry was reused
 }
 
-// Options configure one Run.
+// Options configure a Run or a Pool.
 type Options struct {
 	// Workers is the number of concurrent jobs; <= 0 means GOMAXPROCS.
 	Workers int
@@ -102,9 +92,6 @@ type Options struct {
 	Ledger *Ledger
 	// Hooks receive progress callbacks.
 	Hooks Hooks
-	// ArtifactDir, when non-empty, enables the per-job Artifacts hooks
-	// (each executed job with an Artifacts func receives this directory).
-	ArtifactDir string
 	// Logf, when non-nil, receives diagnostics the scheduler recovers
 	// from rather than failing the run — ledger entries it had to
 	// quarantine, panics it isolated. Nil discards them.
@@ -117,87 +104,12 @@ func (o Options) logf(format string, args ...any) {
 	}
 }
 
-// executeJob runs one job under jctx with the shared hardening applied:
-// ledger lookup (with corrupt-entry recovery), cancellation before and
-// after execution, panic isolation, the artifact hook, and the ledger
-// write. It is the single execution path shared by the batch Run and the
-// service Pool; hooks and progress counters stay with the callers.
-// onStart, when non-nil, fires exactly when real execution begins — never
-// for a ledger hit or a pre-start cancellation.
-func executeJob[T any](jctx context.Context, j Job[T], opt Options, onStart func()) Result[T] {
-	r := Result[T]{Name: j.Name, Key: j.Key}
-	// A job whose context is already done never starts — and is reported
-	// as cancelled even if a ledger entry exists, so callers observe one
-	// consistent outcome for cancellation regardless of cache state.
-	if err := jctx.Err(); err != nil {
-		r.Err = err
-		return r
-	}
-	if j.Key != "" && opt.Ledger != nil {
-		hit, err := opt.Ledger.Get(j.Key, &r.Value)
-		if err != nil {
-			// Recovered (corrupt entry quarantined by the ledger): log and
-			// fall through to a fresh execution.
-			opt.logf("sched: %v", err)
-		}
-		if hit {
-			r.Cached = true
-			return r
-		}
-	}
-	if onStart != nil {
-		onStart()
-	}
-	t0 := time.Now()
-	func() {
-		defer func() {
-			if p := recover(); p != nil {
-				r.Err = &PanicError{Value: p, Stack: debug.Stack()}
-				opt.logf("sched: job %s panicked: %v\n%s", j.Name, p, r.Err.(*PanicError).Stack)
-			}
-		}()
-		if j.RunCtx != nil {
-			r.Value, r.Err = j.RunCtx(jctx)
-		} else {
-			r.Value, r.Err = j.Run()
-		}
-	}()
-	// A run that raced with cancellation reports the cancellation: the
-	// ledger must never record a cancelled job as complete, and callers
-	// must never observe a "done" result for a session they cancelled.
-	if r.Err == nil {
-		if err := jctx.Err(); err != nil {
-			r.Err = err
-		}
-	}
-	if r.Err == nil && j.Artifacts != nil && opt.ArtifactDir != "" {
-		if aerr := j.Artifacts(opt.ArtifactDir); aerr != nil {
-			r.Err = fmt.Errorf("artifacts: %w", aerr)
-		}
-	}
-	r.Elapsed = time.Since(t0)
-	if r.Err == nil && j.Key != "" && opt.Ledger != nil {
-		// Best effort: a ledger write failure only costs a
-		// future cache hit, never the computed result.
-		_ = opt.Ledger.Put(j.Key, j.Name, r.Value)
-	}
-	return r
-}
-
-// Run executes jobs on a worker pool and returns one Result per job, in
-// input order regardless of completion order. Jobs sharing a key execute
-// once; the later duplicates copy the first one's result. A job failure
-// does not stop the others — callers decide by inspecting Result.Err (see
+// Run executes jobs on a Pool and returns one Result per job, in input
+// order regardless of completion order. Jobs sharing a key execute once;
+// the later duplicates copy the first one's result. A job failure does
+// not stop the others — callers decide by inspecting Result.Err (see
 // FirstErr).
 func Run[T any](jobs []Job[T], opt Options) []Result[T] {
-	return RunContext(context.Background(), jobs, opt)
-}
-
-// RunContext is Run under a context: jobs that have not started when ctx
-// is cancelled finish immediately with ctx's error, and running jobs that
-// consult their context (RunCtx) observe the cancellation mid-execution.
-// Cancelled jobs are never recorded in the ledger.
-func RunContext[T any](ctx context.Context, jobs []Job[T], opt Options) []Result[T] {
 	results := make([]Result[T], len(jobs))
 
 	// Dedup by key: the first job with a key is the primary; later jobs
@@ -215,59 +127,28 @@ func RunContext[T any](ctx context.Context, jobs []Job[T], opt Options) []Result
 		}
 		primaries = append(primaries, i)
 	}
-
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(primaries) {
-		workers = len(primaries)
+	if len(primaries) == 0 {
+		return results
 	}
 
-	var (
-		mu       sync.Mutex // serializes hooks and the progress counters
-		started  int
-		finished int
-	)
-	total := len(primaries)
-	emit := func(hook func(Event), ev Event) {
-		if hook == nil {
-			return
-		}
-		hook(ev)
+	if opt.Workers <= 0 {
+		opt.Workers = defaultWorkers()
 	}
-
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				j := jobs[i]
-				r := executeJob(ctx, j, opt, func() {
-					mu.Lock()
-					started++
-					emit(opt.Hooks.Started, Event{Seq: started, Total: total, Name: j.Name, Key: j.Key})
-					mu.Unlock()
-				})
-				results[i] = r
-				mu.Lock()
-				finished++
-				if r.Cached {
-					emit(opt.Hooks.Cached, Event{Seq: finished, Total: total, Name: j.Name, Key: j.Key})
-				} else {
-					emit(opt.Hooks.Finished, Event{Seq: finished, Total: total, Name: j.Name, Key: j.Key, Elapsed: r.Elapsed, Err: r.Err})
-				}
-				mu.Unlock()
-			}
-		}()
-	}
+	opt.Workers = min(opt.Workers, len(primaries))
+	pool := NewPool[T](opt, len(primaries))
+	// Set before the first Submit: a worker reads it only after receiving
+	// a job, which the queue orders after this write.
+	pool.total = len(primaries)
 	for _, i := range primaries {
-		idx <- i
+		// The queue holds every job and the pool is still open, so
+		// Submit cannot fail.
+		if err := pool.Submit(context.Background(), jobs[i], func(r Result[T]) { results[i] = r }); err != nil {
+			panic(err)
+		}
 	}
-	close(idx)
-	wg.Wait()
+	// A context that never expires: Shutdown returns nil once every job
+	// has resolved.
+	_ = pool.Shutdown(context.Background())
 
 	for i, p := range dupOf {
 		results[i] = results[p]

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -18,7 +19,7 @@ func squareJobs(n int, ran *atomic.Int64) []Job[int] {
 		jobs[i] = Job[int]{
 			Key:  KeyOf("square", i),
 			Name: fmt.Sprintf("square/%d", i),
-			Run: func() (int, error) {
+			Run: func(context.Context) (int, error) {
 				if ran != nil {
 					ran.Add(1)
 				}
@@ -56,7 +57,7 @@ func TestRunDedupByKey(t *testing.T) {
 		return Job[string]{
 			Key:  KeyOf("shared"),
 			Name: name,
-			Run: func() (string, error) {
+			Run: func(context.Context) (string, error) {
 				ran.Add(1)
 				return "value", nil
 			},
@@ -80,8 +81,8 @@ func TestRunDedupByKey(t *testing.T) {
 func TestRunEmptyKeyNeverDedups(t *testing.T) {
 	var ran atomic.Int64
 	jobs := []Job[int]{
-		{Name: "a", Run: func() (int, error) { ran.Add(1); return 1, nil }},
-		{Name: "b", Run: func() (int, error) { ran.Add(1); return 2, nil }},
+		{Name: "a", Run: func(context.Context) (int, error) { ran.Add(1); return 1, nil }},
+		{Name: "b", Run: func(context.Context) (int, error) { ran.Add(1); return 2, nil }},
 	}
 	results := Run(jobs, Options{Workers: 2})
 	if ran.Load() != 2 {
@@ -95,9 +96,9 @@ func TestRunEmptyKeyNeverDedups(t *testing.T) {
 func TestRunErrorIsolation(t *testing.T) {
 	boom := errors.New("boom")
 	jobs := []Job[int]{
-		{Key: KeyOf(0), Name: "ok0", Run: func() (int, error) { return 10, nil }},
-		{Key: KeyOf(1), Name: "bad", Run: func() (int, error) { return 0, boom }},
-		{Key: KeyOf(2), Name: "ok2", Run: func() (int, error) { return 20, nil }},
+		{Key: KeyOf(0), Name: "ok0", Run: func(context.Context) (int, error) { return 10, nil }},
+		{Key: KeyOf(1), Name: "bad", Run: func(context.Context) (int, error) { return 0, boom }},
+		{Key: KeyOf(2), Name: "ok2", Run: func(context.Context) (int, error) { return 20, nil }},
 	}
 	results := Run(jobs, Options{Workers: 2})
 	if results[0].Err != nil || results[2].Err != nil {
@@ -191,7 +192,7 @@ func TestRunFailuresAreNotLedgered(t *testing.T) {
 	jobs := []Job[int]{{
 		Key:  KeyOf("flaky"),
 		Name: "flaky",
-		Run:  func() (int, error) { ran.Add(1); return 0, errors.New("transient") },
+		Run:  func(context.Context) (int, error) { ran.Add(1); return 0, errors.New("transient") },
 	}}
 	Run(jobs, Options{Ledger: led})
 	Run(jobs, Options{Ledger: led})
@@ -218,87 +219,5 @@ func TestKeyOf(t *testing.T) {
 	}
 	if len(k1) != 64 {
 		t.Fatalf("key length = %d, want 64 hex chars", len(k1))
-	}
-}
-
-func TestRunArtifactsHook(t *testing.T) {
-	led, err := OpenLedger(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	var calls atomic.Int64
-	var gotDir atomic.Value
-	mk := func() []Job[int] {
-		return []Job[int]{{
-			Key:  KeyOf("artifact-cell"),
-			Name: "cell",
-			Run:  func() (int, error) { return 7, nil },
-			Artifacts: func(d string) error {
-				calls.Add(1)
-				gotDir.Store(d)
-				return nil
-			},
-		}}
-	}
-
-	r := Run(mk(), Options{Ledger: led, ArtifactDir: dir})
-	if r[0].Err != nil {
-		t.Fatal(r[0].Err)
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("Artifacts called %d times on an executed job, want 1", calls.Load())
-	}
-	if gotDir.Load() != dir {
-		t.Fatalf("Artifacts dir = %v, want %q", gotDir.Load(), dir)
-	}
-
-	// A ledger hit skips execution, so there is no observer state to dump:
-	// the hook must not fire for cached jobs.
-	r = Run(mk(), Options{Ledger: led, ArtifactDir: dir})
-	if !r[0].Cached {
-		t.Fatal("second run was not served from the ledger")
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("Artifacts called %d times after a cached run, want still 1", calls.Load())
-	}
-}
-
-func TestRunArtifactsDisabledWithoutDir(t *testing.T) {
-	jobs := []Job[int]{{
-		Name:      "cell",
-		Run:       func() (int, error) { return 1, nil },
-		Artifacts: func(string) error { t.Error("Artifacts called with no ArtifactDir"); return nil },
-	}}
-	if r := Run(jobs, Options{}); r[0].Err != nil {
-		t.Fatal(r[0].Err)
-	}
-}
-
-func TestRunArtifactsErrorFailsJobAndSkipsLedger(t *testing.T) {
-	led, err := OpenLedger(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ran atomic.Int64
-	mk := func() []Job[int] {
-		return []Job[int]{{
-			Key:       KeyOf("bad-artifacts"),
-			Name:      "cell",
-			Run:       func() (int, error) { ran.Add(1); return 7, nil },
-			Artifacts: func(string) error { return errors.New("disk full") },
-		}}
-	}
-	r := Run(mk(), Options{Ledger: led, ArtifactDir: t.TempDir()})
-	if r[0].Err == nil {
-		t.Fatal("artifact failure did not surface as job Err")
-	}
-	// The failed cell must not be ledgered: a rerun executes again.
-	r = Run(mk(), Options{Ledger: led, ArtifactDir: t.TempDir()})
-	if r[0].Cached {
-		t.Fatal("artifact-failed job was served from the ledger")
-	}
-	if ran.Load() != 2 {
-		t.Fatalf("job ran %d times, want 2", ran.Load())
 	}
 }

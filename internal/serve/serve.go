@@ -135,12 +135,11 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.ledger = led
 	}
-	s.pool = sched.NewPool[workload.Measurement](sched.PoolOptions{
-		Workers:    cfg.Workers,
-		QueueDepth: cfg.QueueDepth,
-		Ledger:     s.ledger,
-		Logf:       s.logf,
-	})
+	s.pool = sched.NewPool[workload.Measurement](sched.Options{
+		Workers: cfg.Workers,
+		Ledger:  s.ledger,
+		Logf:    s.logf,
+	}, cfg.QueueDepth)
 	s.routes()
 	return s, nil
 }
@@ -380,7 +379,7 @@ func (s *Server) sessionJob(sess *session) sched.Job[workload.Measurement] {
 	return sched.Job[workload.Measurement]{
 		Key:  sess.key,
 		Name: sess.name,
-		RunCtx: func(ctx context.Context) (workload.Measurement, error) {
+		Run: func(ctx context.Context) (workload.Measurement, error) {
 			sess.setRunning(time.Now())
 			s.publishSession(sess, StateRunning)
 			inst, err := sess.spec.Instantiate(s.cache, sess.observer)

@@ -62,12 +62,6 @@ func TestSpecEngineKeyStability(t *testing.T) {
 	if strings.Contains(string(b), "engine") {
 		t.Fatalf("default config leaks the engine field into content hashes: %s", b)
 	}
-	// Same contract for the patch-journal bound tunable: at its zero value
-	// (use the built-in default) it must not appear in the encoding, so
-	// every pre-tunable spec keeps its historical ledger content hash.
-	if strings.Contains(string(b), "patch_journal_bound") {
-		t.Fatalf("default config leaks the journal bound into content hashes: %s", b)
-	}
 }
 
 // TestSpecBigNUMATopologies: the 16- and 32-CPU NUMA machines opened by

@@ -41,7 +41,6 @@ func digestConfig(strategy cobra.Strategy, engine string, trace bool) cobra.Conf
 	cfg.Sampling.CyclePeriod = 400
 	cfg.Sampling.DEARMinLatency = 50
 	cfg.Sampling.DEAREvery = 1
-	cfg.SelfCheck = true
 	return cfg
 }
 
@@ -73,9 +72,6 @@ func runWorkloadCell(t *testing.T, w *workload.Workload, bc workload.BuildConfig
 	m, err := inst.Measure()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if v := inst.Cobra.SelfCheckViolations(); len(v) != 0 {
-		t.Fatalf("self-check violations: %v", v)
 	}
 	return digest{Cycles: m.Cycles, Stats: inst.Cobra.Stats()}, o, engineName(cfg)
 }
@@ -142,9 +138,6 @@ func digestCells() []digestCell {
 				cfg.RollbackTolerance = *tolerance
 			}
 			_, cb, m, _ := launchBranchy(t, 400, launches, cfg)
-			if v := cb.SelfCheckViolations(); len(v) != 0 {
-				t.Fatalf("self-check violations: %v", v)
-			}
 			return digest{Cycles: m.GlobalCycle(), Stats: cb.Stats()}, cfg.Obs, "layout"
 		}
 	}

@@ -28,7 +28,6 @@ func runPhased(t *testing.T, engine string) (*obs.Observer, workload.Measurement
 	bc := workload.SMPConfig(4)
 	cfg := cobra.DefaultConfig(cobra.StrategyAdaptive)
 	cfg.Engine = engine
-	cfg.SelfCheck = true
 	bc.Cobra = &cfg
 	o := obs.New(obs.Config{Trace: true, Metrics: true, Decisions: true})
 	bc.Obs = o
@@ -39,9 +38,6 @@ func runPhased(t *testing.T, engine string) (*obs.Observer, workload.Measurement
 	m, err := inst.Measure()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if v := inst.Cobra.SelfCheckViolations(); len(v) != 0 {
-		t.Fatalf("self-check violations under %s: %v", engine, v)
 	}
 	if v := o.Decisions().Violations(); len(v) != 0 {
 		t.Fatalf("lifecycle violations under %s: %v", engine, v)

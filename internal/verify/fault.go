@@ -72,7 +72,7 @@ type FaultResult struct {
 	Patches       int64 // deploys the perturbed controller performed
 	WantNoPatches bool
 
-	SelfCheckViolations []string // decision-log lifecycle replay
+	LifecycleViolations []string // illegal decision-log transitions
 	InvariantViolations []string // online MESI checks
 	Mismatches          []string // architectural state vs unmonitored baseline
 	Err                 string   // run error or recovered panic
@@ -80,7 +80,7 @@ type FaultResult struct {
 
 // Failed reports whether the run degraded ungracefully.
 func (f *FaultResult) Failed() bool {
-	return f.Err != "" || len(f.SelfCheckViolations) > 0 ||
+	return f.Err != "" || len(f.LifecycleViolations) > 0 ||
 		len(f.InvariantViolations) > 0 || len(f.Mismatches) > 0 ||
 		(f.WantNoPatches && f.Patches > 0)
 }
@@ -95,7 +95,7 @@ func (f *FaultResult) Problems() []string {
 	if f.WantNoPatches && f.Patches > 0 {
 		out = append(out, fmt.Sprintf("%sdeployed %d patches with no sample evidence", pre, f.Patches))
 	}
-	for _, v := range f.SelfCheckViolations {
+	for _, v := range f.LifecycleViolations {
 		out = append(out, pre+"lifecycle: "+v)
 	}
 	for _, v := range f.InvariantViolations {
@@ -151,7 +151,6 @@ func faultControlConfig(ctl FaultControl) cobra.Config {
 	cfg.Sampling.CyclePeriod = 400
 	cfg.Sampling.DEARMinLatency = 50
 	cfg.Sampling.DEAREvery = 1
-	cfg.SelfCheck = true
 	cfg.Obs = obs.New(obs.Config{Decisions: true})
 	return cfg
 }
@@ -250,7 +249,7 @@ func RunFault(p *Program, baseline *archState, kind FaultKind, ctl FaultControl)
 
 	res.Cycles = env.m.GlobalCycle()
 	res.Patches = cb.Stats().PatchesApplied
-	res.SelfCheckViolations = cb.SelfCheckViolations()
+	res.LifecycleViolations = cb.Observer().Decisions().Violations()
 	res.InvariantViolations = env.m.Domain().InvariantViolations()
 	if baseline != nil {
 		res.Mismatches = diffStates(baseline, snapshotState(env.m), diffLimit)

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/sched"
@@ -75,7 +76,7 @@ func RunCorpus(opt Options) Summary {
 		}
 		jobs = append(jobs, sched.Job[SeedReport]{
 			Name: fmt.Sprintf("seed%06d", seed),
-			Run: func() (SeedReport, error) {
+			Run: func(context.Context) (SeedReport, error) {
 				return VerifySeed(cfg, modes, faults), nil
 			},
 		})

@@ -78,7 +78,7 @@ func (c *BuildCache) Build(workloadKey string, w *Workload, bc BuildConfig) (*In
 	e.once.Do(func() {
 		compiled = true
 		c.misses.Add(1)
-		e.art, e.err = compileArtifact(w, bc)
+		_, e.art, e.err = compileArtifact(w, bc)
 	})
 	if e.err != nil {
 		return nil, e.err
@@ -105,22 +105,22 @@ func (c *BuildCache) Build(workloadKey string, w *Workload, bc BuildConfig) (*In
 	return assemble(w, bc, m, e.art.res, bases)
 }
 
-// compileArtifact compiles w into a pristine image. The machine built here
-// exists only to reproduce the deterministic array allocation; it is
-// discarded, and the image is never executed.
-func compileArtifact(w *Workload, bc BuildConfig) (*artifact, error) {
+// compileArtifact builds a machine for bc, allocates w's arrays in its
+// memory and compiles w into the machine's image. Build runs the machine;
+// the cache keeps only the artifact, whose image it never executes.
+func compileArtifact(w *Workload, bc BuildConfig) (*machine.Machine, *artifact, error) {
 	img := ia64.NewImage()
 	m, err := machine.New(bc.Machine, img)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	bases, err := compiler.AllocArrays(m.Memory(), w.Prog)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res, err := compiler.Compile(img, w.Prog, bases, bc.Compiler)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &artifact{img: img, res: res, bases: bases}, nil
+	return m, &artifact{img: img, res: res, bases: bases}, nil
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/cobra"
 	"repro/internal/compiler"
-	"repro/internal/ia64"
 	"repro/internal/loopir"
 	"repro/internal/machine"
 	"repro/internal/mem"
@@ -142,20 +141,11 @@ type Instance struct {
 
 // Build compiles and wires a workload.
 func Build(w *Workload, bc BuildConfig) (*Instance, error) {
-	img := ia64.NewImage()
-	m, err := machine.New(bc.Machine, img)
+	m, art, err := compileArtifact(w, bc)
 	if err != nil {
 		return nil, err
 	}
-	bases, err := compiler.AllocArrays(m.Memory(), w.Prog)
-	if err != nil {
-		return nil, err
-	}
-	res, err := compiler.Compile(img, w.Prog, bases, bc.Compiler)
-	if err != nil {
-		return nil, err
-	}
-	return assemble(w, bc, m, res, bases)
+	return assemble(w, bc, m, art.res, art.bases)
 }
 
 // assemble wires the runtime layers (OpenMP, optional COBRA) around an

