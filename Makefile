@@ -7,12 +7,11 @@
 # pathological cost.
 
 GO ?= go
-BENCH_LABEL ?= $(shell date -u +%Y-%m-%d)
 SOAK_DURATION ?= 30s
 
-.PHONY: ci fmt vet build race test perfbench-check bench bench-smoke trace-smoke fuzz-smoke strategy-smoke layout-smoke stream-smoke matrix-smoke soak-smoke results loc
+.PHONY: ci fmt vet build race test perfbench-check bench-smoke trace-smoke fuzz-smoke fuzz-native strategy-smoke layout-smoke stream-smoke matrix-smoke soak-smoke results loc
 
-ci: fmt vet build race test perfbench-check bench-smoke trace-smoke fuzz-smoke strategy-smoke layout-smoke stream-smoke matrix-smoke
+ci: fmt vet build race test perfbench-check bench-smoke trace-smoke fuzz-smoke fuzz-native strategy-smoke layout-smoke stream-smoke matrix-smoke
 
 # Every Go file gofmt-clean: lists the files gofmt would change and
 # fails when there are any.
@@ -48,18 +47,12 @@ perfbench-check:
 soak-smoke:
 	COBRAD_SOAK=$(SOAK_DURATION) $(GO) test -race -run TestSoak -v ./internal/serve/
 
-# Full benchmark suite at -benchtime 1x with allocation stats, recorded
-# into the BENCH.json perf ledger under $(BENCH_LABEL).
-bench:
-	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' . \
-		| $(GO) run ./cmd/benchjson -label "$(BENCH_LABEL)" -out BENCH.json
-
 # One cheap iteration of the core throughput benchmark and of the memory-
-# system and run-loop layer benchmarks: a compile+run smoke for the
-# simulator hot path, not a measurement.
+# system, run-loop and session-build layer benchmarks: a compile+run smoke
+# for the simulator hot path, not a measurement.
 bench-smoke:
 	$(GO) test -bench 'BenchmarkSimulatorThroughput$$' -benchtime 1x -benchmem -run '^$$' .
-	$(GO) test -bench 'BenchmarkDomainAccess|BenchmarkRunAll' -benchtime 1x -benchmem -run '^$$' ./internal/mem/ ./internal/machine/
+	$(GO) test -bench 'BenchmarkDomainAccess|BenchmarkRunAll|BenchmarkSessionBuild' -benchtime 1x -benchmem -run '^$$' ./internal/mem/ ./internal/machine/ ./internal/serve/
 
 # Export a cycle-domain Chrome trace of the phase-change run and
 # structurally validate it — the observability layer's end-to-end gate.
@@ -76,6 +69,14 @@ trace-smoke:
 # deterministic; a failure prints the seed to replay.
 fuzz-smoke:
 	$(GO) run ./cmd/cobra-verify -seed 1 -n 1000 -fault-every 5
+
+# Native Go fuzzing of the input boundaries, a fixed budget per target on
+# top of its seed corpus under testdata/fuzz/: the cobrad spec decoder
+# (decode, Normalize, Validate, Key must never panic, and a valid spec
+# must keep its key through a re-encode). A crasher is written to the
+# target's testdata/fuzz/ directory, where plain `go test` replays it.
+fuzz-native:
+	$(GO) test -run '^$$' -fuzz '^FuzzSpecKey$$' -fuzztime 20s ./internal/serve/
 
 # Live-telemetry gate: a phased adaptive session runs against an
 # in-process cobrad with its SSE stream followed to completion under the

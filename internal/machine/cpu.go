@@ -121,6 +121,20 @@ func (c *CPU) stepBundle() (int64, error) {
 	return retired, nil
 }
 
+// AccessFault is the error RunAll returns when a load or store addresses
+// bytes outside simulated memory or in its unmapped first page. As with an
+// out-of-image fetch, the faulting issue group is counted nowhere, and the
+// access reaches neither the caches nor memory.
+type AccessFault struct {
+	CPU  int
+	PC   int
+	Addr uint64
+}
+
+func (f *AccessFault) Error() string {
+	return fmt.Sprintf("machine: CPU %d at PC %d accessed %#x outside simulated memory", f.CPU, f.PC, f.Addr)
+}
+
 // exec applies one instruction's architectural and timing effects.
 func (c *CPU) exec(in *ia64.Instr, pc int) error {
 	rf := &c.RF
@@ -168,24 +182,36 @@ func (c *CPU) exec(in *ia64.Instr, pc int) error {
 			kind = mem.LoadBias
 		}
 		addr := uint64(rf.GR(in.R2))
+		if !c.m.memory.Contains(addr, 8) {
+			return &AccessFault{CPU: c.ID, PC: pc, Addr: addr}
+		}
 		c.access(addr, kind, pc)
 		rf.SetGR(in.R1, c.m.memory.ReadI64(addr))
 	case ia64.OpLdf:
 		addr := uint64(rf.GR(in.R2))
+		if !c.m.memory.Contains(addr, 8) {
+			return &AccessFault{CPU: c.ID, PC: pc, Addr: addr}
+		}
 		c.access(addr, mem.LoadFP, pc)
 		rf.SetFR(in.R1, c.m.memory.ReadF64(addr))
 	case ia64.OpSt:
 		addr := uint64(rf.GR(in.R2))
+		if !c.m.memory.Contains(addr, 8) {
+			return &AccessFault{CPU: c.ID, PC: pc, Addr: addr}
+		}
 		c.access(addr, mem.Store, pc)
 		c.m.memory.WriteI64(addr, rf.GR(in.R3))
 	case ia64.OpStf:
 		addr := uint64(rf.GR(in.R2))
+		if !c.m.memory.Contains(addr, 8) {
+			return &AccessFault{CPU: c.ID, PC: pc, Addr: addr}
+		}
 		c.access(addr, mem.Store, pc)
 		c.m.memory.WriteF64(addr, rf.FR(in.R3))
 	case ia64.OpLfetch:
 		addr := uint64(rf.GR(in.R2))
 		// lfetch is non-faulting: silently drop out-of-memory targets.
-		if addr >= c.m.memory.PageSize() && addr+8 <= c.m.memory.Size() {
+		if c.m.memory.Contains(addr, 8) {
 			kind := mem.PrefShrd
 			if in.Hint == ia64.HintExcl {
 				kind = mem.PrefExcl

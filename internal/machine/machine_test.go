@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -593,6 +594,106 @@ func TestOutOfImageFetchFaultsOneCPU(t *testing.T) {
 	if retired != c.InstRetired || c.InstRetired != 1401 || c.Cycle != 701 || c.RF.GR(11) != 701 {
 		t.Fatalf("retired %d, CPU retired %d at cycle %d with r11 %d, want 1401, 1401, 701, 701",
 			retired, c.InstRetired, c.Cycle, c.RF.GR(11))
+	}
+}
+
+// TestAccessOutsideMemoryFaults: a load or store whose 8 bytes leave
+// simulated memory stops RunAll with an AccessFault naming the CPU, the
+// PC and the address, on the SMP and on the Altix under every placement
+// policy, where it used to panic inside the memory system. The access
+// reaches no cache and the faulting group is counted nowhere. The last
+// in-range word still loads and stores.
+func TestAccessOutsideMemoryFaults(t *testing.T) {
+	altix := func(p mem.PlacementPolicy) Config {
+		cfg := Config{Mem: mem.AltixNUMA(2)}
+		cfg.Mem.MemBytes = 32 << 20
+		cfg.Mem.Placement = p
+		return cfg
+	}
+	smp := DefaultConfig(2)
+	smp.Mem.MemBytes = 32 << 20
+	machines := []struct {
+		name string
+		cfg  Config
+	}{
+		{"smp", smp},
+		{"altix-first-touch", altix(mem.PlaceFirstTouch)},
+		{"altix-interleave", altix(mem.PlaceInterleave)},
+		{"altix-bind", altix(mem.PlaceBind)},
+	}
+	const word = 0x0102030405060708
+	for _, mc := range machines {
+		for _, op := range []ia64.Instr{
+			{Op: ia64.OpLd, R1: 11, R2: 8},
+			{Op: ia64.OpLdf, R1: 10, R2: 8},
+			{Op: ia64.OpSt, R2: 8, R3: 11},
+			{Op: ia64.OpStf, R2: 8, R3: 10},
+		} {
+			t.Run(fmt.Sprintf("%s/%v", mc.name, op.Op), func(t *testing.T) {
+				img := ia64.NewImage()
+				a := ia64.NewAsm(img, "access")
+				a.Emit(ia64.Instr{Op: ia64.OpAddI, R1: 12, R2: 12, Imm: 1})
+				a.Emit(op)
+				a.Emit(ia64.Instr{Op: ia64.OpHalt})
+				entry, err := a.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := New(mc.cfg, img)
+				if err != nil {
+					t.Fatal(err)
+				}
+				size := m.Memory().Size()
+				run := func(addr uint64) (int64, error) {
+					m.StartThread(1, entry, 1, func(rf *ia64.RegFile) {
+						rf.SetGR(8, int64(addr))
+						rf.SetGR(11, 7)
+						rf.SetFR(10, 2.5)
+					})
+					return m.RunAll([]int{1})
+				}
+				// Past the end, straddling it, wrapping past 2^64, and the
+				// unmapped first page.
+				for _, addr := range []uint64{size + 4096, size - 4, ^uint64(7), 8} {
+					retired, err := run(addr)
+					var f *AccessFault
+					if !errors.As(err, &f) || *f != (AccessFault{CPU: 1, PC: entry + 1, Addr: addr}) {
+						t.Fatalf("addr %#x: err = %v, want an AccessFault of CPU 1 at PC %d", addr, err, entry+1)
+					}
+					want := fmt.Sprintf("machine: CPU 1 at PC %d accessed %#x outside simulated memory", entry+1, addr)
+					if err.Error() != want {
+						t.Fatalf("addr %#x: error %q, want %q", addr, err, want)
+					}
+					if c := m.CPU(1); retired != 0 || c.InstRetired != 0 {
+						t.Fatalf("addr %#x: faulting group counted: RunAll %d, CPU %d", addr, retired, c.InstRetired)
+					}
+				}
+				if st := m.Domain().Stats(1); st.Loads+st.Stores != 0 {
+					t.Fatalf("faulting accesses reached the caches: %d loads, %d stores", st.Loads, st.Stores)
+				}
+
+				last := size - 8
+				m.Memory().WriteI64(last, word)
+				if _, err := run(last); err != nil {
+					t.Fatalf("last word %#x: %v", last, err)
+				}
+				rf := &m.CPU(1).RF
+				var got, want uint64
+				switch op.Op {
+				case ia64.OpLd:
+					got, want = uint64(rf.GR(11)), word
+				case ia64.OpLdf:
+					got, want = math.Float64bits(rf.FR(10)), word
+				case ia64.OpSt:
+					got, want = uint64(m.Memory().ReadI64(last)), 7
+				case ia64.OpStf:
+					got, want = uint64(m.Memory().ReadI64(last)), math.Float64bits(2.5)
+				}
+				if got != want {
+					t.Fatalf("last word: %#x, want %#x", got, want)
+				}
+			})
+		}
 	}
 }
 

@@ -13,17 +13,26 @@ package mem
 // and snoop's invalidation), and the online checker compares it with a
 // brute-force scan of every L3 (invariant I5 in check.go).
 //
-// Masks live in regions covering one backing-store chunk of simulated
-// memory each, allocated on the first fill in the region like Memory's
-// chunks. A line outside simulated memory maps to an empty mask; the
-// access that cached it always panics next, in Memory.check.
+// Masks live in regions covering 1 MB of simulated memory each, allocated
+// on the first fill in the region like Memory's chunks. A line beyond the
+// last region maps to an empty mask and is never recorded. No line outside
+// simulated memory reaches a cache from a running program: the CPU faults
+// a demand access there and drops a prefetch there before either reaches
+// the domain.
 type directory struct {
 	lineShift uint
 	regions   [][]uint64 // nil until a line of the region is first filled
 }
 
+// Region granularity of the directory: 1 MB of simulated memory, 64 KB of
+// masks at 128-byte lines.
+const (
+	regionShift = 20
+	regionMask  = 1<<regionShift - 1
+)
+
 func newDirectory(memBytes uint64, lineBytes int) directory {
-	dr := directory{regions: make([][]uint64, (memBytes+chunkMask)>>chunkShift)}
+	dr := directory{regions: make([][]uint64, (memBytes+regionMask)>>regionShift)}
 	for ls := lineBytes; ls > 1; ls >>= 1 {
 		dr.lineShift++
 	}
@@ -33,11 +42,11 @@ func newDirectory(memBytes uint64, lineBytes int) directory {
 // region returns the mask region of line la and la's index in it; the
 // region is nil outside simulated memory or before its first fill.
 func (dr *directory) region(la uint64) ([]uint64, uint64) {
-	ri := la >> chunkShift
+	ri := la >> regionShift
 	if ri >= uint64(len(dr.regions)) {
 		return nil, 0
 	}
-	return dr.regions[ri], la & chunkMask >> dr.lineShift
+	return dr.regions[ri], la & regionMask >> dr.lineShift
 }
 
 // sharers returns the mask of CPUs whose L3 holds line la valid.
@@ -50,16 +59,16 @@ func (dr *directory) sharers(la uint64) uint64 {
 
 // add records that cpu's L3 now holds line la.
 func (dr *directory) add(la uint64, cpu int) {
-	ri := la >> chunkShift
+	ri := la >> regionShift
 	if ri >= uint64(len(dr.regions)) {
 		return
 	}
 	r := dr.regions[ri]
 	if r == nil {
-		r = make([]uint64, chunkBytes>>dr.lineShift)
+		r = make([]uint64, (regionMask+1)>>dr.lineShift)
 		dr.regions[ri] = r
 	}
-	r[la&chunkMask>>dr.lineShift] |= 1 << uint(cpu)
+	r[la&regionMask>>dr.lineShift] |= 1 << uint(cpu)
 }
 
 // drop records that the L3s of the CPUs in mask no longer hold line la.

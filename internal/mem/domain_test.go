@@ -423,13 +423,17 @@ func TestSharerDirectoryFollowsL3Presence(t *testing.T) {
 }
 
 // TestCPUBoundOnEveryShape: every machine shape is limited to
-// MaxTopologyCPUs, the width of a sharer mask.
+// MaxTopologyCPUs, the width of a sharer mask, also when its node counts
+// would wrap to a small total.
 func TestCPUBoundOnEveryShape(t *testing.T) {
 	nodes := func(n int) Config {
 		c := AltixNUMA(n)
 		c.Nodes = []NodeConfig{{CPUs: n - 1}, {CPUs: 1}}
 		return c
 	}
+	// Four nodes whose CPU counts sum to 2^64+4, which wraps to 4.
+	wrap := AltixNUMA(4)
+	wrap.Nodes = []NodeConfig{{CPUs: 1 << 62}, {CPUs: 1 << 62}, {CPUs: 1 << 62}, {CPUs: 1<<62 + 4}}
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -441,6 +445,7 @@ func TestCPUBoundOnEveryShape(t *testing.T) {
 		{"altix-65", AltixNUMA(65), false},
 		{"nodes-64", nodes(64), true},
 		{"nodes-65", nodes(65), false},
+		{"nodes-wrap", wrap, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.cfg.Validate()

@@ -8,11 +8,11 @@ import (
 
 // Chunking granularity of the backing store. Physical memory is materialized
 // in fixed-size chunks on first write, so building a machine with the
-// paper's 256 MB memory costs a pointer array, not a 256 MB clear — machine
-// construction is on the experiment schedulers' per-cell path, and zeroing
-// the full backing store dominated cold-sweep profiles.
+// paper's 256 MB memory costs a pointer table, not a 256 MB clear, and a
+// session pays for the chunks its program writes: a DAXPY over a few KB
+// materializes one 64 KB chunk, where a 1 MB chunk zeroed 16 times as much.
 const (
-	chunkShift = 20 // 1 MB chunks
+	chunkShift = 16 // 64 KB chunks
 	chunkBytes = 1 << chunkShift
 	chunkMask  = chunkBytes - 1
 )
@@ -26,7 +26,7 @@ const (
 // array behaved.
 type Memory struct {
 	size     uint64
-	chunks   [][]byte // nil until first write to the chunk
+	chunks   []*[chunkBytes]byte // nil until first write to the chunk
 	pageSize uint64
 	home     []int16 // page index -> node, -1 until first touch
 	brk      uint64
@@ -52,7 +52,7 @@ func NewMemory(size, pageSize uint64) *Memory {
 	npages := (size + pageSize - 1) / pageSize
 	m := &Memory{
 		size:     size,
-		chunks:   make([][]byte, (size+chunkMask)>>chunkShift),
+		chunks:   make([]*[chunkBytes]byte, (size+chunkMask)>>chunkShift),
 		pageSize: pageSize,
 		home:     make([]int16, npages),
 		brk:      pageSize, // keep address 0 unmapped to catch null derefs
@@ -111,18 +111,28 @@ func (m *Memory) SegmentFor(addr uint64) (Segment, bool) {
 	return Segment{}, false
 }
 
+// Contains reports whether the n bytes at addr lie in simulated memory
+// above the unmapped first page. It is the bound of every access: a
+// simulated CPU faults a load or store that fails it and drops such a
+// prefetch, and the host-side reads and writes below panic on it. For n
+// no larger than the memory the comparison cannot wrap, so an address
+// near 2^64 fails it too.
+func (m *Memory) Contains(addr, n uint64) bool {
+	return addr >= m.pageSize && addr <= m.size-n
+}
+
 func (m *Memory) check(addr uint64, n uint64) {
-	if addr < m.pageSize || addr+n > m.size {
+	if !m.Contains(addr, n) {
 		panic(fmt.Sprintf("mem: access [%#x,%#x) outside memory (size %#x)", addr, addr+n, m.size))
 	}
 }
 
 // chunkFor materializes and returns the chunk containing addr.
-func (m *Memory) chunkFor(addr uint64) []byte {
+func (m *Memory) chunkFor(addr uint64) *[chunkBytes]byte {
 	ci := addr >> chunkShift
 	c := m.chunks[ci]
 	if c == nil {
-		c = make([]byte, chunkBytes)
+		c = new([chunkBytes]byte)
 		m.chunks[ci] = c
 	}
 	return c

@@ -86,6 +86,9 @@ func (c Config) validateTopology() error {
 			if n.CPUs <= 0 {
 				return fmt.Errorf("mem: node %d has %d CPUs", i, n.CPUs)
 			}
+			if n.CPUs > MaxTopologyCPUs { // keeps the total from wrapping
+				return fmt.Errorf("mem: node %d has %d CPUs, exceeds %d", i, n.CPUs, MaxTopologyCPUs)
+			}
 			total += n.CPUs
 		}
 		if total != c.NumCPUs {

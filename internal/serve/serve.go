@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -221,16 +222,24 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, d)
 }
 
+// decodeSubmit decodes a POST /sessions body: one JSON object with no
+// unknown fields. FuzzSpecKey drives it with arbitrary bytes.
+func decodeSubmit(body io.Reader) (SubmitRequest, error) {
+	var req SubmitRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	return req, err
+}
+
 // handleSubmit is POST /sessions: validate, admit, enqueue.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining; not accepting sessions")
 		return
 	}
-	var req SubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeSubmit(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		s.metric(func(m *obs.Registry) { m.Counter("serve.rejected_invalid").Inc() })
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return

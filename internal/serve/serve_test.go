@@ -472,6 +472,7 @@ func TestRequestValidation(t *testing.T) {
 		{"topology zero-cpu node", `{"workload": "daxpy", "machine": "numa", "threads": 2, "topology": [{"cpus": 2}, {"cpus": 0}]}`},
 		{"topology too few cpus", `{"workload": "daxpy", "machine": "numa", "threads": 4, "topology": [{"cpus": 1}, {"cpus": 1}]}`},
 		{"topology too many cpus", `{"workload": "daxpy", "machine": "numa", "threads": 4, "topology": [{"cpus": 63}, {"cpus": 63}]}`},
+		{"topology cpus wrap", `{"workload": "daxpy", "machine": "numa", "threads": 4, "topology": [{"cpus": 4611686018427387904}, {"cpus": 4611686018427387904}, {"cpus": 4611686018427387904}, {"cpus": 4611686018427387908}]}`},
 		{"capacity overflow", `{"workload": "daxpy", "machine": "numa", "threads": 2, "topology": [{"cpus": 1, "mem_mb": 4}, {"cpus": 1, "mem_mb": 4}]}`},
 		{"unknown placement", `{"workload": "daxpy", "machine": "numa", "placement": "random"}`},
 		{"placement on smp", `{"workload": "daxpy", "placement": "interleave"}`},

@@ -174,8 +174,10 @@ func (s *Spec) validateScenario() error {
 		}
 		total, bounded, totalMB := 0, true, int64(0)
 		for i, n := range s.Topology {
-			if n.CPUs < 1 {
-				return fmt.Errorf("topology node %d has %d CPUs (want >= 1)", i, n.CPUs)
+			// The per-node bound keeps the total from wrapping: nodes of
+			// 2^62 CPUs must not sum to a small count.
+			if n.CPUs < 1 || n.CPUs > mem.MaxTopologyCPUs {
+				return fmt.Errorf("topology node %d has %d CPUs (want 1 to %d)", i, n.CPUs, mem.MaxTopologyCPUs)
 			}
 			if n.MemMB < 0 {
 				return fmt.Errorf("topology node %d has negative mem_mb %d", i, n.MemMB)
