@@ -73,10 +73,13 @@ fuzz-smoke:
 # Native Go fuzzing of the input boundaries, a fixed budget per target on
 # top of its seed corpus under testdata/fuzz/: the cobrad spec decoder
 # (decode, Normalize, Validate, Key must never panic, and a valid spec
-# must keep its key through a re-encode). A crasher is written to the
-# target's testdata/fuzz/ directory, where plain `go test` replays it.
+# must keep its key through a re-encode), and cobra-run's -topology,
+# -affinity and -migrate parser (never panics; a spec that validates has
+# a key). A crasher is written to the target's testdata/fuzz/ directory,
+# where plain `go test` replays it.
 fuzz-native:
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecKey$$' -fuzztime 20s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzScenarioFlags$$' -fuzztime 20s ./cmd/cobra-run/
 
 # Live-telemetry gate: a phased adaptive session runs against an
 # in-process cobrad with its SSE stream followed to completion under the

@@ -104,7 +104,7 @@ func main() {
 		})
 	}
 
-	opt := sched.Options{Workers: *jobs}
+	opt := sched.Options{Workers: *jobs, Logf: log.Printf}
 	if *incremental {
 		led, err := sched.OpenLedger(*ledgerDir)
 		if err != nil {

@@ -15,13 +15,11 @@ import (
 	"repro/internal/workload"
 )
 
-func run(strategy *cobra.Config) workload.Measurement {
+func run(bc workload.BuildConfig) workload.Measurement {
 	w, err := npb.Build("lu", npb.Params{Class: npb.ClassS})
 	if err != nil {
 		log.Fatal(err)
 	}
-	bc := workload.NUMAConfig(8)
-	bc.Cobra = strategy
 	inst, err := workload.Build(w, bc)
 	if err != nil {
 		log.Fatal(err)
@@ -34,12 +32,14 @@ func run(strategy *cobra.Config) workload.Measurement {
 }
 
 func main() {
-	base := run(nil)
-	cfg := cobra.DefaultConfig(cobra.StrategyNoprefetch)
+	bc := workload.NUMAConfig(8)
+	base := run(bc)
 	// On cc-NUMA the DEAR coherent-latency filter must sit above the
-	// remote memory latency (§4's two-level filtering).
-	cfg.CoherentLatency = 420
-	opt := run(&cfg)
+	// remote memory latency (§4's two-level filtering): ConfigFor places
+	// it for the machine's memory system.
+	cfg := cobra.ConfigFor(cobra.StrategyNoprefetch, bc.Machine.Mem)
+	bc.Cobra = &cfg
+	opt := run(bc)
 
 	fmt.Println("LU class S on the 8-CPU cc-NUMA model (2 CPUs per node):")
 	fmt.Printf("  baseline:          %12d cycles   l3miss=%-8d bus=%-8d dirty-snoops=%d\n",

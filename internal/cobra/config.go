@@ -20,6 +20,7 @@
 package cobra
 
 import (
+	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/perfmon"
 )
@@ -95,8 +96,8 @@ type Config struct {
 	MinCoherentEvents int64
 
 	// CoherentLatency is the second-level DEAR filter (§4): loads slower
-	// than this are classified coherent misses (ordinary memory loads on
-	// the SMP run 120–150 cycles; coherent misses 180–200+).
+	// than this are classified coherent misses. It must sit above the
+	// machine's slowest memory load; ConfigFor chooses it per machine.
 	CoherentLatency int64
 
 	// MinLoopSamples is the number of BTB observations required before a
@@ -116,17 +117,16 @@ type Config struct {
 	// the pre-patch baseline.
 	RollbackTolerance float64
 
-	// EvaluateWindows (adaptive): optimizer passes to wait before judging
-	// a patch.
-	EvaluateWindows int
-
 	// Obs, when non-nil, receives the runtime's trace events, metrics and
 	// patch decisions. Excluded from JSON so scheduler content hashes of a
 	// configuration are identical with and without observability attached.
 	Obs *obs.Observer `json:"-"`
 }
 
-// DefaultConfig returns the configuration used throughout the evaluation.
+// DefaultConfig returns the runtime configuration on the paper's 4-way
+// SMP, whose memory loads take 120–150 cycles: its second-level DEAR
+// filter sits at 180. ConfigFor returns the configuration for a given
+// machine.
 func DefaultConfig(strategy Strategy) Config {
 	return Config{
 		Strategy:               strategy,
@@ -139,6 +139,19 @@ func DefaultConfig(strategy Strategy) Config {
 		MinDelinquentSamples:   2,
 		UseTraceCache:          true,
 		RollbackTolerance:      0.03,
-		EvaluateWindows:        2,
 	}
+}
+
+// ConfigFor returns the runtime configuration of strategy on the machine
+// whose memory system is mc: DefaultConfig, with the second-level DEAR
+// filter above that machine's slowest memory load, so that only loads
+// served from another CPU's cache count as coherent misses (§4). Remote
+// memory loads on the Altix reach ~385 cycles, so a NUMA machine filters
+// at 420; the SMP keeps 180.
+func ConfigFor(strategy Strategy, mc mem.Config) Config {
+	c := DefaultConfig(strategy)
+	if mc.NUMA {
+		c.CoherentLatency = 420
+	}
+	return c
 }

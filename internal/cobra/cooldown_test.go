@@ -40,7 +40,6 @@ func TestCooldownUntilMatchesEarliestRedeploy(t *testing.T) {
 
 	cfg := DefaultConfig(StrategyAdaptive)
 	cfg.MinLoopSamples = 0 // every window counts as loop-active
-	cfg.EvaluateWindows = 2
 
 	o := obs.New(obs.Config{Decisions: true})
 	r := &Runtime{

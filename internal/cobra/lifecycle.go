@@ -8,7 +8,7 @@ import (
 
 // The patch lifecycle, owned by Control and written once for every
 // engine: a trigger makes a region a candidate, a deployment dispatches
-// its version table, every EvaluateWindows loop-active windows the live
+// its version table, every evaluateWindows loop-active windows the live
 // variant is judged — kept, switched to another resident variant, or
 // rolled back (and perhaps blocked) — and a rolled-back region either
 // re-enters as a candidate or re-engages its resident table. Each
@@ -20,6 +20,11 @@ import (
 // or re-engages, so a regressing rewrite is caught and abandoned before
 // it is compounded across the whole program.
 const maxDeploysPerPass = 2
+
+// evaluateWindows is how many loop-active windows a live variant runs
+// before each judgement, and how many optimizer passes a rolled-back
+// region waits before it may deploy again.
+const evaluateWindows = 2
 
 // judge re-evaluates every live deployment against its pre-patch
 // baselines, in address order (judgements are per-region independent,
@@ -76,7 +81,7 @@ func (c *Control) judge(eng Engine, win Window, now int64) {
 		if c.r.patcher.Switch(st.Deployment, -1) == nil {
 			c.r.stats.patchesRolledBack.Inc()
 		}
-		st.Cooldown = c.r.cfg.EvaluateWindows
+		st.Cooldown = evaluateWindows
 		ev.CooldownUntil = now + int64(st.Cooldown)*c.r.cfg.OptimizeInterval
 		eng.Decorate(k, st, &ev)
 		c.record(k, st, obs.StateRolledBack, act.Reason, ev, now)
@@ -210,7 +215,7 @@ func (c *Control) observeWindow(st *RegionState, win Window) bool {
 		st.ActiveAgg.L2Misses += win.L2Misses
 		st.ActiveAgg.BusHitm += win.BusHitm
 	}
-	return st.ActiveWindows >= c.r.cfg.EvaluateWindows
+	return st.ActiveWindows >= evaluateWindows
 }
 
 // record is the single emission point of the lifecycle: one decision-log

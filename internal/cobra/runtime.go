@@ -288,7 +288,7 @@ func (r *Runtime) optimizePass(now int64) {
 	// Age region cooldowns at the top of the pass, before this pass's
 	// evaluation can start a new one. Decrementing after the judgement
 	// consumed one window of a fresh cooldown in the very pass that set it,
-	// so a region rolled back with EvaluateWindows=N could redeploy after
+	// so a region rolled back with evaluateWindows=N could redeploy after
 	// N-1 intervals while the decision log's CooldownUntil evidence claimed
 	// the full N — the earliest redeploy pass now lands exactly on
 	// CooldownUntil.

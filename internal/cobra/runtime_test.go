@@ -172,7 +172,7 @@ func TestStrategyNames(t *testing.T) {
 func TestDefaultConfigSanity(t *testing.T) {
 	c := DefaultConfig(StrategyNoprefetch)
 	if c.OptimizeInterval <= 0 || c.CoherentLatency <= 0 ||
-		c.CoherentShareThreshold <= 0 || c.EvaluateWindows <= 0 {
+		c.CoherentShareThreshold <= 0 {
 		t.Fatalf("default config has zero knobs: %+v", c)
 	}
 	if c.CoherentLatency <= c.Sampling.DEARMinLatency {

@@ -97,23 +97,17 @@ const (
 var Strategies = []StrategyLabel{Baseline, NoPrefetch, Excl}
 
 // cobraFor returns the COBRA configuration implementing a strategy at run
-// time (nil for the baseline, which runs unmonitored). The DEAR coherent
-// threshold is platform-specific, exactly as §4 derives it from measured
-// latencies: above the memory latency of the machine, so only loads served
-// by another CPU's cache qualify. On the Altix, remote *memory* loads
-// reach ~385 cycles, so the coherent filter must sit above that.
+// time on platform m (nil for the baseline, which runs unmonitored).
+// cobra.ConfigFor places the DEAR coherent filter for m's memory system.
 func cobraFor(s StrategyLabel, m MachineKind) *cobra.Config {
 	var c cobra.Config
 	switch s {
 	case NoPrefetch:
-		c = cobra.DefaultConfig(cobra.StrategyNoprefetch)
+		c = cobra.ConfigFor(cobra.StrategyNoprefetch, m.config().Machine.Mem)
 	case Excl:
-		c = cobra.DefaultConfig(cobra.StrategyExcl)
+		c = cobra.ConfigFor(cobra.StrategyExcl, m.config().Machine.Mem)
 	default:
 		return nil
-	}
-	if m == Altix8 {
-		c.CoherentLatency = 420
 	}
 	return &c
 }

@@ -1,10 +1,12 @@
 package experiment
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/npb"
+	"repro/internal/serve"
 	"repro/internal/workload"
 )
 
@@ -105,6 +107,31 @@ func TestMachineKinds(t *testing.T) {
 	cfg := Altix8.config()
 	if !cfg.Machine.Mem.NUMA || cfg.Machine.Mem.CPUsPerNode != 2 {
 		t.Fatal("Altix config not cc-NUMA 2-per-node")
+	}
+}
+
+// TestServedNUMASessionMatchesFigure5b: a served 8-thread NUMA CG session
+// runs the COBRA configuration of Figure 5(b)'s CG cell, so cobra-run and
+// cobrad reproduce the published Altix rows.
+func TestServedNUMASessionMatchesFigure5b(t *testing.T) {
+	for _, tc := range []struct {
+		strategy string
+		cell     StrategyLabel
+	}{{"noprefetch", NoPrefetch}, {"excl", Excl}} {
+		s := serve.Spec{Workload: "cg", Threads: 8, Machine: "numa", Strategy: tc.strategy}
+		s.Normalize()
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		inst, err := s.Instantiate(nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := inst.Cobra.Control().Config()
+		served.Obs = nil
+		if want := *cobraFor(tc.cell, Altix8); !reflect.DeepEqual(served, want) {
+			t.Errorf("%s: served session runs %+v, Figure 5(b) cell runs %+v", tc.strategy, served, want)
+		}
 	}
 }
 

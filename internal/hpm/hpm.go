@@ -101,8 +101,6 @@ type PMU struct {
 	btbLen int
 
 	dearMinLatency int64 // latency filter: record only loads at least this slow
-	dearEvery      int64 // record every Nth qualifying load (deterministic decimation)
-	dearCount      int64
 	dear           DEARSample
 
 	overflow OverflowHandler
@@ -114,7 +112,7 @@ type PMU struct {
 }
 
 // NewPMU returns a PMU for the given CPU with all counters idle.
-func NewPMU(cpu int) *PMU { return &PMU{CPU: cpu, dearEvery: 1} }
+func NewPMU(cpu int) *PMU { return &PMU{CPU: cpu} }
 
 // Program configures counter slot to count ev, overflowing every period
 // events (0 = count without sampling). Programming clears the counter.
@@ -137,18 +135,13 @@ func (p *PMU) Program(slot int, ev Event, period int64) {
 // SetOverflowHandler registers the sampling driver's overflow callback.
 func (p *PMU) SetOverflowHandler(h OverflowHandler) { p.overflow = h }
 
-// SetDEARFilter programs the DEAR latency threshold and decimation: only
-// loads with latency >= minLatency are eligible, and every Nth eligible
-// load is captured. The latency filter is the paper's tool for skipping
-// L2-misses-that-hit-L3 (threshold just above L3 hit latency) and for
-// isolating coherent misses (threshold above memory latency).
-func (p *PMU) SetDEARFilter(minLatency, every int64) {
-	if every <= 0 {
-		every = 1
-	}
+// SetDEARFilter programs the DEAR latency threshold: only loads with
+// latency >= minLatency are captured. The latency filter is the paper's
+// tool for skipping L2-misses-that-hit-L3 (threshold just above L3 hit
+// latency) and for isolating coherent misses (threshold above memory
+// latency).
+func (p *PMU) SetDEARFilter(minLatency int64) {
 	p.dearMinLatency = minLatency
-	p.dearEvery = every
-	p.dearCount = 0
 	p.dear = DEARSample{}
 }
 
@@ -204,14 +197,10 @@ func (p *PMU) ReadBTB() []BranchPair {
 }
 
 // RecordLoad offers a demand-load completion to the DEAR. Loads below the
-// latency threshold are ignored; qualifying loads are decimated by the
-// programmed rate, and the most recent capture is held until read.
+// latency threshold are ignored; the most recent qualifying load is held
+// until read.
 func (p *PMU) RecordLoad(pc int, addr uint64, latency int64) {
 	if latency < p.dearMinLatency {
-		return
-	}
-	p.dearCount++
-	if p.dearCount%p.dearEvery != 0 {
 		return
 	}
 	p.dear = DEARSample{PC: pc, Addr: addr, Latency: latency, Valid: true}

@@ -87,7 +87,7 @@ func TestBTBPartialFill(t *testing.T) {
 
 func TestDEARLatencyFilter(t *testing.T) {
 	p := NewPMU(0)
-	p.SetDEARFilter(13, 1) // drop loads served within 12 cycles (L3 hits)
+	p.SetDEARFilter(13) // drop loads served within 12 cycles (L3 hits)
 	p.RecordLoad(100, 0x1000, 12)
 	if p.ReadDEAR().Valid {
 		t.Fatal("DEAR captured a load below the latency threshold")
@@ -101,7 +101,7 @@ func TestDEARLatencyFilter(t *testing.T) {
 
 func TestDEARReadClearsValid(t *testing.T) {
 	p := NewPMU(0)
-	p.SetDEARFilter(0, 1)
+	p.SetDEARFilter(0)
 	p.RecordLoad(1, 2, 3)
 	if !p.ReadDEAR().Valid {
 		t.Fatal("first read invalid")
@@ -111,23 +111,9 @@ func TestDEARReadClearsValid(t *testing.T) {
 	}
 }
 
-func TestDEARDecimation(t *testing.T) {
-	p := NewPMU(0)
-	p.SetDEARFilter(0, 3) // every 3rd qualifying load
-	p.RecordLoad(1, 0, 50)
-	p.RecordLoad(2, 0, 50)
-	if p.ReadDEAR().Valid {
-		t.Fatal("captured before decimation count reached")
-	}
-	p.RecordLoad(3, 0, 50)
-	if s := p.ReadDEAR(); !s.Valid || s.PC != 3 {
-		t.Fatalf("DEAR = %+v, want capture of PC 3", s)
-	}
-}
-
 func TestDEARKeepsLatest(t *testing.T) {
 	p := NewPMU(0)
-	p.SetDEARFilter(0, 1)
+	p.SetDEARFilter(0)
 	p.RecordLoad(1, 0x10, 100)
 	p.RecordLoad(2, 0x20, 200)
 	if s := p.ReadDEAR(); s.PC != 2 {

@@ -24,11 +24,6 @@ import (
 type Config struct {
 	Mem mem.Config
 
-	// SampleOverhead is charged to a CPU's cycle clock each time its PMU
-	// delivers a sample, modelling the perfmon interrupt plus COBRA's
-	// monitoring-thread copy into the User Sampling Buffer.
-	SampleOverhead int64
-
 	// MaxInstrPerRun bounds a single RunAll invocation; exceeded means a
 	// runaway loop in generated code (0 = default of 4e9).
 	MaxInstrPerRun int64
@@ -51,10 +46,7 @@ type Migration struct {
 
 // DefaultConfig returns a machine matching the paper's 4-way SMP server.
 func DefaultConfig(numCPUs int) Config {
-	return Config{
-		Mem:            mem.Itanium2SMP(numCPUs),
-		SampleOverhead: 200,
-	}
+	return Config{Mem: mem.Itanium2SMP(numCPUs)}
 }
 
 // Timer is a recurring simulated-time callback — the mechanism by which the

@@ -826,7 +826,7 @@ func TestDEARCapturesDelinquentLoad(t *testing.T) {
 	a.Emit(ia64.Instr{Op: ia64.OpHalt})
 	entry, _ := a.Close()
 	m := testMachine(t, img, 1)
-	m.PMU(0).SetDEARFilter(100, 1) // memory-latency loads only
+	m.PMU(0).SetDEARFilter(100) // memory-latency loads only
 	addr := m.Memory().MustAlloc("a", 128, 128)
 	m.StartThread(0, entry, 1, func(rf *ia64.RegFile) { rf.SetGR(8, int64(addr)) })
 	if _, err := m.Run(0); err != nil {

@@ -11,13 +11,13 @@ type line struct {
 	lastUse uint64 // LRU tick
 }
 
-// CacheConfig describes one cache level.
+// CacheConfig describes one cache level's geometry. Its hit latency is
+// the memory system's (Config.Lat).
 type CacheConfig struct {
-	Name       string
-	SizeBytes  int
-	LineBytes  int
-	Assoc      int
-	HitLatency int64 // cycles to return data on a hit at this level
+	Name      string
+	SizeBytes int
+	LineBytes int
+	Assoc     int
 }
 
 // Validate checks geometry invariants.

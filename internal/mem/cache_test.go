@@ -6,7 +6,7 @@ import (
 )
 
 func testCacheConfig() CacheConfig {
-	return CacheConfig{Name: "T", SizeBytes: 4096, LineBytes: 128, Assoc: 2, HitLatency: 1}
+	return CacheConfig{Name: "T", SizeBytes: 4096, LineBytes: 128, Assoc: 2}
 }
 
 func TestCacheConfigValidate(t *testing.T) {
@@ -118,7 +118,7 @@ func TestCachePeekDoesNotTouchLRU(t *testing.T) {
 }
 
 func TestCachePropertyInsertedLineIsFound(t *testing.T) {
-	c := newCache(CacheConfig{Name: "P", SizeBytes: 64 << 10, LineBytes: 128, Assoc: 8, HitLatency: 1})
+	c := newCache(CacheConfig{Name: "P", SizeBytes: 64 << 10, LineBytes: 128, Assoc: 8})
 	prop := func(addrs []uint32) bool {
 		if len(addrs) > 8 {
 			addrs = addrs[:8] // stay within one working set's associativity

@@ -46,9 +46,9 @@ func Itanium2SMP(numCPUs int) Config {
 		NumCPUs:     numCPUs,
 		CPUsPerNode: numCPUs,
 		NUMA:        false,
-		L1D:         CacheConfig{Name: "L1D", SizeBytes: 16 << 10, LineBytes: 64, Assoc: 4, HitLatency: 1},
-		L2:          CacheConfig{Name: "L2", SizeBytes: 256 << 10, LineBytes: 128, Assoc: 8, HitLatency: 5},
-		L3:          CacheConfig{Name: "L3", SizeBytes: 1536 << 10, LineBytes: 128, Assoc: 12, HitLatency: 12},
+		L1D:         CacheConfig{Name: "L1D", SizeBytes: 16 << 10, LineBytes: 64, Assoc: 4},
+		L2:          CacheConfig{Name: "L2", SizeBytes: 256 << 10, LineBytes: 128, Assoc: 8},
+		L3:          CacheConfig{Name: "L3", SizeBytes: 1536 << 10, LineBytes: 128, Assoc: 12},
 		MSHRs:       16,
 		Lat: LatencyParams{
 			// L2Hit is the *effective* blocking cost of an L2 hit: the

@@ -1,6 +1,6 @@
 // Package perfmon models the perfmon sampling kernel driver of the paper
 // (§3): it programs each CPU's PMU for overflow-driven sampling, and on
-// every overflow captures a sample record — PC, process/thread/CPU ids, the
+// every overflow captures a sample record — PC, thread and CPU ids, the
 // four performance counters, the eight BTB addresses (four branch/target
 // pairs) and the latest DEAR capture — and hands it straight to the CPU's
 // monitoring thread, which copies the record into its User Sampling
@@ -23,11 +23,11 @@ import (
 // Sample is one sampling-driver record (paper §3.1: "Each sample consists
 // of a sample index, PC address, process ID, thread ID, processor ID, four
 // performance counters, eight BTB entries, data cache miss instruction
-// address, miss latency, and miss data cache line address").
+// address, miss latency, and miss data cache line address"). The model
+// runs one process, so the record carries no process ID.
 type Sample struct {
 	Index    int64
 	PC       int
-	PID      int
 	ThreadID int
 	CPU      int
 	Cycle    int64
@@ -61,12 +61,8 @@ type Config struct {
 	CyclePeriod int64
 	// DEARMinLatency is the DEAR latency filter in cycles.
 	DEARMinLatency int64
-	// DEAREvery decimates qualifying DEAR captures.
-	DEAREvery int64
 	// SampleOverhead cycles charged to the CPU per delivered sample.
 	SampleOverhead int64
-	// PID stamped into samples.
-	PID int
 }
 
 // DefaultConfig returns the sampling configuration used by the COBRA
@@ -76,9 +72,7 @@ func DefaultConfig() Config {
 	return Config{
 		CyclePeriod:    20000,
 		DEARMinLatency: 13, // drop loads satisfied by L3 hits (12 cycles)
-		DEAREvery:      1,
 		SampleOverhead: 200,
-		PID:            1,
 	}
 }
 
@@ -115,7 +109,7 @@ func NewDriver(cfg Config, ctx Context) *Driver {
 		pmu.Program(1, hpm.EvL2Misses, 0)
 		pmu.Program(2, hpm.EvInstRetired, 0)
 		pmu.Program(3, hpm.EvBusCoherent, 0)
-		pmu.SetDEARFilter(cfg.DEARMinLatency, max64(cfg.DEAREvery, 1))
+		pmu.SetDEARFilter(cfg.DEARMinLatency)
 		cpu := cpu
 		pmu.SetOverflowHandler(func(slot int, ev hpm.Event) {
 			if ev == hpm.EvCPUCycles {
@@ -150,7 +144,6 @@ func (d *Driver) capture(cpu int) {
 	s := Sample{
 		Index:    d.nextIdx,
 		PC:       d.ctx.SamplePC(cpu),
-		PID:      d.cfg.PID,
 		ThreadID: d.ctx.SampleThreadID(cpu),
 		CPU:      cpu,
 		Cycle:    d.ctx.SampleCycle(cpu),
@@ -183,11 +176,4 @@ func (d *Driver) Dropped() int64 { return d.dropped }
 func (d *Driver) String() string {
 	return fmt.Sprintf("perfmon{period=%d dearMinLat=%d overhead=%d}",
 		d.cfg.CyclePeriod, d.cfg.DEARMinLatency, d.cfg.SampleOverhead)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 )
 
 // ledgerVersion is bumped when the entry envelope changes shape, so stale
@@ -46,7 +47,9 @@ func (l *Ledger) path(key string) string {
 }
 
 // Get looks up a recorded value by job key, decoding it into out (a
-// pointer). It returns (false, nil) for a plain miss: no entry file. A
+// pointer). It returns (false, nil) for a plain miss: no entry file, or
+// no directory to hold one (the ledger directory removed or replaced by
+// a file, which Put reports when it cannot record the result). A
 // truncated, corrupt or mismatched entry — e.g. the trailing write of a
 // run killed mid-flight — is recovered, not fatal: the bad file is
 // quarantined (renamed to <key>.json.corrupt so the next run re-executes
@@ -56,7 +59,7 @@ func (l *Ledger) path(key string) string {
 // also (false, err), but stays in place: its contents may be intact.
 func (l *Ledger) Get(key string, out any) (bool, error) {
 	data, err := os.ReadFile(l.path(key))
-	if errors.Is(err, fs.ErrNotExist) {
+	if errors.Is(err, fs.ErrNotExist) || errors.Is(err, syscall.ENOTDIR) {
 		return false, nil
 	}
 	if err != nil {

@@ -103,12 +103,14 @@ func (p *Pool[T]) execute(ctx context.Context, j Job[T]) Result[T] {
 		return r
 	}
 	led := p.opt.Ledger
+	var readErr error
 	if j.Key != "" && led != nil {
-		hit, err := led.Get(j.Key, &r.Value)
-		if err != nil {
+		var hit bool
+		hit, readErr = led.Get(j.Key, &r.Value)
+		if readErr != nil {
 			// Recovered (corrupt entry quarantined by the ledger): log and
 			// fall through to a fresh execution.
-			p.opt.logf("sched: %v", err)
+			p.opt.logf("sched: %v", readErr)
 		}
 		if hit {
 			r.Cached = true
@@ -136,9 +138,13 @@ func (p *Pool[T]) execute(ctx context.Context, j Job[T]) Result[T] {
 	}
 	r.Elapsed = time.Since(t0)
 	if r.Err == nil && j.Key != "" && led != nil {
-		// Best effort: a ledger write failure only costs a
-		// future cache hit, never the computed result.
-		_ = led.Put(j.Key, j.Name, r.Value)
+		// A ledger write failure only costs future cache hits, never the
+		// computed result; log it so they are not lost silently. One line
+		// per job: an entry already reported unreadable was left in place,
+		// so its write fails for the same reason.
+		if err := led.Put(j.Key, j.Name, r.Value); err != nil && readErr == nil {
+			p.opt.logf("%v", err)
+		}
 	}
 	return r
 }

@@ -456,3 +456,38 @@ func TestRunContinuesPastCorruptLedgerEntry(t *testing.T) {
 		t.Fatalf("post-recovery run: cached=%v value=%d, want true/9", res[0].Cached, res[0].Value)
 	}
 }
+
+// TestRunLogsLedgerWriteFailure: a ledger that cannot record a result
+// (here its directory replaced by a regular file, which fails even for
+// root) leaves the job's result as it is and says so once through Logf,
+// naming the job's key. The read finds no entry, a plain miss, so the
+// one line is the failed write.
+func TestRunLogsLedgerWriteFailure(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ledger")
+	led, err := OpenLedger(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	key := KeyOf("unwritable-ledger")
+	var logs []string
+	res := Run([]Job[int]{{Key: key, Name: "cell", Run: func(context.Context) (int, error) { return 5, nil }}},
+		Options{Ledger: led, Logf: func(f string, a ...any) { logs = append(logs, fmt.Sprintf(f, a...)) }})
+	if res[0].Err != nil || res[0].Cached || res[0].Value != 5 {
+		t.Fatalf("result = %+v, want a fresh execution returning 5", res[0])
+	}
+	named := 0
+	for _, l := range logs {
+		if strings.Contains(l, key) {
+			named++
+		}
+	}
+	if named != 1 || !strings.Contains(logs[0], "ledger put") {
+		t.Fatalf("logs = %q, want exactly one line, the failed write of %s", logs, key)
+	}
+}

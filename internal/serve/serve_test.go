@@ -474,6 +474,8 @@ func TestRequestValidation(t *testing.T) {
 		{"topology too many cpus", `{"workload": "daxpy", "machine": "numa", "threads": 4, "topology": [{"cpus": 63}, {"cpus": 63}]}`},
 		{"topology cpus wrap", `{"workload": "daxpy", "machine": "numa", "threads": 4, "topology": [{"cpus": 4611686018427387904}, {"cpus": 4611686018427387904}, {"cpus": 4611686018427387904}, {"cpus": 4611686018427387908}]}`},
 		{"capacity overflow", `{"workload": "daxpy", "machine": "numa", "threads": 2, "topology": [{"cpus": 1, "mem_mb": 4}, {"cpus": 1, "mem_mb": 4}]}`},
+		{"mem_mb wraps to unbounded", `{"workload": "daxpy", "machine": "numa", "threads": 2, "topology": [{"cpus": 1}, {"cpus": 1, "mem_mb": 17592186044416}]}`},
+		{"mem_mb wraps to 1 MiB", `{"workload": "daxpy", "machine": "numa", "threads": 2, "topology": [{"cpus": 1}, {"cpus": 1, "mem_mb": 17592186044417}]}`},
 		{"unknown placement", `{"workload": "daxpy", "machine": "numa", "placement": "random"}`},
 		{"placement on smp", `{"workload": "daxpy", "placement": "interleave"}`},
 		{"bind node out of range", `{"workload": "daxpy", "machine": "numa", "placement": "bind", "bind_node": 9}`},
@@ -489,6 +491,8 @@ func TestRequestValidation(t *testing.T) {
 	names := map[string]string{
 		"unknown field":             `unknown field "wrokload"`,
 		"removed sim_workers field": `unknown field "sim_workers"`,
+		"mem_mb wraps to unbounded": "topology node 1 has mem_mb 17592186044416",
+		"mem_mb wraps to 1 MiB":     "topology node 1 has mem_mb 17592186044417",
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

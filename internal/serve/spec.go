@@ -62,7 +62,8 @@ type Spec struct {
 }
 
 // NodeSpec declares one NUMA node of an explicit topology: its CPU count
-// and, optionally, a memory capacity in MiB (0 = unbounded). Capacity
+// and, optionally, a memory capacity in MiB (0 = unbounded, at most
+// MaxNodeMemMB). Capacity
 // only constrains placement=bind, which spills to the nearest node with
 // free pages once the bind node fills.
 type NodeSpec struct {
@@ -85,7 +86,31 @@ const (
 	// fit somewhere, so an all-bounded topology below this is rejected as
 	// a capacity overflow before any machine is built.
 	MinTopologyMemMB = 16
+	// MaxNodeMemMB bounds one node's declared capacity at 1 TiB, 4096
+	// times the simulated memory, so mem_mb << 20 cannot wrap.
+	MaxNodeMemMB = 1 << 20
 )
+
+// strategies maps each accepted strategy name to the COBRA runtime a
+// session attaches: none for off, otherwise the machine's configuration
+// of strategy. The pluggable engines run the adaptive trigger with
+// candidate generation, judging and deployment delegated to the named
+// registry engine.
+var strategies = map[string]struct {
+	attach   bool
+	strategy cobra.Strategy
+	engine   string
+}{
+	"off":          {},
+	"monitor":      {true, cobra.StrategyOff, ""},
+	"noprefetch":   {true, cobra.StrategyNoprefetch, ""},
+	"excl":         {true, cobra.StrategyExcl, ""},
+	"adaptive":     {true, cobra.StrategyAdaptive, ""},
+	"bias":         {true, cobra.StrategyBias, ""},
+	"multiversion": {true, cobra.StrategyAdaptive, "multiversion"},
+	"causal":       {true, cobra.StrategyAdaptive, "causal"},
+	"layout":       {true, cobra.StrategyAdaptive, "layout"},
+}
 
 var npbNames = func() map[string]bool {
 	m := map[string]bool{}
@@ -144,10 +169,7 @@ func (s *Spec) Validate() error {
 	if err := s.validateScenario(); err != nil {
 		return err
 	}
-	switch s.Strategy {
-	case "off", "monitor", "noprefetch", "excl", "adaptive", "bias",
-		"multiversion", "causal", "layout":
-	default:
+	if _, ok := strategies[s.Strategy]; !ok {
 		return fmt.Errorf("unknown strategy %q (want off, monitor, noprefetch, excl, adaptive, bias, multiversion, causal or layout)", s.Strategy)
 	}
 	if s.Workload == "daxpy" {
@@ -181,6 +203,9 @@ func (s *Spec) validateScenario() error {
 			}
 			if n.MemMB < 0 {
 				return fmt.Errorf("topology node %d has negative mem_mb %d", i, n.MemMB)
+			}
+			if n.MemMB > MaxNodeMemMB {
+				return fmt.Errorf("topology node %d has mem_mb %d (max %d)", i, n.MemMB, MaxNodeMemMB)
 			}
 			total += n.CPUs
 			if n.MemMB == 0 {
@@ -353,33 +378,14 @@ func (s *Spec) buildConfig() (workload.BuildConfig, error) {
 			{AtCycle: s.MigrateAt, CPU: s.MigrateCPU, Node: s.MigrateNode},
 		}
 	}
-	switch s.Strategy {
-	case "off":
-	case "monitor":
-		c := cobra.DefaultConfig(cobra.StrategyOff)
-		bc.Cobra = &c
-	case "noprefetch":
-		c := cobra.DefaultConfig(cobra.StrategyNoprefetch)
-		bc.Cobra = &c
-	case "excl":
-		c := cobra.DefaultConfig(cobra.StrategyExcl)
-		bc.Cobra = &c
-	case "adaptive":
-		c := cobra.DefaultConfig(cobra.StrategyAdaptive)
-		bc.Cobra = &c
-	case "bias":
-		c := cobra.DefaultConfig(cobra.StrategyBias)
-		bc.Cobra = &c
-	case "multiversion", "causal", "layout":
-		// Pluggable engines run the adaptive trigger with candidate
-		// generation, judging and deployment delegated to the named
-		// registry engine. The Engine field is omitempty, so every
-		// pre-engine spec keeps its historical ledger content hash.
-		c := cobra.DefaultConfig(cobra.StrategyAdaptive)
-		c.Engine = s.Strategy
-		bc.Cobra = &c
-	default:
+	st, ok := strategies[s.Strategy]
+	if !ok {
 		return bc, fmt.Errorf("unknown strategy %q", s.Strategy)
+	}
+	if st.attach {
+		c := cobra.ConfigFor(st.strategy, bc.Machine.Mem)
+		c.Engine = st.engine
+		bc.Cobra = &c
 	}
 	return bc, nil
 }

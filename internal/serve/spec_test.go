@@ -11,44 +11,58 @@ import (
 	"repro/internal/cobra"
 )
 
-// TestSpecEngineStrategies: the pluggable strategy names validate, build
-// an adaptive config bound to the named engine, and hash to session keys
-// distinct from each other and from plain adaptive.
+// TestSpecEngineStrategies: each accepted strategy name validates and
+// attaches the COBRA strategy and engine it always has, on both machine
+// models: none for off, the adaptive trigger bound to the named registry
+// engine for the pluggable ones. Every name hashes to its own session key.
 func TestSpecEngineStrategies(t *testing.T) {
-	keys := map[string]string{}
-	names := []string{"adaptive", "multiversion", "causal", "layout"}
-	for _, name := range names {
-		s := &Spec{Workload: "daxpy", Strategy: name}
-		s.Normalize()
-		if err := s.Validate(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		bc, err := s.buildConfig()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if bc.Cobra == nil || bc.Cobra.Strategy != cobra.StrategyAdaptive {
-			t.Fatalf("%s: config not adaptive: %+v", name, bc.Cobra)
-		}
-		wantEngine := name
-		if name == "adaptive" {
-			wantEngine = "" // the built-in default, not a registry lookup
-		}
-		if bc.Cobra.Engine != wantEngine {
-			t.Fatalf("%s: engine = %q, want %q", name, bc.Cobra.Engine, wantEngine)
-		}
-		key, err := s.Key()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		keys[name] = key
+	want := map[string]struct {
+		attached bool
+		strategy cobra.Strategy
+		engine   string // "" is the built-in default, not a registry lookup
+	}{
+		"off":          {},
+		"monitor":      {true, cobra.StrategyOff, ""},
+		"noprefetch":   {true, cobra.StrategyNoprefetch, ""},
+		"excl":         {true, cobra.StrategyExcl, ""},
+		"adaptive":     {true, cobra.StrategyAdaptive, ""},
+		"bias":         {true, cobra.StrategyBias, ""},
+		"multiversion": {true, cobra.StrategyAdaptive, "multiversion"},
+		"causal":       {true, cobra.StrategyAdaptive, "causal"},
+		"layout":       {true, cobra.StrategyAdaptive, "layout"},
 	}
-	for i, a := range names {
-		for _, b := range names[i+1:] {
-			if keys[a] == keys[b] {
-				t.Fatalf("strategies %s and %s share a ledger key: %v", a, b, keys)
+	for _, m := range []string{"smp", "numa"} {
+		keys := map[string]string{}
+		for name, w := range want {
+			s := &Spec{Workload: "daxpy", Machine: m, Strategy: name}
+			s.Normalize()
+			if err := s.Validate(); err != nil {
+				t.Fatalf("%s/%s: %v", name, m, err)
 			}
+			bc, err := s.buildConfig()
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, m, err)
+			}
+			if got := bc.Cobra != nil; got != w.attached {
+				t.Fatalf("%s/%s: attached = %v, want %v", name, m, got, w.attached)
+			}
+			if bc.Cobra != nil && (bc.Cobra.Strategy != w.strategy || bc.Cobra.Engine != w.engine) {
+				t.Fatalf("%s/%s: strategy %v engine %q, want %v %q", name, m, bc.Cobra.Strategy, bc.Cobra.Engine, w.strategy, w.engine)
+			}
+			key, err := s.Key()
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, m, err)
+			}
+			if prev, dup := keys[key]; dup {
+				t.Fatalf("%s: strategies %s and %s share a ledger key", m, prev, name)
+			}
+			keys[key] = name
 		}
+	}
+	s := &Spec{Workload: "daxpy", Strategy: "yolo"}
+	s.Normalize()
+	if err := s.Validate(); err == nil || err.Error() != `unknown strategy "yolo" (want off, monitor, noprefetch, excl, adaptive, bias, multiversion, causal or layout)` {
+		t.Fatalf("unknown strategy error = %v", err)
 	}
 }
 
@@ -219,9 +233,10 @@ func TestSpecScenarioBuildConfig(t *testing.T) {
 // FuzzSpecKey fuzzes the cobrad request boundary: a body decoded as
 // handleSubmit decodes it, then Normalize, Validate, and Key for a valid
 // spec. None of it may panic; a valid spec must have a key and a machine
-// configuration that validates; and a valid spec, re-encoded after
-// Normalize and submitted again, must validate to the same key. The seed
-// corpus is testdata/fuzz/FuzzSpecKey; `make fuzz-native` runs it.
+// configuration that validates, whose every node carries exactly its
+// declared mem_mb MiB; and a valid spec, re-encoded after Normalize and
+// submitted again, must validate to the same key. The seed corpus is
+// testdata/fuzz/FuzzSpecKey; `make fuzz-native` runs it.
 func FuzzSpecKey(f *testing.F) {
 	// submit runs body through handleSubmit's path; ok is false for a
 	// body the server rejects with a 400.
@@ -251,6 +266,11 @@ func FuzzSpecKey(f *testing.F) {
 		}
 		if err := bc.Machine.Mem.Validate(); err != nil {
 			t.Fatalf("valid spec %+v builds an invalid machine: %v", s, err)
+		}
+		for i, n := range bc.Machine.Mem.Nodes {
+			if mb := s.Topology[i].MemMB; n.MemBytes>>20 != uint64(mb) || n.MemBytes&(1<<20-1) != 0 {
+				t.Fatalf("valid spec %+v: node %d has %d bytes for mem_mb %d", s, i, n.MemBytes, mb)
+			}
 		}
 		enc, err := json.Marshal(s)
 		if err != nil {

@@ -40,7 +40,6 @@ func digestConfig(strategy cobra.Strategy, engine string, trace bool) cobra.Conf
 	cfg.MinDelinquentSamples = 1
 	cfg.Sampling.CyclePeriod = 400
 	cfg.Sampling.DEARMinLatency = 50
-	cfg.Sampling.DEAREvery = 1
 	return cfg
 }
 

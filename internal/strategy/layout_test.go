@@ -66,10 +66,8 @@ func layoutSmokeConfig() cobra.Config {
 	cfg.CoherentLatency = 100
 	cfg.MinLoopSamples = 1
 	cfg.MinDelinquentSamples = 1
-	cfg.EvaluateWindows = 2
 	cfg.Sampling.CyclePeriod = 400
 	cfg.Sampling.DEARMinLatency = 50
-	cfg.Sampling.DEAREvery = 1
 	cfg.Obs = obs.New(obs.Config{Decisions: true})
 	return cfg
 }
