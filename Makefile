@@ -9,7 +9,7 @@
 GO ?= go
 SOAK_DURATION ?= 30s
 
-.PHONY: ci fmt vet build race test perfbench-check bench-smoke trace-smoke fuzz-smoke fuzz-native strategy-smoke layout-smoke stream-smoke matrix-smoke soak-smoke results loc
+.PHONY: ci fmt vet build race test perfbench-check bench-smoke bench-ab trace-smoke fuzz-smoke fuzz-native strategy-smoke layout-smoke stream-smoke matrix-smoke soak-smoke results loc
 
 ci: fmt vet build race test perfbench-check bench-smoke trace-smoke fuzz-smoke fuzz-native strategy-smoke layout-smoke stream-smoke matrix-smoke
 
@@ -48,11 +48,24 @@ soak-smoke:
 	COBRAD_SOAK=$(SOAK_DURATION) $(GO) test -race -run TestSoak -v ./internal/serve/
 
 # One cheap iteration of the core throughput benchmark and of the memory-
-# system, run-loop and session-build layer benchmarks: a compile+run smoke
-# for the simulator hot path, not a measurement.
+# system, run-loop, session-build and ledger-hit layer benchmarks: a
+# compile+run smoke for the simulator hot path, not a measurement.
 bench-smoke:
 	$(GO) test -bench 'BenchmarkSimulatorThroughput$$' -benchtime 1x -benchmem -run '^$$' .
-	$(GO) test -bench 'BenchmarkDomainAccess|BenchmarkRunAll|BenchmarkSessionBuild' -benchtime 1x -benchmem -run '^$$' ./internal/mem/ ./internal/machine/ ./internal/serve/
+	$(GO) test -bench 'BenchmarkDomainAccess|BenchmarkRunAll|BenchmarkSessionBuild|BenchmarkPoolLedgerHit' -benchtime 1x -benchmem -run '^$$' ./internal/mem/ ./internal/machine/ ./internal/serve/ ./internal/sched/
+
+# End-to-end A/B of revision REF against the working tree: PAIRS pairs
+# of BENCHMARK.json's command on seeds SEEDS, SEEDS+1, ... for WORKLOAD
+# (default: every workload), alternating which side runs first, with REF
+# checked out as a git worktree under .bench_build/ and removed after.
+# Prints each end-to-end metric's quartiles, wins, median ratio, bound and
+# verdict; exits non-zero, with no verdict, if any run was incorrect or
+# failed operations. Not part of ci: ten pairs take many minutes.
+PAIRS ?= 10
+SEEDS ?= 1
+bench-ab:
+	@test -n "$(REF)" || { echo "usage: make bench-ab REF=<rev> [WORKLOAD=<name>] [PAIRS=10] [SEEDS=<first seed>]"; exit 2; }
+	$(GO) run ./cmd/bench-ab -ref '$(REF)' -workload '$(WORKLOAD)' -pairs $(PAIRS) -seed $(SEEDS)
 
 # Export a cycle-domain Chrome trace of the phase-change run and
 # structurally validate it — the observability layer's end-to-end gate.
@@ -73,13 +86,16 @@ fuzz-smoke:
 # Native Go fuzzing of the input boundaries, a fixed budget per target on
 # top of its seed corpus under testdata/fuzz/: the cobrad spec decoder
 # (decode, Normalize, Validate, Key must never panic, and a valid spec
-# must keep its key through a re-encode), and cobra-run's -topology,
+# must keep its key through a re-encode), cobra-run's -topology,
 # -affinity and -migrate parser (never panics; a spec that validates has
-# a key). A crasher is written to the target's testdata/fuzz/ directory,
-# where plain `go test` replays it.
+# a key), and the ledger entry decoder (never panics; only a well-formed
+# entry for its key is a hit, anything else is quarantined and then a
+# plain miss). A crasher is written to the target's testdata/fuzz/
+# directory, where plain `go test` replays it.
 fuzz-native:
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecKey$$' -fuzztime 20s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioFlags$$' -fuzztime 20s ./cmd/cobra-run/
+	$(GO) test -run '^$$' -fuzz '^FuzzLedgerGet$$' -fuzztime 20s ./internal/sched/
 
 # Live-telemetry gate: a phased adaptive session runs against an
 # in-process cobrad with its SSE stream followed to completion under the

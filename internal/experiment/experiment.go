@@ -38,10 +38,14 @@ type Options struct {
 	// they line up with run-ledger entries (see measureJob). Cached cells
 	// write nothing — their artifacts are from the run that recorded them.
 	ArtifactDir string
+	// Logf receives the scheduler's recovered diagnostics — a corrupt
+	// ledger entry quarantined, a ledger write that failed, a job panic
+	// isolated. Nil discards them.
+	Logf func(format string, args ...any)
 }
 
 func (o Options) schedOptions() sched.Options {
-	return sched.Options{Workers: o.Jobs, Ledger: o.Ledger, Hooks: o.Hooks}
+	return sched.Options{Workers: o.Jobs, Ledger: o.Ledger, Hooks: o.Hooks, Logf: o.Logf}
 }
 
 func (o Options) buildCache() *workload.BuildCache {

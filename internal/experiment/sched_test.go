@@ -1,6 +1,7 @@
 package experiment_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -269,5 +270,51 @@ func TestFigure3ArtifactWriteFailureFailsCell(t *testing.T) {
 	}
 	if len(executed) != 4 || cached != 0 {
 		t.Fatalf("rerun: %d executed, %d cached; want 4 and 0", len(executed), cached)
+	}
+}
+
+// TestTable1LogsLedgerRecovery: a sweep whose ledger holds one truncated
+// entry says so through Options.Logf — exactly one line, naming the
+// entry's key — quarantines the entry, and still returns the rows.
+func TestTable1LogsLedgerRecovery(t *testing.T) {
+	dir := t.TempDir()
+	led, err := sched.OpenLedger(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := experiment.Table1Sched(npb.ClassT, experiment.Options{Ledger: led})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil || len(entries) == 0 {
+		t.Fatalf("recorded entries = %v (err %v), want one per row", entries, err)
+	}
+	victim := entries[0]
+	key := strings.TrimSuffix(filepath.Base(victim), ".json")
+	full, err := os.ReadFile(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(victim, full[:len(full)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs []string
+	// One worker: Logf is called from worker goroutines.
+	got, err := experiment.Table1Sched(npb.ClassT, experiment.Options{Jobs: 1, Ledger: led, Logf: func(f string, a ...any) {
+		logs = append(logs, fmt.Sprintf(f, a...))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("rows after recovery = %+v, want %+v", got, want)
+	}
+	if len(logs) != 1 || !strings.Contains(logs[0], key) {
+		t.Fatalf("logs = %q, want one line naming %s", logs, key)
+	}
+	if _, err := os.Stat(victim + ".corrupt"); err != nil {
+		t.Fatalf("truncated entry not quarantined: %v", err)
 	}
 }

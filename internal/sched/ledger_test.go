@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -158,4 +159,57 @@ func TestLedgerOverwrite(t *testing.T) {
 	if n, err := led.Len(); err != nil || n != 1 {
 		t.Fatalf("Len = %d, %v; want 1", n, err)
 	}
+}
+
+// fuzzLedgerKey is the key FuzzLedgerGet files its entries under; the
+// seed corpus's well-formed entry was written by Put under it.
+var fuzzLedgerKey = KeyOf("fuzz-ledger-get")
+
+// FuzzLedgerGet feeds arbitrary bytes to Get as a key's entry file. Get
+// must never panic. It is a hit exactly when the bytes are an envelope
+// of this ledger version, for this key, whose value decodes into the
+// target — judged here by an independent decode — and a hit leaves the
+// file in place. Anything else is (false, err), the file is moved aside
+// (or removed), and a second Get is a plain miss.
+func FuzzLedgerGet(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		led, err := OpenLedger(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := led.path(fuzzLedgerKey)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var env struct {
+			V     int             `json:"v"`
+			Key   string          `json:"key"`
+			Name  string          `json:"name"`
+			Value json.RawMessage `json:"value"`
+		}
+		var want payload
+		valid := json.Unmarshal(data, &env) == nil && env.V == ledgerVersion &&
+			env.Key == fuzzLedgerKey && json.Unmarshal(env.Value, &want) == nil
+
+		var got payload
+		hit, gerr := led.Get(fuzzLedgerKey, &got)
+		if valid {
+			if !hit || gerr != nil || got != want {
+				t.Fatalf("well-formed entry: Get = (%v, %v) value %+v, want a hit with %+v", hit, gerr, got, want)
+			}
+			if _, err := os.Stat(path); err != nil {
+				t.Fatalf("entry moved after a hit: %v", err)
+			}
+			return
+		}
+		if hit || gerr == nil {
+			t.Fatalf("malformed entry: Get = (%v, %v), want (false, err)", hit, gerr)
+		}
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("malformed entry still in place (stat err=%v)", err)
+		}
+		if hit, gerr := led.Get(fuzzLedgerKey, &got); hit || gerr != nil {
+			t.Fatalf("Get after recovery = (%v, %v), want a plain miss", hit, gerr)
+		}
+	})
 }

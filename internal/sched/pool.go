@@ -21,12 +21,23 @@ var ErrQueueFull = errors.New("sched: pool queue full")
 // drains what it has but accepts nothing new.
 var ErrPoolClosed = errors.New("sched: pool closed")
 
+// memoCap bounds how many ledger values a pool remembers: about 6 MiB of
+// workload.Measurement entries with their keys. Past it, a hit on a
+// forgotten key reads the ledger file as it would without the memory.
+const memoCap = 1 << 14
+
 // Pool is where every job executes: a fixed set of workers consuming a
 // bounded queue of context-carrying jobs. Run fills one with a batch and
 // drains it; a service front end (cmd/cobrad) keeps one open and submits
 // sessions continuously. Each job gets ledger reuse with corrupt-entry
 // recovery, panic isolation, and cancellation before and during
 // execution; a cancelled job is never recorded as complete.
+//
+// A pool remembers up to memoCap of the values its ledger holds (each
+// one it read from or wrote to the ledger) and answers a repeated key
+// from memory, with no file read or decode. The memory dies with the
+// pool: each Run, and each process, reads the files afresh, so
+// corrupt-entry recovery still sees every file it opens.
 type Pool[T any] struct {
 	opt   Options
 	total int // Event.Total: Run's distinct-job count, 0 on a service pool
@@ -35,6 +46,9 @@ type Pool[T any] struct {
 
 	mu     sync.Mutex // guards closed
 	closed bool
+
+	memoMu sync.Mutex // guards memo
+	memo   map[string]T
 
 	hookMu   sync.Mutex // serializes hooks and guards their counters
 	started  int
@@ -63,7 +77,7 @@ func NewPool[T any](opt Options, depth int) *Pool[T] {
 	if depth <= 0 {
 		depth = 2 * workers
 	}
-	p := &Pool[T]{opt: opt, queue: make(chan poolItem[T], depth)}
+	p := &Pool[T]{opt: opt, queue: make(chan poolItem[T], depth), memo: map[string]T{}}
 	for w := 0; w < workers; w++ {
 		p.wg.Add(1)
 		go p.worker()
@@ -89,10 +103,11 @@ func (p *Pool[T]) worker() {
 	}
 }
 
-// execute runs one job under ctx: ledger lookup (with corrupt-entry
-// recovery), cancellation before and after execution, panic isolation,
-// and the ledger write. The Started hook fires exactly when real
-// execution begins — never for a ledger hit or a pre-start cancellation.
+// execute runs one job under ctx: ledger lookup (from memory, then from
+// the file, with corrupt-entry recovery), cancellation before and after
+// execution, panic isolation, and the ledger write. The Started hook
+// fires exactly when real execution begins — never for a ledger hit or a
+// pre-start cancellation.
 func (p *Pool[T]) execute(ctx context.Context, j Job[T]) Result[T] {
 	r := Result[T]{Name: j.Name, Key: j.Key}
 	// A job whose context is already done never starts — and is reported
@@ -103,8 +118,13 @@ func (p *Pool[T]) execute(ctx context.Context, j Job[T]) Result[T] {
 		return r
 	}
 	led := p.opt.Ledger
+	keyed := j.Key != "" && led != nil
 	var readErr error
-	if j.Key != "" && led != nil {
+	if keyed {
+		if v, ok := p.recall(j.Key); ok {
+			r.Value, r.Cached = v, true
+			return r
+		}
 		var hit bool
 		hit, readErr = led.Get(j.Key, &r.Value)
 		if readErr != nil {
@@ -113,6 +133,7 @@ func (p *Pool[T]) execute(ctx context.Context, j Job[T]) Result[T] {
 			p.opt.logf("sched: %v", readErr)
 		}
 		if hit {
+			p.remember(j.Key, r.Value)
 			r.Cached = true
 			return r
 		}
@@ -137,16 +158,42 @@ func (p *Pool[T]) execute(ctx context.Context, j Job[T]) Result[T] {
 		}
 	}
 	r.Elapsed = time.Since(t0)
-	if r.Err == nil && j.Key != "" && led != nil {
+	if r.Err == nil && keyed {
 		// A ledger write failure only costs future cache hits, never the
 		// computed result; log it so they are not lost silently. One line
 		// per job: an entry already reported unreadable was left in place,
-		// so its write fails for the same reason.
-		if err := led.Put(j.Key, j.Name, r.Value); err != nil && readErr == nil {
+		// so its write fails for the same reason. Nothing is remembered
+		// either, so Cached keeps meaning "the ledger holds this entry".
+		switch err := led.Put(j.Key, j.Name, r.Value); {
+		case err == nil:
+			p.remember(j.Key, r.Value)
+		case readErr == nil:
 			p.opt.logf("%v", err)
 		}
 	}
 	return r
+}
+
+// recall returns the remembered ledger value of key.
+func (p *Pool[T]) recall(key string) (T, bool) {
+	p.memoMu.Lock()
+	defer p.memoMu.Unlock()
+	v, ok := p.memo[key]
+	return v, ok
+}
+
+// remember records v as the value the ledger holds under key. At
+// memoCap, a new key displaces an arbitrary one.
+func (p *Pool[T]) remember(key string, v T) {
+	p.memoMu.Lock()
+	defer p.memoMu.Unlock()
+	if _, ok := p.memo[key]; !ok && len(p.memo) >= memoCap {
+		for k := range p.memo {
+			delete(p.memo, k)
+			break
+		}
+	}
+	p.memo[key] = v
 }
 
 // emit counts the event into *n and delivers it to hook. Counting and

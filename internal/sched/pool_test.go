@@ -491,3 +491,163 @@ func TestRunLogsLedgerWriteFailure(t *testing.T) {
 		t.Fatalf("logs = %q, want exactly one line, the failed write of %s", logs, key)
 	}
 }
+
+// resolve submits job to p and waits for its result.
+func resolve(t *testing.T, p *Pool[int], job Job[int]) Result[int] {
+	t.Helper()
+	done := make(chan Result[int], 1)
+	if err := p.Submit(context.Background(), job, func(r Result[int]) { done <- r }); err != nil {
+		t.Fatal(err)
+	}
+	return <-done
+}
+
+// TestPoolAnswersRepeatFromMemory: a long-lived pool answers a key it
+// has already written to its ledger, or read from it, from memory — so
+// with the entry files removed behind its back, both keys still resolve
+// Cached with their values, and neither job runs again.
+func TestPoolAnswersRepeatFromMemory(t *testing.T) {
+	led, err := OpenLedger(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	written, read := KeyOf("memo", "written"), KeyOf("memo", "read")
+	if err := led.Put(read, "read", 11); err != nil {
+		t.Fatal(err)
+	}
+	p := NewPool[int](Options{Workers: 1, Ledger: led}, 0)
+	defer p.Shutdown(context.Background())
+	var runs atomic.Int64
+	job := func(key string, v int) Job[int] {
+		return Job[int]{Key: key, Name: "memo", Run: func(context.Context) (int, error) { runs.Add(1); return v, nil }}
+	}
+	if r := resolve(t, p, job(written, 7)); r.Err != nil || r.Cached || r.Value != 7 {
+		t.Fatalf("first run = %+v, want an execution returning 7", r)
+	}
+	if r := resolve(t, p, job(read, 0)); r.Err != nil || !r.Cached || r.Value != 11 {
+		t.Fatalf("recorded key = %+v, want the ledger's 11, cached", r)
+	}
+	for _, key := range []string{written, read} {
+		if err := os.Remove(led.path(key)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r := resolve(t, p, job(written, 0)); r.Err != nil || !r.Cached || r.Value != 7 {
+		t.Fatalf("repeat of the written key = %+v, want 7 from memory, cached", r)
+	}
+	if r := resolve(t, p, job(read, 0)); r.Err != nil || !r.Cached || r.Value != 11 {
+		t.Fatalf("repeat of the read key = %+v, want 11 from memory, cached", r)
+	}
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("Run called %d times, want 1", n)
+	}
+}
+
+// TestPoolForgetsUnrecordedValue: a value the ledger failed to record
+// (its directory replaced by a regular file) is not remembered either,
+// so an identical job executes again instead of reporting Cached for an
+// entry the ledger does not hold.
+func TestPoolForgetsUnrecordedValue(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ledger")
+	led, err := OpenLedger(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p := NewPool[int](Options{Workers: 1, Ledger: led}, 0)
+	defer p.Shutdown(context.Background())
+	job := Job[int]{Key: KeyOf("unrecorded"), Name: "cell", Run: func(context.Context) (int, error) { return 5, nil }}
+	for i := 1; i <= 2; i++ {
+		if r := resolve(t, p, job); r.Err != nil || r.Cached || r.Value != 5 {
+			t.Fatalf("run %d = %+v, want an execution returning 5", i, r)
+		}
+	}
+}
+
+// TestPoolMemoBound: remembering more keys than memoCap keeps at most
+// memoCap, and a forgotten key is still a hit through the ledger file —
+// which puts it back in memory.
+func TestPoolMemoBound(t *testing.T) {
+	led, err := OpenLedger(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPool[int](Options{Workers: 1, Ledger: led}, 0)
+	defer p.Shutdown(context.Background())
+	key := KeyOf("memo-bound")
+	var runs atomic.Int64
+	job := Job[int]{Key: key, Name: "cell", Run: func(context.Context) (int, error) { runs.Add(1); return 3, nil }}
+	if r := resolve(t, p, job); r.Err != nil || r.Cached {
+		t.Fatalf("first run = %+v, want an execution", r)
+	}
+	// Displacement is arbitrary: add keys until the job's is gone (each
+	// one past the cap displaces some key; the loop bound makes a stuck
+	// eviction a failure, not a hang).
+	forgotten := false
+	for i := 0; i < 64*memoCap && !forgotten; i++ {
+		p.remember(fmt.Sprint("filler-", i), i)
+		_, held := p.recall(key)
+		forgotten = !held
+	}
+	if !forgotten {
+		t.Fatalf("key still remembered after %d more keys", 64*memoCap)
+	}
+	if n := len(p.memo); n != memoCap {
+		t.Fatalf("memo holds %d keys, want the cap %d", n, memoCap)
+	}
+	if r := resolve(t, p, job); r.Err != nil || !r.Cached || r.Value != 3 {
+		t.Fatalf("forgotten key = %+v, want 3 from the ledger file, cached", r)
+	}
+	if _, held := p.recall(key); !held {
+		t.Fatal("a ledger file hit was not remembered")
+	}
+	if n := len(p.memo); n != memoCap {
+		t.Fatalf("memo holds %d keys after the hit, want %d", n, memoCap)
+	}
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("Run called %d times, want 1", n)
+	}
+}
+
+// TestPoolRepeatedKeysConcurrently: goroutines submitting the same few
+// keys at once, through misses, writes and remembered hits, each get
+// their own key's value. Run under -race -count=10.
+func TestPoolRepeatedKeysConcurrently(t *testing.T) {
+	led, err := OpenLedger(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys, submitters, perSubmitter = 6, 4, 60
+	p := NewPool[int](Options{Workers: 3, Ledger: led}, submitters*perSubmitter)
+	defer p.Shutdown(context.Background())
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var resolved sync.WaitGroup
+			for i := 0; i < perSubmitter; i++ {
+				k := (g + i) % keys
+				job := Job[int]{Key: KeyOf("repeat", k), Name: fmt.Sprint("k", k), Run: func(context.Context) (int, error) { return 100 + k, nil }}
+				resolved.Add(1)
+				err := p.Submit(context.Background(), job, func(r Result[int]) {
+					defer resolved.Done()
+					if r.Err != nil || r.Value != 100+k {
+						t.Errorf("key %d: value %d err %v, want %d", k, r.Value, r.Err, 100+k)
+					}
+				})
+				if err != nil {
+					resolved.Done()
+					t.Errorf("submit: %v", err)
+				}
+			}
+			resolved.Wait()
+		}(g)
+	}
+	wg.Wait()
+}

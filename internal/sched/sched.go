@@ -56,7 +56,7 @@ type Result[T any] struct {
 	Key     string
 	Value   T
 	Err     error
-	Cached  bool          // served from the ledger, not executed
+	Cached  bool          // the ledger holds this value: reused (from its file or the pool's memory), not executed
 	Elapsed time.Duration // execution time (zero when Cached)
 }
 
@@ -80,7 +80,7 @@ type Event struct {
 type Hooks struct {
 	Started  func(Event) // a job began executing
 	Finished func(Event) // a job finished executing (Err set on failure)
-	Cached   func(Event) // a job was skipped: its ledger entry was reused
+	Cached   func(Event) // a job was skipped: the value its ledger entry holds was reused
 }
 
 // Options configure a Run or a Pool.
@@ -88,7 +88,9 @@ type Options struct {
 	// Workers is the number of concurrent jobs; <= 0 means GOMAXPROCS.
 	Workers int
 	// Ledger, when non-nil, is consulted before executing a keyed job and
-	// updated after a successful execution.
+	// updated after a successful execution. A Pool also remembers a
+	// bounded number of the values it read from or wrote to it, and
+	// answers a repeated key from that memory.
 	Ledger *Ledger
 	// Hooks receive progress callbacks.
 	Hooks Hooks

@@ -617,6 +617,19 @@ func TestLedgerHitAnswersRepeatSession(t *testing.T) {
 	resp.Body.Close()
 }
 
+// TestNoLedgerReexecutesRepeatSession: a server without a ledger has
+// nothing to answer a repeat from, not even the scheduler's memory of
+// ledger values, so an identical second session executes again.
+func TestNoLedgerReexecutesRepeatSession(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for i := 1; i <= 2; i++ {
+		info := waitTerminal(t, ts.URL, submit(t, ts.URL, shortSpec()).ID)
+		if info.State != StateDone || info.Cached || info.StartedAt == "" {
+			t.Fatalf("run %d: state %s cached %v started %q, want an executed session", i, info.State, info.Cached, info.StartedAt)
+		}
+	}
+}
+
 // TestSessionRetentionEviction bounds the retained-session map: old
 // finished sessions are evicted, and a store full of live sessions
 // rejects with 429.
