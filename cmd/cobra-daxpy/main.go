@@ -47,7 +47,7 @@ func main() {
 		if *quick {
 			scale = experiment.QuickDaxpyScale()
 		}
-		opt := experiment.Options{Jobs: *jobs, ArtifactDir: *artifacts, Logf: log.Printf}
+		opt := experiment.Options{Jobs: *jobs, ArtifactDir: *artifacts}
 		if *incremental {
 			led, err := sched.OpenLedger(*ledgerDir)
 			if err != nil {

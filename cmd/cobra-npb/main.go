@@ -115,7 +115,7 @@ func main() {
 // cache (so the SMP and NUMA sweeps of -figure all reuse compiles where
 // configurations coincide).
 func schedOptions(jobs int, incremental bool, ledgerDir string, progress bool, artifactDir string) (experiment.Options, error) {
-	opt := experiment.Options{Jobs: jobs, Cache: workload.NewBuildCache(), ArtifactDir: artifactDir, Logf: log.Printf}
+	opt := experiment.Options{Jobs: jobs, Cache: workload.NewBuildCache(), ArtifactDir: artifactDir}
 	if incremental {
 		led, err := sched.OpenLedger(ledgerDir)
 		if err != nil {

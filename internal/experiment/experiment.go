@@ -7,6 +7,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"log"
 
 	"repro/internal/cobra"
 	"repro/internal/npb"
@@ -38,14 +39,13 @@ type Options struct {
 	// they line up with run-ledger entries (see measureJob). Cached cells
 	// write nothing — their artifacts are from the run that recorded them.
 	ArtifactDir string
-	// Logf receives the scheduler's recovered diagnostics — a corrupt
-	// ledger entry quarantined, a ledger write that failed, a job panic
-	// isolated. Nil discards them.
-	Logf func(format string, args ...any)
 }
 
+// schedOptions logs the scheduler's recovered diagnostics (a corrupt
+// ledger entry quarantined, a ledger write that failed, a job panic
+// isolated) through the standard logger, as cobra-run and cobrad do.
 func (o Options) schedOptions() sched.Options {
-	return sched.Options{Workers: o.Jobs, Ledger: o.Ledger, Hooks: o.Hooks, Logf: o.Logf}
+	return sched.Options{Workers: o.Jobs, Ledger: o.Ledger, Hooks: o.Hooks, Logf: log.Printf}
 }
 
 func (o Options) buildCache() *workload.BuildCache {

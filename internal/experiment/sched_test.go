@@ -1,7 +1,8 @@
 package experiment_test
 
 import (
-	"fmt"
+	"bytes"
+	"log"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -274,8 +275,8 @@ func TestFigure3ArtifactWriteFailureFailsCell(t *testing.T) {
 }
 
 // TestTable1LogsLedgerRecovery: a sweep whose ledger holds one truncated
-// entry says so through Options.Logf — exactly one line, naming the
-// entry's key — quarantines the entry, and still returns the rows.
+// entry says so through the standard logger — exactly one line, naming
+// the entry's key — quarantines the entry, and still returns the rows.
 func TestTable1LogsLedgerRecovery(t *testing.T) {
 	dir := t.TempDir()
 	led, err := sched.OpenLedger(dir)
@@ -300,17 +301,18 @@ func TestTable1LogsLedgerRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var logs []string
-	// One worker: Logf is called from worker goroutines.
-	got, err := experiment.Table1Sched(npb.ClassT, experiment.Options{Jobs: 1, Ledger: led, Logf: func(f string, a ...any) {
-		logs = append(logs, fmt.Sprintf(f, a...))
-	}})
+	var buf bytes.Buffer
+	log.SetOutput(&buf)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	// One worker: the standard logger is written from worker goroutines.
+	got, err := experiment.Table1Sched(npb.ClassT, experiment.Options{Jobs: 1, Ledger: led})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("rows after recovery = %+v, want %+v", got, want)
 	}
+	logs := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
 	if len(logs) != 1 || !strings.Contains(logs[0], key) {
 		t.Fatalf("logs = %q, want one line naming %s", logs, key)
 	}

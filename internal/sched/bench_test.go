@@ -46,7 +46,8 @@ func BenchmarkPoolLedgerHit(b *testing.B) {
 		b.Fatalf("recording run = %+v, want an execution", r)
 	}
 	b.ReportAllocs()
-	for b.Loop() {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		if r := resolve(); !r.Cached || r.Value != m {
 			b.Fatalf("repeat = %+v, want the recorded value, cached", r)
 		}
