@@ -107,24 +107,27 @@ fuzz-native:
 stream-smoke:
 	$(GO) test -race -count=1 -run 'TestStreamEquivalence|TestStreamResume|TestEventszStream' ./internal/serve/
 
-# Strategy-engine matrix: every registered engine (prefetch, multiversion,
-# causal, layout) drives the phased re-adaptation workload with the
-# decision-log lifecycle audited for legality, the multiversion engine
-# required to switch a resident variant, and the causal engine required
-# to pair its what-if prediction with the realized IPC. The digest test
-# pins cycles, Stats, decision log and non-patch trace of 13 (workload,
-# engine) cells and demands one patch trace instant per decision.
+# Strategy-engine matrix: the whole optimizer package, uncached. Every
+# engine (prefetch, multiversion, causal, layout) drives the phased
+# re-adaptation workload with the decision-log lifecycle audited for
+# legality, the multiversion engine required to switch a resident
+# variant, and the causal engine required to pair its what-if prediction
+# with the realized IPC. The digest test pins cycles, Stats, decision log
+# and non-patch trace of 13 (workload, engine) cells and demands one
+# patch trace instant per decision.
 strategy-smoke:
-	$(GO) test -count=1 ./internal/strategy/
+	$(GO) test -count=1 ./internal/cobra/
 
 # Layout-engine gate: the full runtime (monitor threads, USB drain,
 # trigger, BOLT-style block reordering) on a hand-assembled branchy
 # kernel across repeated launches — at least one reordered copy must
 # deploy with block evidence, be judged through the relocated loop key,
 # keep exactly one resident copy in the code cache, and preserve the
-# kernel's architectural result.
+# kernel's architectural result. In internal/cobra the pattern matches
+# exactly these two runs (TestLayoutDeploysOnBranchyKernel and
+# TestLayoutJudgesAndKeepsDispatchStable).
 layout-smoke:
-	$(GO) test -count=1 -run 'TestLayout' ./internal/strategy/
+	$(GO) test -count=1 -run 'TestLayout' ./internal/cobra/
 
 # Scenario-matrix gate: 3 topologies x 3 placement policies x 3
 # irregular workloads, every cell running the adaptive COBRA loop

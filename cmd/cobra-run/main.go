@@ -12,8 +12,7 @@
 // The run goes through the internal/sched scheduler like the sweep
 // commands: -incremental reuses a recorded measurement from the run
 // ledger when the exact configuration (workload, parameters, machine,
-// threads, strategy) was measured before, and -jobs is accepted for
-// interface uniformity (a single run occupies one worker).
+// threads, strategy) was measured before.
 //
 // Observability: -trace FILE writes a cycle-domain Chrome trace_event
 // JSON (open in Perfetto / chrome://tracing), -metrics FILE dumps the
@@ -61,7 +60,6 @@ func main() {
 		metricsFile  = flag.String("metrics", "", "write the metrics registry dump (counters/gauges/histograms per window) to FILE")
 		explain      = flag.Bool("explain", false, "print the patch-decision audit report (evidence for every deploy/keep/rollback)")
 
-		jobs        = flag.Int("jobs", 0, "scheduler worker-pool size (0 = GOMAXPROCS)")
 		incremental = flag.Bool("incremental", false, "reuse a recorded measurement from the run ledger")
 		ledgerDir   = flag.String("ledger-dir", "results/ledger", "run ledger directory (with -incremental)")
 		progress    = flag.Bool("progress", false, "print scheduler progress lines to stderr")
@@ -104,7 +102,7 @@ func main() {
 		})
 	}
 
-	opt := sched.Options{Workers: *jobs, Logf: log.Printf}
+	opt := sched.Options{Logf: log.Printf}
 	if *incremental {
 		led, err := sched.OpenLedger(*ledgerDir)
 		if err != nil {

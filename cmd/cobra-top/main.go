@@ -95,7 +95,7 @@ func main() {
 	var (
 		addr    = flag.String("addr", "http://127.0.0.1:8321", "cobrad base URL")
 		session = flag.String("session", "", "session id to tail (empty = server-wide /eventsz view)")
-		from    = flag.Int64("from", -1, "resume from this event seq (-1 = live tail from now is impossible; 0 = full retained replay)")
+		from    = flag.Int64("from", 0, "replay the events after this seq (0 = everything the bus retains)")
 		plain   = flag.Bool("plain", false, "one line per event, no ANSI redraw (for logs and pipes)")
 		refresh = flag.Duration("refresh", 250*time.Millisecond, "minimum interval between screen redraws")
 	)

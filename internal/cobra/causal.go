@@ -1,9 +1,8 @@
-package strategy
+package cobra
 
 import (
 	"sort"
 
-	"repro/internal/cobra"
 	"repro/internal/obs"
 )
 
@@ -21,15 +20,8 @@ type prediction struct {
 // recorded with the deploy decision and carried through every judgement
 // so Explain() shows predicted-vs-actual.
 type causal struct {
-	cfg   cobra.Config
-	preds map[cobra.LoopKey]prediction
+	preds map[LoopKey]prediction
 }
-
-func newCausal(cfg cobra.Config) *causal {
-	return &causal{cfg: cfg, preds: map[cobra.LoopKey]prediction{}}
-}
-
-func (e *causal) Name() string { return "causal" }
 
 // effect models the fraction of the region's coherent-stall cycles a
 // rewrite removes. Removing a prefetch (nop) eliminates the coherent
@@ -38,11 +30,11 @@ func (e *causal) Name() string { return "causal" }
 // half the coherent cost on the simulated protocol. Scaled by the
 // aggregate coherent share so a rewrite is never credited with stalls
 // that are plain capacity misses.
-func effect(rw cobra.Rewrite, coherentShare float64) float64 {
+func effect(rw Rewrite, coherentShare float64) float64 {
 	switch rw {
-	case cobra.RewriteNop:
+	case RewriteNop:
 		return coherentShare
-	case cobra.RewriteExcl, cobra.RewriteBias:
+	case RewriteExcl, RewriteBias:
 		return 0.5 * coherentShare
 	}
 	return 0
@@ -52,7 +44,7 @@ func effect(rw cobra.Rewrite, coherentShare float64) float64 {
 // predicted IPC = Instr / (Cycles - saved), where saved is the modeled
 // share of the region's observed stall cycles. Deterministic — pure
 // arithmetic over the trigger-horizon aggregate and DEAR evidence.
-func (e *causal) whatIf(c *cobra.Control, k cobra.LoopKey, loads []cobra.Delinquent, rw cobra.Rewrite, agg cobra.Window) prediction {
+func (e *causal) whatIf(r *Runtime, k LoopKey, loads []Delinquent, rw Rewrite, agg Window) prediction {
 	if agg.Cycles == 0 {
 		return prediction{}
 	}
@@ -65,8 +57,8 @@ func (e *causal) whatIf(c *cobra.Control, k cobra.LoopKey, loads []cobra.Delinqu
 		stall += float64(d.Count * d.AvgLatency())
 	}
 	if stall == 0 && agg.Samples > 0 {
-		share := float64(c.Profiler().LoopActivity(k)) / float64(agg.Samples)
-		stall = float64(agg.BusHitm) * float64(e.cfg.CoherentLatency) * share
+		share := float64(r.prof.LoopActivity(k)) / float64(agg.Samples)
+		stall = float64(agg.BusHitm) * float64(r.cfg.CoherentLatency) * share
 	}
 	saved := stall * effect(rw, agg.CoherentShare())
 	if max := float64(agg.Cycles) / 2; saved > max {
@@ -82,8 +74,8 @@ func (e *causal) whatIf(c *cobra.Control, k cobra.LoopKey, loads []cobra.Delinqu
 
 // candidate is one (region, rewrite) pair with its prediction.
 type candidate struct {
-	key   cobra.LoopKey
-	rw    cobra.Rewrite
+	key   LoopKey
+	rw    Rewrite
 	slots []int
 	pred  prediction
 }
@@ -91,17 +83,17 @@ type candidate struct {
 // Propose runs the what-if experiment for every eligible (region,
 // rewrite) pair the model credits with a whole-program win and proposes
 // each region's best-predicted rewrite, best first.
-func (e *causal) Propose(c *cobra.Control, agg cobra.Window) []cobra.Proposal {
-	loads := c.CandidateLoads()
+func (e *causal) Propose(r *Runtime, agg Window) []Proposal {
+	loads := r.candidateLoads()
 	var cands []candidate
-	for _, k := range c.EligibleKeys(loads) {
-		region := c.Analyzer().RegionFor(k)
-		for _, rw := range []cobra.Rewrite{cobra.RewriteNop, cobra.RewriteExcl, cobra.RewriteBias} {
-			slots := c.SelectPrefetches(region, loads[k], rw)
+	for _, k := range r.eligibleKeys(loads) {
+		region := r.analyzer.RegionFor(k)
+		for _, rw := range []Rewrite{RewriteNop, RewriteExcl, RewriteBias} {
+			slots := r.selectPrefetches(region, loads[k], rw)
 			if len(slots) == 0 {
 				continue
 			}
-			if p := e.whatIf(c, k, loads[k], rw, agg); p.delta > 0 {
+			if p := e.whatIf(r, k, loads[k], rw, agg); p.delta > 0 {
 				cands = append(cands, candidate{key: k, rw: rw, slots: slots, pred: p})
 			}
 		}
@@ -117,8 +109,8 @@ func (e *causal) Propose(c *cobra.Control, agg cobra.Window) []cobra.Proposal {
 		}
 		return cands[i].rw < cands[j].rw
 	})
-	var out []cobra.Proposal
-	taken := map[cobra.LoopKey]bool{}
+	var out []Proposal
+	taken := map[LoopKey]bool{}
 	for _, cand := range cands {
 		if taken[cand.key] {
 			continue // one rewrite per region per pass: the best-ranked
@@ -128,8 +120,8 @@ func (e *causal) Propose(c *cobra.Control, agg cobra.Window) []cobra.Proposal {
 		// again, so overwriting it for a proposal that never deploys is
 		// harmless.
 		e.preds[cand.key] = cand.pred
-		out = append(out, cobra.Proposal{Key: cand.key, Reason: "what_if",
-			Specs:    []cobra.VariantSpec{{Rewrite: cand.rw, Slots: cand.slots}},
+		out = append(out, Proposal{Key: cand.key, Reason: "what_if",
+			Specs:    []VariantSpec{{Rewrite: cand.rw, Slots: cand.slots}},
 			Evidence: obs.Evidence{PredictedIPC: cand.pred.ipc, PredictedDelta: cand.pred.delta}})
 	}
 	return out
@@ -138,13 +130,13 @@ func (e *causal) Propose(c *cobra.Control, agg cobra.Window) []cobra.Proposal {
 // OnRegress rolls back and cools down: the experiment's prediction did
 // not survive contact with the machine. No blacklist — a later phase
 // re-runs the what-if ranking from fresh evidence.
-func (e *causal) OnRegress(*cobra.Control, *cobra.RegionState) cobra.Regression {
-	return cobra.Regression{To: -1, Reason: "regressed"}
+func (e *causal) OnRegress(*Runtime, *RegionState) Regression {
+	return Regression{To: -1, Reason: "regressed"}
 }
 
 // Decorate carries the deployed rewrite's prediction into every decision
 // so Explain() shows predicted-vs-actual.
-func (e *causal) Decorate(k cobra.LoopKey, _ *cobra.RegionState, ev *obs.Evidence) {
+func (e *causal) Decorate(k LoopKey, _ *RegionState, ev *obs.Evidence) {
 	if p, ok := e.preds[k]; ok {
 		ev.PredictedIPC = p.ipc
 		ev.PredictedDelta = p.delta

@@ -47,6 +47,16 @@ const (
 	// §4 optimization the paper describes but leaves unimplemented
 	// because of the hint's narrow applicability (an extension here).
 	StrategyBias
+	// StrategyMultiVersion keeps every applicable rewrite of a hot region
+	// resident and switches between them on phase changes (Meng et al.).
+	StrategyMultiVersion
+	// StrategyCausal ranks candidate rewrites by a Coz-style what-if
+	// prediction of whole-program IPC before deploying (Curtsinger and
+	// Berger).
+	StrategyCausal
+	// StrategyLayout reorders a hot region's basic blocks hot-path-first
+	// from the BTB edge profile (BOLT, Panchenko et al.).
+	StrategyLayout
 )
 
 func (s Strategy) String() string {
@@ -61,6 +71,12 @@ func (s Strategy) String() string {
 		return "adaptive"
 	case StrategyBias:
 		return "ld.bias"
+	case StrategyMultiVersion:
+		return "multiversion"
+	case StrategyCausal:
+		return "causal"
+	case StrategyLayout:
+		return "layout"
 	}
 	return "?"
 }
@@ -68,12 +84,6 @@ func (s Strategy) String() string {
 // Config tunes the runtime.
 type Config struct {
 	Strategy Strategy
-
-	// Engine names the strategy engine from the registry ("" selects the
-	// default "prefetch" engine — the historical nop/excl/bias policy
-	// steered by Strategy). omitempty keeps scheduler/ledger content
-	// hashes of pre-engine configurations byte-stable.
-	Engine string `json:"engine,omitempty"`
 
 	// Sampling configures the perfmon driver (period, DEAR filter,
 	// per-sample overhead).

@@ -49,6 +49,7 @@ func TestCooldownUntilMatchesEarliestRedeploy(t *testing.T) {
 		regions: map[LoopKey]*RegionState{},
 		stats:   newStatCounters(obs.NewRegistry()),
 		obs:     o,
+		engine:  prefetchEngine{},
 	}
 
 	patch, err := deployOne(r.patcher, region, []int{lfetchSlot}, RewriteNop)

@@ -1,4 +1,4 @@
-package strategy
+package cobra_test
 
 import (
 	"crypto/sha256"
@@ -28,9 +28,8 @@ import (
 // engine can take: deploy, keep, roll back, switch, re-engage, block.
 
 // digestConfig is the floored COBRA configuration of the workload cells.
-func digestConfig(strategy cobra.Strategy, engine string, trace bool) cobra.Config {
+func digestConfig(strategy cobra.Strategy, trace bool) cobra.Config {
 	cfg := cobra.DefaultConfig(strategy)
-	cfg.Engine = engine
 	cfg.UseTraceCache = trace
 	cfg.OptimizeInterval = 5_000
 	cfg.MinCoherentEvents = 1
@@ -75,11 +74,13 @@ func runWorkloadCell(t *testing.T, w *workload.Workload, bc workload.BuildConfig
 	return digest{Cycles: m.Cycles, Stats: inst.Cobra.Stats()}, o, engineName(cfg)
 }
 
+// engineName names the engine cfg's strategy selects.
 func engineName(cfg cobra.Config) string {
-	if cfg.Engine == "" {
-		return "prefetch"
+	switch cfg.Strategy {
+	case cobra.StrategyMultiVersion, cobra.StrategyCausal, cobra.StrategyLayout:
+		return cfg.Strategy.String()
 	}
-	return cfg.Engine
+	return "prefetch"
 }
 
 // engineConfigs are the engine configurations every workload runs under.
@@ -87,11 +88,11 @@ var engineConfigs = []struct {
 	name string
 	cfg  func() cobra.Config
 }{
-	{"prefetch-adaptive-trace", func() cobra.Config { return digestConfig(cobra.StrategyAdaptive, "prefetch", true) }},
-	{"prefetch-adaptive-inplace", func() cobra.Config { return digestConfig(cobra.StrategyAdaptive, "prefetch", false) }},
-	{"prefetch-noprefetch", func() cobra.Config { return digestConfig(cobra.StrategyNoprefetch, "prefetch", true) }},
-	{"multiversion", func() cobra.Config { return digestConfig(cobra.StrategyAdaptive, "multiversion", true) }},
-	{"causal", func() cobra.Config { return digestConfig(cobra.StrategyAdaptive, "causal", true) }},
+	{"prefetch-adaptive-trace", func() cobra.Config { return digestConfig(cobra.StrategyAdaptive, true) }},
+	{"prefetch-adaptive-inplace", func() cobra.Config { return digestConfig(cobra.StrategyAdaptive, false) }},
+	{"prefetch-noprefetch", func() cobra.Config { return digestConfig(cobra.StrategyNoprefetch, true) }},
+	{"multiversion", func() cobra.Config { return digestConfig(cobra.StrategyMultiVersion, true) }},
+	{"causal", func() cobra.Config { return digestConfig(cobra.StrategyCausal, true) }},
 }
 
 func pointerChaseCell() (*workload.Workload, workload.BuildConfig) {
@@ -126,7 +127,7 @@ func digestCells() []digestCell {
 		name: "pointerchase/prefetch-bias",
 		run: func(t *testing.T) (digest, *obs.Observer, string) {
 			w, bc := pointerChaseCell()
-			return runWorkloadCell(t, w, bc, digestConfig(cobra.StrategyBias, "prefetch", true))
+			return runWorkloadCell(t, w, bc, digestConfig(cobra.StrategyBias, true))
 		},
 	})
 	branchy := func(launches int, tolerance *float64) func(t *testing.T) (digest, *obs.Observer, string) {
@@ -220,7 +221,7 @@ func checkPatchInstants(t *testing.T, dl *obs.DecisionLog, tr *obs.Tracer) {
 }
 
 // wantDigests pins every cell at the behaviour of the engines before the
-// patch lifecycle moved into cobra.Control.
+// patch lifecycle was shared between them.
 var wantDigests = map[string]digest{
 	"phased/prefetch-adaptive-trace": {
 		Cycles:    2746945,

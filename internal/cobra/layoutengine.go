@@ -1,9 +1,6 @@
-package strategy
+package cobra
 
-import (
-	"repro/internal/cobra"
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // layoutEngine implements BOLT-style basic-block layout as a strategy
 // engine: it accumulates the BTB taken-edge profile across optimizer
@@ -17,22 +14,16 @@ type layoutEngine struct {
 	// edges accumulates the taken-edge profile across windows. Per-window
 	// BTB rings are tiny (4 entries per sample), so a single window
 	// rarely shows every edge of a region.
-	edges map[cobra.BranchEdge]int64
+	edges map[BranchEdge]int64
 }
-
-func newLayout() *layoutEngine {
-	return &layoutEngine{edges: map[cobra.BranchEdge]int64{}}
-}
-
-func (e *layoutEngine) Name() string { return "layout" }
 
 // Harvest folds the window's taken edges into the accumulator. Edges
 // whose branch executes inside the code cache are dropped: those are our
 // own copies reporting relocated addresses, and folding them in would
 // double-count the region under a shifted key space.
-func (e *layoutEngine) Harvest(c *cobra.Control) {
-	for _, es := range c.Profiler().TakenEdges() {
-		if c.Patcher().InCodeCache(es.Edge.From) {
+func (e *layoutEngine) Harvest(r *Runtime) {
+	for _, es := range r.prof.TakenEdges() {
+		if r.patcher.InCodeCache(es.Edge.From) {
 			continue
 		}
 		e.edges[es.Edge] += es.Count
@@ -43,26 +34,26 @@ func (e *layoutEngine) Harvest(c *cobra.Control) {
 // copy re-engages it; otherwise the accumulated edge profile lays it out.
 // Regions whose observed profile orders the blocks exactly as compiled
 // are skipped without a candidate record — there is nothing to decide.
-func (e *layoutEngine) Propose(c *cobra.Control, agg cobra.Window) []cobra.Proposal {
-	var out []cobra.Proposal
-	for _, ls := range c.Profiler().HotLoops(c.Config().MinLoopSamples) {
+func (e *layoutEngine) Propose(r *Runtime, agg Window) []Proposal {
+	var out []Proposal
+	for _, ls := range r.prof.HotLoops(r.cfg.MinLoopSamples) {
 		k := ls.Key
-		if !c.Eligible(k) {
+		if !r.eligible(k) {
 			continue
 		}
-		if c.Region(k).Deployment != nil {
-			out = append(out, cobra.Proposal{Key: k})
+		if r.region(k).Deployment != nil {
+			out = append(out, Proposal{Key: k})
 			continue
 		}
-		spec := c.Analyzer().BuildLayout(c.Analyzer().RegionFor(k), e.edges)
+		spec := r.analyzer.BuildLayout(r.analyzer.RegionFor(k), e.edges)
 		// A loop head placed after its latch would turn the latch edge
 		// forward and the copy's loop key would vanish from the profiler:
 		// the deployment would be unjudgeable.
 		if len(spec.Blocks) < 2 || spec.Identity() || !spec.PlacesBefore(k.Head, k.BranchPC) {
 			continue
 		}
-		out = append(out, cobra.Proposal{Key: k, Reason: "trigger",
-			Specs: []cobra.VariantSpec{{Rewrite: cobra.RewriteLayout, Layout: &spec}},
+		out = append(out, Proposal{Key: k, Reason: "trigger",
+			Specs: []VariantSpec{{Rewrite: RewriteLayout, Layout: &spec}},
 			Evidence: obs.Evidence{
 				Blocks: len(spec.Blocks), HotBlocks: spec.Hot, HotCoverage: spec.Coverage,
 			}})
@@ -73,12 +64,12 @@ func (e *layoutEngine) Propose(c *cobra.Control, agg cobra.Window) []cobra.Propo
 // OnRegress restores the original entry word: with one resident copy
 // there is nothing to switch to. The copy stays resident, and a later
 // phase re-engages it with a single dispatch flip.
-func (e *layoutEngine) OnRegress(*cobra.Control, *cobra.RegionState) cobra.Regression {
-	return cobra.Regression{To: -1, Reason: "layout_regressed"}
+func (e *layoutEngine) OnRegress(*Runtime, *RegionState) Regression {
+	return Regression{To: -1, Reason: "layout_regressed"}
 }
 
 // Decorate annotates the evidence with the deployed block layout.
-func (e *layoutEngine) Decorate(_ cobra.LoopKey, st *cobra.RegionState, ev *obs.Evidence) {
+func (e *layoutEngine) Decorate(_ LoopKey, st *RegionState, ev *obs.Evidence) {
 	spec := st.Deployment.Variants[0].Layout
 	ev.Variant = "layout"
 	ev.Variants = len(st.Deployment.Variants)

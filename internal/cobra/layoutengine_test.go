@@ -1,4 +1,4 @@
-package strategy
+package cobra_test
 
 import (
 	"testing"
@@ -57,8 +57,7 @@ func buildBranchyKernel(img *ia64.Image, reps int64) (ia64.Func, error) {
 // harness's settings) so the adaptive trigger fires within a short run,
 // with the trace cache on (layout needs somewhere to emit).
 func layoutSmokeConfig() cobra.Config {
-	cfg := cobra.DefaultConfig(cobra.StrategyAdaptive)
-	cfg.Engine = "layout"
+	cfg := cobra.DefaultConfig(cobra.StrategyLayout)
 	cfg.UseTraceCache = true
 	cfg.OptimizeInterval = 1_000
 	cfg.MinCoherentEvents = 1

@@ -6,7 +6,7 @@ import (
 	"repro/internal/obs"
 )
 
-// The patch lifecycle, owned by Control and written once for every
+// The patch lifecycle, owned by the Runtime and written once for every
 // engine: a trigger makes a region a candidate, a deployment dispatches
 // its version table, every evaluateWindows loop-active windows the live
 // variant is judged — kept, switched to another resident variant, or
@@ -31,16 +31,16 @@ const evaluateWindows = 2
 // so order cannot change outcomes, but map order would scramble the
 // trace and decision log). Only windows in which the live variant's loop
 // ran count towards a judgement.
-func (c *Control) judge(eng Engine, win Window, now int64) {
-	if h, ok := eng.(Harvester); ok {
-		h.Harvest(c)
+func (r *Runtime) judge(win Window, now int64) {
+	if h, ok := r.engine.(Harvester); ok {
+		h.Harvest(r)
 	}
-	for _, k := range c.liveKeys() {
-		st := c.r.regions[k]
-		if !c.observeWindow(st, win) {
+	for _, k := range r.liveKeys() {
+		st := r.regions[k]
+		if !r.observeWindow(st, win) {
 			continue
 		}
-		tol := c.r.cfg.RollbackTolerance
+		tol := r.cfg.RollbackTolerance
 		regressed := st.ActiveAgg.IPC() < st.Baseline*(1-tol) ||
 			st.GlobalAgg.IPC() < st.GlobalBase*(1-tol)
 		ev := obs.Evidence{
@@ -60,34 +60,34 @@ func (c *Control) judge(eng Engine, win Window, now int64) {
 			if ev.PatchedIPC >= ev.BaselineIPC {
 				reason = "improved"
 			}
-			eng.Decorate(k, st, &ev)
-			c.record(k, st, obs.StateKept, reason, ev, now)
+			r.engine.Decorate(k, st, &ev)
+			r.record(k, st, obs.StateKept, reason, ev, now)
 			continue
 		}
 
-		act := eng.OnRegress(c, st)
-		if tr := c.r.obs.Trace(); tr != nil {
+		act := r.engine.OnRegress(r, st)
+		if tr := r.obs.Trace(); tr != nil {
 			tr.Span("patch", fmt.Sprintf("active %s @%#x", ev.Rewrite, k.Head),
 				obs.TIDPatch, st.DeployedAt, now, map[string]any{"region": k.Head})
 		}
 		// A switch that cannot land falls back to restoring the original.
-		if act.To >= 0 && c.r.patcher.Switch(st.Deployment, act.To) == nil {
-			c.engage(st, win, now)
-			c.r.stats.variantSwitches.Inc()
-			eng.Decorate(k, st, &ev)
-			c.record(k, st, obs.StateSwitched, act.Reason, ev, now)
+		if act.To >= 0 && r.patcher.Switch(st.Deployment, act.To) == nil {
+			r.engage(st, win, now)
+			r.stats.variantSwitches.Inc()
+			r.engine.Decorate(k, st, &ev)
+			r.record(k, st, obs.StateSwitched, act.Reason, ev, now)
 			continue
 		}
-		if c.r.patcher.Switch(st.Deployment, -1) == nil {
-			c.r.stats.patchesRolledBack.Inc()
+		if r.patcher.Switch(st.Deployment, -1) == nil {
+			r.stats.patchesRolledBack.Inc()
 		}
 		st.Cooldown = evaluateWindows
-		ev.CooldownUntil = now + int64(st.Cooldown)*c.r.cfg.OptimizeInterval
-		eng.Decorate(k, st, &ev)
-		c.record(k, st, obs.StateRolledBack, act.Reason, ev, now)
+		ev.CooldownUntil = now + int64(st.Cooldown)*r.cfg.OptimizeInterval
+		r.engine.Decorate(k, st, &ev)
+		r.record(k, st, obs.StateRolledBack, act.Reason, ev, now)
 		if act.Block != "" {
 			st.Blocked = true
-			c.record(k, st, obs.StateBlocked, act.Block, ev, now)
+			r.record(k, st, obs.StateBlocked, act.Block, ev, now)
 		}
 	}
 }
@@ -95,86 +95,86 @@ func (c *Control) judge(eng Engine, win Window, now int64) {
 // propose runs the engine's proposals for a fired trigger. Deployment is
 // staged: while any live variant still awaits its first judgement
 // nothing new deploys, and one pass deploys at most maxDeploysPerPass.
-func (c *Control) propose(eng Engine, agg Window, now int64) {
-	if c.anyUnjudged() {
+func (r *Runtime) propose(agg Window, now int64) {
+	if r.anyUnjudged() {
 		return
 	}
 	deployed := 0
-	for _, p := range eng.Propose(c, agg) {
+	for _, p := range r.engine.Propose(r, agg) {
 		if deployed == maxDeploysPerPass {
 			return
 		}
 		// An earlier deployment this pass may have claimed the loop head.
-		if !c.Eligible(p.Key) {
+		if !r.eligible(p.Key) {
 			continue
 		}
-		if c.deploy(eng, p, agg, now) {
+		if r.deploy(p, agg, now) {
 			deployed++
 		}
 	}
 }
 
 // deploy carries out one proposal and reports whether it dispatched.
-func (c *Control) deploy(eng Engine, p Proposal, agg Window, now int64) bool {
-	k, st := p.Key, c.r.regions[p.Key]
+func (r *Runtime) deploy(p Proposal, agg Window, now int64) bool {
+	k, st := p.Key, r.regions[p.Key]
 	ev := p.Evidence
 	ev.CoherentShare, ev.BusHitm = agg.CoherentShare(), uint64(agg.BusHitm)
 	switch {
 	case p.Block != "":
 		st.Blocked = true
-		c.record(k, st, obs.StateBlocked, p.Block, ev, now)
+		r.record(k, st, obs.StateBlocked, p.Block, ev, now)
 		return false
 	case p.Specs == nil:
 		// Re-engage the resident table: one dispatch switch
 		// (rolled_back → switched is the transition resident variants
 		// exist to make legal).
-		if st.Deployment == nil || c.r.patcher.Switch(st.Deployment, 0) != nil {
+		if st.Deployment == nil || r.patcher.Switch(st.Deployment, 0) != nil {
 			return false
 		}
-		c.engage(st, agg, now)
-		c.r.stats.variantSwitches.Inc()
+		r.engage(st, agg, now)
+		r.stats.variantSwitches.Inc()
 		ev.Rewrite, ev.BaselineIPC, ev.GlobalBaselineIPC = st.Rewrite.String(), st.Baseline, st.GlobalBase
-		eng.Decorate(k, st, &ev)
-		c.record(k, st, obs.StateSwitched, "reengage", ev, now)
+		r.engine.Decorate(k, st, &ev)
+		r.record(k, st, obs.StateSwitched, "reengage", ev, now)
 		return true
 	}
 	// Trigger evidence selected the region: it becomes a candidate even
 	// if the deployment below still fails.
 	ev.Rewrite = p.Specs[0].Rewrite.String()
 	reason := p.Reason
-	if c.r.obs.Decisions().State(uint64(k.Head)) == obs.StateRolledBack {
+	if r.obs.Decisions().State(uint64(k.Head)) == obs.StateRolledBack {
 		reason = "escalate"
 	}
-	c.record(k, st, obs.StateCandidate, reason, ev, now)
-	vs, err := c.r.patcher.DeployVariants(c.r.analyzer.RegionFor(k), p.Specs)
-	if err != nil || c.r.patcher.Switch(vs, 0) != nil {
+	r.record(k, st, obs.StateCandidate, reason, ev, now)
+	vs, err := r.patcher.DeployVariants(r.analyzer.RegionFor(k), p.Specs)
+	if err != nil || r.patcher.Switch(vs, 0) != nil {
 		return false
 	}
 	st.Deployment = vs
-	c.engage(st, agg, now)
+	r.engage(st, agg, now)
 	switch st.Rewrite {
 	case RewriteNop:
 		st.TriedNop = true
 	case RewriteExcl:
 		st.TriedExcl = true
 	}
-	c.countDeploy(vs)
+	r.countDeploy(vs)
 	ev.BaselineIPC, ev.GlobalBaselineIPC = st.Baseline, st.GlobalBase
-	eng.Decorate(k, st, &ev)
-	c.record(k, st, obs.StateDeployed, "deploy", ev, now)
+	r.engine.Decorate(k, st, &ev)
+	r.record(k, st, obs.StateDeployed, "deploy", ev, now)
 	return true
 }
 
 // engage arms the judgement of st's freshly dispatched variant:
 // baselines re-anchor on the unbiased pre-patch EMAs, with win as the
 // fallback when the loop was never profiled unpatched.
-func (c *Control) engage(st *RegionState, win Window, now int64) {
+func (r *Runtime) engage(st *RegionState, win Window, now int64) {
 	st.Rewrite = st.Deployment.ActiveVariant().Rewrite
 	st.Baseline = st.PreIPC
 	if st.Baseline == 0 {
 		st.Baseline = win.IPC()
 	}
-	st.GlobalBase = c.r.globalEMA
+	st.GlobalBase = r.globalEMA
 	st.Judged = false
 	st.ActiveWindows, st.ActiveAgg, st.GlobalAgg = 0, Window{}, Window{}
 	st.DeployedAt = now
@@ -183,20 +183,20 @@ func (c *Control) engage(st *RegionState, win Window, now int64) {
 // countDeploy charges a fresh deployment to the activity counters: every
 // copy it emitted is a trace, and the dispatched variant's rewritten
 // instructions count under its rewrite.
-func (c *Control) countDeploy(vs *VariantSet) {
-	c.r.stats.patchesApplied.Inc()
+func (r *Runtime) countDeploy(vs *VariantSet) {
+	r.stats.patchesApplied.Inc()
 	v := vs.ActiveVariant()
 	if v.TraceEntry >= 0 {
-		c.r.stats.tracesEmitted.Add(int64(len(vs.Variants)))
+		r.stats.tracesEmitted.Add(int64(len(vs.Variants)))
 	}
 	n := int64(v.RewrittenPrefetches)
 	switch v.Rewrite {
 	case RewriteNop:
-		c.r.stats.prefetchesNopped.Add(n)
+		r.stats.prefetchesNopped.Add(n)
 	case RewriteExcl:
-		c.r.stats.prefetchesExcl.Add(n)
+		r.stats.prefetchesExcl.Add(n)
 	case RewriteBias:
-		c.r.stats.loadsBiased.Add(n)
+		r.stats.loadsBiased.Add(n)
 	}
 }
 
@@ -204,10 +204,10 @@ func (c *Control) countDeploy(vs *VariantSet) {
 // aggregates and reports whether enough loop-active windows accumulated
 // to judge. The global aggregate catches variants that speed their own
 // loop while slowing a downstream phase.
-func (c *Control) observeWindow(st *RegionState, win Window) bool {
+func (r *Runtime) observeWindow(st *RegionState, win Window) bool {
 	st.GlobalAgg.Cycles += win.Cycles
 	st.GlobalAgg.Instr += win.Instr
-	if c.r.prof.LoopActivity(st.Deployment.ActiveVariant().ActiveKey) >= c.r.cfg.MinLoopSamples {
+	if r.prof.LoopActivity(st.Deployment.ActiveVariant().ActiveKey) >= r.cfg.MinLoopSamples {
 		st.ActiveWindows++
 		st.ActiveAgg.Samples += win.Samples
 		st.ActiveAgg.Cycles += win.Cycles
@@ -220,9 +220,9 @@ func (c *Control) observeWindow(st *RegionState, win Window) bool {
 
 // record is the single emission point of the lifecycle: one decision-log
 // record and one trace instant per transition of region k.
-func (c *Control) record(k LoopKey, st *RegionState, to obs.PatchState, reason string, ev obs.Evidence, now int64) {
-	c.r.obs.Decisions().Record(now, uint64(k.Head), c.r.windows, to, reason, ev)
-	tr := c.r.obs.Trace()
+func (r *Runtime) record(k LoopKey, st *RegionState, to obs.PatchState, reason string, ev obs.Evidence, now int64) {
+	r.obs.Decisions().Record(now, uint64(k.Head), r.windows, to, reason, ev)
+	tr := r.obs.Trace()
 	if tr == nil {
 		return
 	}
@@ -257,9 +257,9 @@ func (c *Control) record(k LoopKey, st *RegionState, to obs.PatchState, reason s
 
 // liveKeys returns the keys of regions with a dispatched variant, in
 // address order.
-func (c *Control) liveKeys() []LoopKey {
+func (r *Runtime) liveKeys() []LoopKey {
 	var keys []LoopKey
-	for k, st := range c.r.regions {
+	for k, st := range r.regions {
 		if st.Live() {
 			keys = append(keys, k)
 		}
@@ -270,8 +270,8 @@ func (c *Control) liveKeys() []LoopKey {
 
 // anyUnjudged reports whether any live variant still awaits its first
 // judgement.
-func (c *Control) anyUnjudged() bool {
-	for _, st := range c.r.regions {
+func (r *Runtime) anyUnjudged() bool {
+	for _, st := range r.regions {
 		if st.Live() && !st.Judged {
 			return true
 		}

@@ -9,9 +9,8 @@ import (
 // stubEngine proposes a fixed list and restores on regression.
 type stubEngine struct{ props []Proposal }
 
-func (stubEngine) Name() string                          { return "stub" }
-func (e stubEngine) Propose(*Control, Window) []Proposal { return e.props }
-func (stubEngine) OnRegress(*Control, *RegionState) Regression {
+func (e stubEngine) Propose(*Runtime, Window) []Proposal { return e.props }
+func (stubEngine) OnRegress(*Runtime, *RegionState) Regression {
 	return Regression{To: -1, Reason: "regressed"}
 }
 func (stubEngine) Decorate(LoopKey, *RegionState, *obs.Evidence) {}
@@ -23,6 +22,9 @@ func (stubEngine) Decorate(LoopKey, *RegionState, *obs.Evidence) {}
 // deployed → candidate and two overlapping regions deploy at once.
 func TestOneLifecyclePerLoopHead(t *testing.T) {
 	img, region, lfetchSlot := buildLfetchLoop(t)
+	a := region.Key
+	b := LoopKey{Head: a.Head, BranchPC: a.BranchPC - 1}
+	spec := []VariantSpec{{Rewrite: RewriteNop, Slots: []int{lfetchSlot}}}
 	o := obs.New(obs.Config{Decisions: true})
 	r := &Runtime{
 		cfg:      DefaultConfig(StrategyAdaptive),
@@ -31,23 +33,20 @@ func TestOneLifecyclePerLoopHead(t *testing.T) {
 		regions:  map[LoopKey]*RegionState{},
 		stats:    newStatCounters(obs.NewRegistry()),
 		obs:      o,
+		engine: stubEngine{props: []Proposal{
+			{Key: a, Reason: "trigger", Specs: spec},
+			{Key: b, Reason: "trigger", Specs: spec},
+		}},
 	}
-	c := r.Control()
-	a := region.Key
-	b := LoopKey{Head: a.Head, BranchPC: a.BranchPC - 1}
-	if !c.Eligible(a) || !c.Eligible(b) {
+	if !r.eligible(a) || !r.eligible(b) {
 		t.Fatal("fresh keys on one head must both be eligible")
 	}
 
-	spec := []VariantSpec{{Rewrite: RewriteNop, Slots: []int{lfetchSlot}}}
-	c.propose(stubEngine{props: []Proposal{
-		{Key: a, Reason: "trigger", Specs: spec},
-		{Key: b, Reason: "trigger", Specs: spec},
-	}}, Window{}, 100)
-	if !c.Region(a).Live() || c.Region(b).Live() {
-		t.Fatalf("live after one pass: a=%v b=%v, want only a", c.Region(a).Live(), c.Region(b).Live())
+	r.propose(Window{}, 100)
+	if !r.region(a).Live() || r.region(b).Live() {
+		t.Fatalf("live after one pass: a=%v b=%v, want only a", r.region(a).Live(), r.region(b).Live())
 	}
-	if c.Eligible(b) {
+	if r.eligible(b) {
 		t.Fatal("second key admitted while the head is live")
 	}
 	if got := len(o.Decisions().Decisions()); got != 2 {
@@ -58,14 +57,14 @@ func TestOneLifecyclePerLoopHead(t *testing.T) {
 	}
 
 	// Restored, the head is free again; blocked, it is not.
-	if err := r.patcher.Switch(c.Region(a).Deployment, -1); err != nil {
+	if err := r.patcher.Switch(r.region(a).Deployment, -1); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Eligible(b) {
+	if !r.eligible(b) {
 		t.Fatal("second key still excluded after the head was restored")
 	}
-	c.Region(a).Blocked = true
-	if c.Eligible(b) {
+	r.region(a).Blocked = true
+	if r.eligible(b) {
 		t.Fatal("second key admitted while the head is blocked")
 	}
 }

@@ -128,8 +128,6 @@ type Runtime struct {
 	patcher  *Patcher
 
 	// engine is the strategy engine driving judgement and deployment.
-	// Nil (hand-built test Runtimes) lazily defaults to the prefetch
-	// engine, the pre-registry behavior.
 	engine Engine
 
 	regions   map[LoopKey]*RegionState
@@ -181,14 +179,8 @@ func New(m *machine.Machine, cfg Config) *Runtime {
 		regions:  map[LoopKey]*RegionState{},
 		stats:    newStatCounters(reg),
 		obs:      cfg.Obs,
+		engine:   newEngine(cfg),
 	}
-	eng, err := NewEngine(cfg.Engine, cfg)
-	if err != nil {
-		// Engine names are validated at the serve/CLI boundary; reaching
-		// here with an unknown name is a programming error.
-		panic(err)
-	}
-	r.engine = eng
 	r.driver.SetObserver(cfg.Obs)
 	m.AddTimer(&machine.Timer{
 		NextAt: cfg.OptimizeInterval,
@@ -199,6 +191,9 @@ func New(m *machine.Machine, cfg Config) *Runtime {
 	})
 	return r
 }
+
+// Config returns the runtime configuration.
+func (r *Runtime) Config() Config { return r.cfg }
 
 // Driver exposes the sampling driver (for tests and tools).
 func (r *Runtime) Driver() *perfmon.Driver { return r.driver }
@@ -267,15 +262,6 @@ func (r *Runtime) MonitorThread(tid, cpu int) {
 	u := &USB{CPU: cpu}
 	r.usbs[cpu] = u
 	r.driver.Attach(cpu, u.Push)
-}
-
-// engineOrDefault resolves the strategy engine, defaulting hand-built
-// Runtimes (unit tests) to the prefetch engine New would have selected.
-func (r *Runtime) engineOrDefault() Engine {
-	if r.engine == nil {
-		r.engine = prefetchEngine{}
-	}
-	return r.engine
 }
 
 // optimizePass is the optimization thread's periodic body: drain USBs,
@@ -361,9 +347,7 @@ func (r *Runtime) optimizePass(now int64) {
 	// deployed it. What a regression does next is the engine's policy:
 	// the default prefetch engine blocks a rolled-back region under fixed
 	// strategies and escalates to the other rewrite in adaptive mode.
-	eng := r.engineOrDefault()
-	ctl := r.Control()
-	ctl.judge(eng, win, now)
+	r.judge(win, now)
 
 	evaluated := len(r.horizon) == triggerHorizon && agg.Samples > 0
 	fired := evaluated &&
@@ -378,7 +362,7 @@ func (r *Runtime) optimizePass(now int64) {
 	if fired {
 		r.stats.triggers.Inc()
 		if r.cfg.Strategy != StrategyOff {
-			ctl.propose(eng, agg, now)
+			r.propose(agg, now)
 		}
 	}
 

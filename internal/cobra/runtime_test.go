@@ -102,6 +102,7 @@ func TestTriggerHorizonSuppressesClusters(t *testing.T) {
 		prof:    NewProfiler(180),
 		regions: map[LoopKey]*RegionState{},
 		stats:   newStatCounters(obs.NewRegistry()),
+		engine:  prefetchEngine{},
 	}
 	r.usbs[0] = &USB{CPU: 0}
 

@@ -1,4 +1,4 @@
-package strategy
+package cobra_test
 
 import (
 	"strings"
@@ -21,13 +21,12 @@ var phasedParams = workload.PhasedDaxpyParams{
 	Phase2Reps:  12,
 }
 
-// runPhased executes the phased workload under the named engine with
+// runPhased executes the phased workload under strategy s with
 // decisions, self-check and metrics attached.
-func runPhased(t *testing.T, engine string) (*obs.Observer, workload.Measurement, *cobra.Runtime) {
+func runPhased(t *testing.T, s cobra.Strategy) (*obs.Observer, workload.Measurement, *cobra.Runtime) {
 	t.Helper()
 	bc := workload.SMPConfig(4)
-	cfg := cobra.DefaultConfig(cobra.StrategyAdaptive)
-	cfg.Engine = engine
+	cfg := cobra.DefaultConfig(s)
 	bc.Cobra = &cfg
 	o := obs.New(obs.Config{Trace: true, Metrics: true, Decisions: true})
 	bc.Obs = o
@@ -40,31 +39,9 @@ func runPhased(t *testing.T, engine string) (*obs.Observer, workload.Measurement
 		t.Fatal(err)
 	}
 	if v := o.Decisions().Violations(); len(v) != 0 {
-		t.Fatalf("lifecycle violations under %s: %v", engine, v)
+		t.Fatalf("lifecycle violations under %s: %v", s, v)
 	}
 	return o, m, inst.Cobra
-}
-
-func TestRegistryNames(t *testing.T) {
-	names := Names()
-	for _, want := range []string{"causal", "layout", "multiversion", "prefetch"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("registry missing %q: %v", want, names)
-		}
-	}
-	if _, err := cobra.NewEngine("bogus", cobra.DefaultConfig(cobra.StrategyAdaptive)); err == nil {
-		t.Error("unknown engine name must fail")
-	}
-	eng, err := cobra.NewEngine("", cobra.DefaultConfig(cobra.StrategyAdaptive))
-	if err != nil || eng.Name() != "prefetch" {
-		t.Errorf("empty name resolved to %v, %v; want the prefetch default", eng, err)
-	}
 }
 
 // TestMultiVersionSwitchesOnPhaseChange is the tentpole acceptance run:
@@ -72,7 +49,7 @@ func TestRegistryNames(t *testing.T) {
 // variant table and flip the dispatch branch at least once (nop rejected
 // by phase 2 → switch to the resident excl variant, no redeploy).
 func TestMultiVersionSwitchesOnPhaseChange(t *testing.T) {
-	o, m, _ := runPhased(t, "multiversion")
+	o, m, _ := runPhased(t, cobra.StrategyMultiVersion)
 	if m.Cobra.PatchesApplied == 0 {
 		t.Fatal("multiversion never deployed")
 	}
@@ -119,7 +96,7 @@ func TestMultiVersionSwitchesOnPhaseChange(t *testing.T) {
 // a what-if prediction attached and carry it through judgement so
 // Explain() reports predicted-vs-actual IPC.
 func TestCausalRecordsPredictedVsActual(t *testing.T) {
-	o, m, rt := runPhased(t, "causal")
+	o, m, rt := runPhased(t, cobra.StrategyCausal)
 	if m.Cobra.PatchesApplied == 0 {
 		t.Fatal("causal never deployed")
 	}
@@ -155,10 +132,10 @@ func TestCausalRecordsPredictedVsActual(t *testing.T) {
 // code, the workload's own Verify must hold (Measure fails otherwise) —
 // run the whole matrix.
 func TestEnginesPreserveWorkloadResults(t *testing.T) {
-	for _, engine := range []string{"prefetch", "multiversion", "causal", "layout"} {
-		_, m, _ := runPhased(t, engine)
+	for _, s := range []cobra.Strategy{cobra.StrategyAdaptive, cobra.StrategyMultiVersion, cobra.StrategyCausal, cobra.StrategyLayout} {
+		_, m, _ := runPhased(t, s)
 		if m.Cycles <= 0 {
-			t.Errorf("%s: no cycles measured", engine)
+			t.Errorf("%s: no cycles measured", s)
 		}
 	}
 }

@@ -289,7 +289,9 @@ type Table1Row struct {
 
 // Table1Sched compiles every NPB benchmark and counts the prefetches and
 // loop branches in the generated binaries, one scheduler job per
-// benchmark.
+// benchmark. A row is keyed by the program and the compiler options
+// alone: array bases reach the code only as immediates, so the counts do
+// not depend on the machine.
 func Table1Sched(class npb.Class, opt Options) ([]Table1Row, error) {
 	cache := opt.buildCache()
 	p := npb.Params{Class: class}
@@ -297,7 +299,7 @@ func Table1Sched(class npb.Class, opt Options) ([]Table1Row, error) {
 	var jobs []sched.Job[Table1Row]
 	for _, name := range npb.Names {
 		jobs = append(jobs, sched.Job[Table1Row]{
-			Key:  sched.KeyOf("table1", name, p, bc),
+			Key:  sched.KeyOf("table1", name, p, bc.Compiler),
 			Name: fmt.Sprintf("table1/%s.%s", name, class),
 			Run: func(context.Context) (Table1Row, error) {
 				w, err := npb.Build(name, p)

@@ -127,7 +127,7 @@ func TestServedNUMASessionMatchesFigure5b(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		served := inst.Cobra.Control().Config()
+		served := inst.Cobra.Config()
 		served.Obs = nil
 		if want := *cobraFor(tc.cell, Altix8); !reflect.DeepEqual(served, want) {
 			t.Errorf("%s: served session runs %+v, Figure 5(b) cell runs %+v", tc.strategy, served, want)

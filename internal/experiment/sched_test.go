@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/compiler"
 	"repro/internal/experiment"
 	"repro/internal/npb"
 	"repro/internal/report"
@@ -271,6 +272,30 @@ func TestFigure3ArtifactWriteFailureFailsCell(t *testing.T) {
 	}
 	if len(executed) != 4 || cached != 0 {
 		t.Fatalf("rerun: %d executed, %d cached; want 4 and 0", len(executed), cached)
+	}
+}
+
+// TestTable1KeyedByProgramAndCompiler: a Table 1 row is recorded under a
+// key of its program and compiler options only, so a change to the
+// machine model it is compiled against does not re-key it.
+func TestTable1KeyedByProgramAndCompiler(t *testing.T) {
+	led, err := sched.OpenLedger(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := experiment.Table1Sched(npb.ClassT, experiment.Options{Ledger: led, Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range npb.Names {
+		var row experiment.Table1Row
+		key := sched.KeyOf("table1", name, npb.Params{Class: npb.ClassT}, compiler.DefaultOptions())
+		if ok, err := led.Get(key, &row); !ok || err != nil {
+			t.Fatalf("%s: no ledger entry under its program/compiler key (err %v)", name, err)
+		}
+		if row != rows[i] {
+			t.Fatalf("%s: recorded %+v, returned %+v", name, row, rows[i])
+		}
 	}
 }
 

@@ -167,11 +167,6 @@ func (p *PMU) Add(ev Event, n int64) {
 	}
 }
 
-// Read returns the current value of counter slot.
-func (p *PMU) Read(slot int) (Event, int64) {
-	return p.counters[slot].Event, p.counters[slot].Value
-}
-
 // ReadAll snapshots all four counters.
 func (p *PMU) ReadAll() [NumCounters]Counter {
 	return p.counters

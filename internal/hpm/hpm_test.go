@@ -12,10 +12,10 @@ func TestCounterCountsOnlyItsEvent(t *testing.T) {
 	p.Add(EvL3Misses, 3)
 	p.Add(EvCPUCycles, 100)
 	p.Add(EvBusMemory, 5) // not programmed anywhere
-	if _, v := p.Read(0); v != 3 {
+	if v := p.ReadAll()[0].Value; v != 3 {
 		t.Fatalf("L3 counter = %d, want 3", v)
 	}
-	if _, v := p.Read(1); v != 100 {
+	if v := p.ReadAll()[1].Value; v != 100 {
 		t.Fatalf("cycle counter = %d, want 100", v)
 	}
 }

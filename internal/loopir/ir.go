@@ -53,16 +53,6 @@ func (p *Program) ArrayByName(name string) (Array, bool) {
 	return Array{}, false
 }
 
-// FuncByName returns the function named name.
-func (p *Program) FuncByName(name string) (*Func, bool) {
-	for _, f := range p.Funcs {
-		if f.Name == name {
-			return f, true
-		}
-	}
-	return nil, false
-}
-
 // Func is one function. Parallel functions are OpenMP-outlined region
 // bodies: they implicitly receive int parameters "lo", "hi" (the assigned
 // iteration range) and "tid" before any explicit parameters.

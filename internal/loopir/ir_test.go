@@ -210,9 +210,6 @@ func TestProgramLookups(t *testing.T) {
 	if _, ok := p.ArrayByName("nope"); ok {
 		t.Fatal("found undeclared array")
 	}
-	if f, ok := p.FuncByName("daxpy_body"); !ok || !f.Parallel {
-		t.Fatalf("FuncByName = %+v, %v", f, ok)
-	}
 	params := p.Funcs[0].AllIntParams()
 	if len(params) != 3 || params[0] != "lo" || params[1] != "hi" || params[2] != "tid" {
 		t.Fatalf("AllIntParams = %v", params)

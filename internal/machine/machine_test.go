@@ -791,7 +791,7 @@ func TestInstRetiredCounted(t *testing.T) {
 	if n == 0 || n != m.CPU(0).InstRetired {
 		t.Fatalf("retired = %d vs CPU count %d", n, m.CPU(0).InstRetired)
 	}
-	if _, v := m.PMU(0).Read(0); v != 0 {
+	if v := m.PMU(0).ReadAll()[0].Value; v != 0 {
 		// Counter 0 unprogrammed: reading must be 0.
 		t.Fatalf("unprogrammed counter = %d", v)
 	}
@@ -811,10 +811,10 @@ func TestPMUSeesMemoryEvents(t *testing.T) {
 	if _, err := m.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, v := m.PMU(0).Read(0); v != 1 {
+	if v := m.PMU(0).ReadAll()[0].Value; v != 1 {
 		t.Fatalf("L3 miss counter = %d, want 1", v)
 	}
-	if _, v := m.PMU(0).Read(1); v != 1 {
+	if v := m.PMU(0).ReadAll()[1].Value; v != 1 {
 		t.Fatalf("bus counter = %d, want 1", v)
 	}
 }

@@ -136,9 +136,6 @@ func NewEventBus(historyCap, maxSubs int) *EventBus {
 	}
 }
 
-// Enabled reports whether publishing records anything.
-func (b *EventBus) Enabled() bool { return b != nil }
-
 // Publish assigns the next sequence number to one event and fans it out
 // to every subscriber ring. It never blocks on slow consumers, is a
 // no-op on a nil or closed bus, and returns the assigned seq (0 when
@@ -166,27 +163,6 @@ func (b *EventBus) Publish(kind string, cycle int64, data any) int64 {
 		sub.push(ev)
 	}
 	return ev.Seq
-}
-
-// LastSeq returns the sequence number of the most recently published
-// event (0 when none, or on a nil bus).
-func (b *EventBus) LastSeq() int64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.nextSeq
-}
-
-// Subscribers returns the current subscription count.
-func (b *EventBus) Subscribers() int {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.subs)
 }
 
 // Subscribe registers a subscriber whose ring buffers at most buf

@@ -10,14 +10,8 @@ import (
 
 func TestBusNilSafety(t *testing.T) {
 	var b *EventBus
-	if b.Enabled() {
-		t.Fatal("nil bus claims enabled")
-	}
 	if seq := b.Publish(KindPass, 1, nil); seq != 0 {
 		t.Fatalf("nil Publish returned seq %d", seq)
-	}
-	if b.LastSeq() != 0 || b.Subscribers() != 0 {
-		t.Fatal("nil bus reports state")
 	}
 	if _, err := b.Subscribe(0, 0); !errors.Is(err, ErrBusDisabled) {
 		t.Fatalf("nil Subscribe err = %v, want ErrBusDisabled", err)
@@ -335,8 +329,17 @@ func TestBusConcurrent(t *testing.T) {
 	pwg.Wait()
 	b.Close()
 	wg.Wait()
-	if got := b.LastSeq(); got != pubs*perPub {
-		t.Fatalf("LastSeq = %d, want %d", got, pubs*perPub)
+	// Every publish got its own seq: resumed just before the total, the
+	// closed bus replays exactly one event, numbered the total.
+	sub, err := b.Subscribe(pubs*perPub-1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev, err := sub.Next(context.Background()); err != nil || ev.Seq != pubs*perPub {
+		t.Fatalf("last event = %+v, %v; want seq %d", ev, err, pubs*perPub)
+	}
+	if _, err := sub.Next(context.Background()); !errors.Is(err, ErrBusClosed) {
+		t.Fatalf("after the last event: err = %v, want ErrBusClosed", err)
 	}
 }
 

@@ -146,9 +146,6 @@ func NewDecisionLog() *DecisionLog {
 	return &DecisionLog{last: make(map[uint64]PatchState)}
 }
 
-// Enabled reports whether the log records anything.
-func (l *DecisionLog) Enabled() bool { return l != nil }
-
 // AttachBus routes every future Record to b as a live KindDecision
 // event (nil-safe on both sides; attaching nil detaches).
 func (l *DecisionLog) AttachBus(b *EventBus) {

@@ -31,9 +31,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Enabled reports whether the registry records anything.
-func (r *Registry) Enabled() bool { return r != nil }
-
 // AttachBus routes every future Snapshot to b as a live KindWindow
 // event (nil-safe on both sides; attaching nil detaches).
 func (r *Registry) AttachBus(b *EventBus) {
@@ -308,28 +305,7 @@ func (r *Registry) Snapshot(window int, cycle int64) {
 		return
 	}
 	s := WindowSnapshot{Window: window, Cycle: cycle}
-	if len(r.counters) > 0 {
-		s.Counters = make(map[string]int64, len(r.counters))
-		for n, c := range r.counters {
-			s.Counters[n] = c.v
-		}
-	}
-	if len(r.gauges) > 0 {
-		s.Gauges = make(map[string]float64, len(r.gauges))
-		for n, g := range r.gauges {
-			if g.set {
-				s.Gauges[n] = g.v
-			}
-		}
-	}
-	if len(r.histograms) > 0 {
-		s.Histograms = make(map[string]HistogramStat, len(r.histograms))
-		for n, h := range r.histograms {
-			if h.count > 0 {
-				s.Histograms[n] = h.stat()
-			}
-		}
-	}
+	s.Counters, s.Gauges, s.Histograms = r.values()
 	r.snapshots = append(r.snapshots, s)
 	if r.bus != nil {
 		ev := WindowEvent{WindowSnapshot: s}
@@ -351,14 +327,6 @@ func (r *Registry) Snapshot(window int, cycle int64) {
 	}
 }
 
-// Snapshots returns the recorded per-window snapshots.
-func (r *Registry) Snapshots() []WindowSnapshot {
-	if r == nil {
-		return nil
-	}
-	return r.snapshots
-}
-
 // Dump is the exported JSON shape of a registry: final values plus the
 // per-window time series.
 type Dump struct {
@@ -370,29 +338,37 @@ type Dump struct {
 
 func (r *Registry) dump() Dump {
 	d := Dump{Windows: r.snapshots}
+	d.Counters, d.Gauges, d.Histograms = r.values()
+	return d
+}
+
+// values copies the current value of every counter, every set gauge and
+// every observed histogram. A map is nil only when no metric of its kind
+// was ever registered.
+func (r *Registry) values() (counters map[string]int64, gauges map[string]float64, histograms map[string]HistogramStat) {
 	if len(r.counters) > 0 {
-		d.Counters = make(map[string]int64, len(r.counters))
+		counters = make(map[string]int64, len(r.counters))
 		for n, c := range r.counters {
-			d.Counters[n] = c.v
+			counters[n] = c.v
 		}
 	}
 	if len(r.gauges) > 0 {
-		d.Gauges = make(map[string]float64, len(r.gauges))
+		gauges = make(map[string]float64, len(r.gauges))
 		for n, g := range r.gauges {
 			if g.set {
-				d.Gauges[n] = g.v
+				gauges[n] = g.v
 			}
 		}
 	}
 	if len(r.histograms) > 0 {
-		d.Histograms = make(map[string]HistogramStat, len(r.histograms))
+		histograms = make(map[string]HistogramStat, len(r.histograms))
 		for n, h := range r.histograms {
 			if h.count > 0 {
-				d.Histograms[n] = h.stat()
+				histograms[n] = h.stat()
 			}
 		}
 	}
-	return d
+	return counters, gauges, histograms
 }
 
 // Dump snapshots the registry into its exported JSON shape: final values

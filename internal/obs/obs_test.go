@@ -23,7 +23,7 @@ func TestNilSafety(t *testing.T) {
 	tr.Span("c", "n", 1, 10, 20, nil)
 	tr.Counter("n", 1, 10, map[string]float64{"v": 1})
 	tr.ThreadName(1, "cpu0")
-	if tr.Enabled() || tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
+	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer must report disabled/empty")
 	}
 	var buf bytes.Buffer
@@ -41,8 +41,8 @@ func TestNilSafety(t *testing.T) {
 	reg.Gauge("g").Set(1.5)
 	reg.Histogram("h").Observe(3)
 	reg.Snapshot(0, 100)
-	if reg.Enabled() || reg.Counter("c").Value() != 0 || reg.Gauge("g").Value() != 0 ||
-		reg.Histogram("h").Count() != 0 || reg.Snapshots() != nil || reg.CounterNames() != nil {
+	if reg.Counter("c").Value() != 0 || reg.Gauge("g").Value() != 0 ||
+		reg.Histogram("h").Count() != 0 || reg.Dump().Windows != nil || reg.CounterNames() != nil {
 		t.Fatal("nil registry must report disabled/zero")
 	}
 	buf.Reset()
@@ -52,7 +52,7 @@ func TestNilSafety(t *testing.T) {
 
 	var dl *DecisionLog
 	dl.Record(10, 0x100, 0, StateCandidate, "trigger", Evidence{})
-	if dl.Enabled() || dl.Decisions() != nil || dl.State(0x100) != "" || dl.Violations() != nil {
+	if dl.Decisions() != nil || dl.State(0x100) != "" || dl.Violations() != nil {
 		t.Fatal("nil decision log must report disabled/empty")
 	}
 	buf.Reset()
@@ -185,7 +185,7 @@ func TestRegistryMetrics(t *testing.T) {
 	r.Snapshot(0, 50_000)
 	c.Inc()
 	r.Snapshot(1, 100_000)
-	snaps := r.Snapshots()
+	snaps := r.Dump().Windows
 	if len(snaps) != 2 {
 		t.Fatalf("got %d snapshots, want 2", len(snaps))
 	}

@@ -49,9 +49,6 @@ func NewTracer(max int) *Tracer {
 	return &Tracer{max: max}
 }
 
-// Enabled reports whether events will be recorded.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 func (t *Tracer) add(e Event) {
 	if t == nil {
 		return

@@ -236,9 +236,6 @@ func (p *Pool[T]) Submit(ctx context.Context, j Job[T], done func(Result[T])) er
 // QueueLen reports jobs submitted but not yet picked up by a worker.
 func (p *Pool[T]) QueueLen() int { return int(p.queued.Load()) }
 
-// QueueCap reports the bounded queue's capacity.
-func (p *Pool[T]) QueueCap() int { return cap(p.queue) }
-
 // Running reports jobs currently executing (or resolving) on workers.
 func (p *Pool[T]) Running() int { return int(p.running.Load()) }
 

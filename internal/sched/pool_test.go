@@ -96,8 +96,8 @@ func TestPoolQueueBounds(t *testing.T) {
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow submit: err = %v, want ErrQueueFull", err)
 	}
-	if p.QueueLen() != 2 || p.QueueCap() != 2 {
-		t.Fatalf("queue len/cap = %d/%d, want 2/2", p.QueueLen(), p.QueueCap())
+	if p.QueueLen() != 2 {
+		t.Fatalf("queue len = %d, want 2", p.QueueLen())
 	}
 }
 

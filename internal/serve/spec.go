@@ -9,7 +9,6 @@ import (
 	"repro/internal/npb"
 	"repro/internal/obs"
 	"repro/internal/sched"
-	_ "repro/internal/strategy" // register the multiversion, causal and layout engines
 	"repro/internal/workload"
 )
 
@@ -48,10 +47,8 @@ type Spec struct {
 	MigrateAt   int64 `json:"migrate_at,omitempty"`
 	MigrateCPU  int   `json:"migrate_cpu,omitempty"`
 	MigrateNode int   `json:"migrate_node,omitempty"`
-	// Strategy is off, monitor, noprefetch, excl, adaptive or bias, or
-	// one of the pluggable engines (multiversion, causal, layout) which
-	// run the adaptive trigger under that strategy engine; empty defaults
-	// to off.
+	// Strategy is off, monitor, noprefetch, excl, adaptive, bias,
+	// multiversion, causal or layout; empty defaults to off.
 	Strategy string `json:"strategy,omitempty"`
 	// ClassS selects class-S-scaled NPB sizes (nil/true) vs tiny (false).
 	ClassS *bool `json:"class_s,omitempty"`
@@ -93,23 +90,20 @@ const (
 
 // strategies maps each accepted strategy name to the COBRA runtime a
 // session attaches: none for off, otherwise the machine's configuration
-// of strategy. The pluggable engines run the adaptive trigger with
-// candidate generation, judging and deployment delegated to the named
-// registry engine.
+// of strategy.
 var strategies = map[string]struct {
 	attach   bool
 	strategy cobra.Strategy
-	engine   string
 }{
 	"off":          {},
-	"monitor":      {true, cobra.StrategyOff, ""},
-	"noprefetch":   {true, cobra.StrategyNoprefetch, ""},
-	"excl":         {true, cobra.StrategyExcl, ""},
-	"adaptive":     {true, cobra.StrategyAdaptive, ""},
-	"bias":         {true, cobra.StrategyBias, ""},
-	"multiversion": {true, cobra.StrategyAdaptive, "multiversion"},
-	"causal":       {true, cobra.StrategyAdaptive, "causal"},
-	"layout":       {true, cobra.StrategyAdaptive, "layout"},
+	"monitor":      {true, cobra.StrategyOff},
+	"noprefetch":   {true, cobra.StrategyNoprefetch},
+	"excl":         {true, cobra.StrategyExcl},
+	"adaptive":     {true, cobra.StrategyAdaptive},
+	"bias":         {true, cobra.StrategyBias},
+	"multiversion": {true, cobra.StrategyMultiVersion},
+	"causal":       {true, cobra.StrategyCausal},
+	"layout":       {true, cobra.StrategyLayout},
 }
 
 var npbNames = func() map[string]bool {
@@ -384,7 +378,6 @@ func (s *Spec) buildConfig() (workload.BuildConfig, error) {
 	}
 	if st.attach {
 		c := cobra.ConfigFor(st.strategy, bc.Machine.Mem)
-		c.Engine = st.engine
 		bc.Cobra = &c
 	}
 	return bc, nil

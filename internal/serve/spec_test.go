@@ -12,24 +12,23 @@ import (
 )
 
 // TestSpecEngineStrategies: each accepted strategy name validates and
-// attaches the COBRA strategy and engine it always has, on both machine
-// models: none for off, the adaptive trigger bound to the named registry
-// engine for the pluggable ones. Every name hashes to its own session key.
+// attaches the COBRA strategy it always has, on both machine models: none
+// for off, the strategy of the same name otherwise. Every name hashes to
+// its own session key.
 func TestSpecEngineStrategies(t *testing.T) {
 	want := map[string]struct {
 		attached bool
 		strategy cobra.Strategy
-		engine   string // "" is the built-in default, not a registry lookup
 	}{
 		"off":          {},
-		"monitor":      {true, cobra.StrategyOff, ""},
-		"noprefetch":   {true, cobra.StrategyNoprefetch, ""},
-		"excl":         {true, cobra.StrategyExcl, ""},
-		"adaptive":     {true, cobra.StrategyAdaptive, ""},
-		"bias":         {true, cobra.StrategyBias, ""},
-		"multiversion": {true, cobra.StrategyAdaptive, "multiversion"},
-		"causal":       {true, cobra.StrategyAdaptive, "causal"},
-		"layout":       {true, cobra.StrategyAdaptive, "layout"},
+		"monitor":      {true, cobra.StrategyOff},
+		"noprefetch":   {true, cobra.StrategyNoprefetch},
+		"excl":         {true, cobra.StrategyExcl},
+		"adaptive":     {true, cobra.StrategyAdaptive},
+		"bias":         {true, cobra.StrategyBias},
+		"multiversion": {true, cobra.StrategyMultiVersion},
+		"causal":       {true, cobra.StrategyCausal},
+		"layout":       {true, cobra.StrategyLayout},
 	}
 	for _, m := range []string{"smp", "numa"} {
 		keys := map[string]string{}
@@ -46,8 +45,8 @@ func TestSpecEngineStrategies(t *testing.T) {
 			if got := bc.Cobra != nil; got != w.attached {
 				t.Fatalf("%s/%s: attached = %v, want %v", name, m, got, w.attached)
 			}
-			if bc.Cobra != nil && (bc.Cobra.Strategy != w.strategy || bc.Cobra.Engine != w.engine) {
-				t.Fatalf("%s/%s: strategy %v engine %q, want %v %q", name, m, bc.Cobra.Strategy, bc.Cobra.Engine, w.strategy, w.engine)
+			if bc.Cobra != nil && bc.Cobra.Strategy != w.strategy {
+				t.Fatalf("%s/%s: strategy %v, want %v", name, m, bc.Cobra.Strategy, w.strategy)
 			}
 			key, err := s.Key()
 			if err != nil {
@@ -63,20 +62,6 @@ func TestSpecEngineStrategies(t *testing.T) {
 	s.Normalize()
 	if err := s.Validate(); err == nil || err.Error() != `unknown strategy "yolo" (want off, monitor, noprefetch, excl, adaptive, bias, multiversion, causal or layout)` {
 		t.Fatalf("unknown strategy error = %v", err)
-	}
-}
-
-// TestSpecEngineKeyStability: the Engine field must be omitempty so every
-// pre-engine spec (no engine selected) serializes — and therefore content-
-// hashes — exactly as it did before the field existed.
-func TestSpecEngineKeyStability(t *testing.T) {
-	c := cobra.DefaultConfig(cobra.StrategyAdaptive)
-	b, err := json.Marshal(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(b), "engine") {
-		t.Fatalf("default config leaks the engine field into content hashes: %s", b)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"repro/internal/hpm"
 	"repro/internal/obs"
 	"repro/internal/perfmon"
-	_ "repro/internal/strategy" // register every engine the battery drives
 )
 
 // FaultKind is one way of perturbing COBRA's control loop. Faults attack
@@ -108,38 +107,45 @@ func (f *FaultResult) Problems() []string {
 }
 
 // FaultControl is one control-loop configuration the battery perturbs:
-// a strategy engine and the patcher mode it deploys through.
+// a strategy and the patcher mode it deploys through.
 type FaultControl struct {
-	Engine string
-	Trace  bool
+	Strategy cobra.Strategy
+	Trace    bool
 }
 
+// String names the control by its engine: adaptive runs the prefetch
+// engine.
 func (c FaultControl) String() string {
-	if c.Trace {
-		return c.Engine + "/trace"
+	name := c.Strategy.String()
+	if c.Strategy == cobra.StrategyAdaptive {
+		name = "prefetch"
 	}
-	return c.Engine + "/inplace"
+	if c.Trace {
+		return name + "/trace"
+	}
+	return name + "/inplace"
 }
 
 // FaultControls returns the configurations the battery runs under: the
-// in-place prefetch engine (the paper's ablation arm), then every
-// registered engine in trace mode.
+// in-place prefetch engine (the paper's ablation arm), then every engine
+// in trace mode, in name order.
 func FaultControls() []FaultControl {
-	out := []FaultControl{{Engine: "prefetch"}}
-	for _, name := range cobra.EngineNames() {
-		out = append(out, FaultControl{Engine: name, Trace: true})
+	return []FaultControl{
+		{Strategy: cobra.StrategyAdaptive},
+		{Strategy: cobra.StrategyCausal, Trace: true},
+		{Strategy: cobra.StrategyLayout, Trace: true},
+		{Strategy: cobra.StrategyMultiVersion, Trace: true},
+		{Strategy: cobra.StrategyAdaptive, Trace: true},
 	}
-	return out
 }
 
-// faultControlConfig is the COBRA configuration fault runs drive: an
-// adaptive controller under ctl with thresholds floored so that on a
+// faultControlConfig is the COBRA configuration fault runs drive: the
+// controller under ctl, with thresholds floored so that on a
 // healthy sample path a short generated program is enough to trigger
 // patching — which is what makes the no-patch assertion under starved
 // faults meaningful.
 func faultControlConfig(ctl FaultControl) cobra.Config {
-	cfg := cobra.DefaultConfig(cobra.StrategyAdaptive)
-	cfg.Engine = ctl.Engine
+	cfg := cobra.DefaultConfig(ctl.Strategy)
 	cfg.UseTraceCache = ctl.Trace
 	cfg.OptimizeInterval = 1_000
 	cfg.MinCoherentEvents = 1

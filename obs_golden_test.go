@@ -188,7 +188,7 @@ func TestPhasedObservabilityEndToEnd(t *testing.T) {
 			t.Errorf("metric %s = %d, Stats says %d", name, got, want)
 		}
 	}
-	if len(reg.Snapshots()) == 0 {
+	if len(reg.Dump().Windows) == 0 {
 		t.Error("no per-window metric snapshots were taken")
 	}
 }
