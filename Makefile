@@ -88,14 +88,20 @@ fuzz-smoke:
 # (decode, Normalize, Validate, Key must never panic, and a valid spec
 # must keep its key through a re-encode), cobra-run's -topology,
 # -affinity and -migrate parser (never panics; a spec that validates has
-# a key), and the ledger entry decoder (never panics; only a well-formed
+# a key), the ledger entry decoder (never panics; only a well-formed
 # entry for its key is a hit, anything else is quarantined and then a
-# plain miss). A crasher is written to the target's testdata/fuzz/
-# directory, where plain `go test` replays it.
+# plain miss), the event bus's resume and drop accounting (seqs strictly
+# increase past the resume point, every skipped event is counted, and
+# delivered plus dropped covers the stream), and decision-log replay
+# (exactly the violations LegalTransition predicts). A crasher is written
+# to the target's testdata/fuzz/ directory, where plain `go test`
+# replays it.
 fuzz-native:
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecKey$$' -fuzztime 20s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioFlags$$' -fuzztime 20s ./cmd/cobra-run/
 	$(GO) test -run '^$$' -fuzz '^FuzzLedgerGet$$' -fuzztime 20s ./internal/sched/
+	$(GO) test -run '^$$' -fuzz '^FuzzBusResume$$' -fuzztime 20s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecisionReplay$$' -fuzztime 20s ./internal/obs/
 
 # Live-telemetry gate: a phased adaptive session runs against an
 # in-process cobrad with its SSE stream followed to completion under the
@@ -103,9 +109,11 @@ fuzz-native:
 # byte-equality with the final decisions artifact, the streamed window
 # snapshots must equal the metrics artifact's window series, and every
 # event must carry strictly monotone ids and finite numbers
-# (tracecheck-style structural validation of the event JSON).
+# (tracecheck-style structural validation of the event JSON). Then 400
+# ledger-hit sessions from 8 concurrent clients must each appear on
+# /eventsz's bus as a legal walk starting at queued.
 stream-smoke:
-	$(GO) test -race -count=1 -run 'TestStreamEquivalence|TestStreamResume|TestEventszStream' ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestStreamEquivalence|TestStreamResume|TestEventszStream|TestEventszSessionOrder' ./internal/serve/
 
 # Strategy-engine matrix: the whole optimizer package, uncached. Every
 # engine (prefetch, multiversion, causal, layout) drives the phased

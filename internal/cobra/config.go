@@ -21,7 +21,6 @@ package cobra
 
 import (
 	"repro/internal/mem"
-	"repro/internal/obs"
 	"repro/internal/perfmon"
 )
 
@@ -126,11 +125,6 @@ type Config struct {
 	// patched loop's active windows falls more than this fraction below
 	// the pre-patch baseline.
 	RollbackTolerance float64
-
-	// Obs, when non-nil, receives the runtime's trace events, metrics and
-	// patch decisions. Excluded from JSON so scheduler content hashes of a
-	// configuration are identical with and without observability attached.
-	Obs *obs.Observer `json:"-"`
 }
 
 // DefaultConfig returns the runtime configuration on the paper's 4-way

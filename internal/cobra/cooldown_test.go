@@ -47,7 +47,6 @@ func TestCooldownUntilMatchesEarliestRedeploy(t *testing.T) {
 		patcher: NewPatcher(img, false),
 		prof:    NewProfiler(cfg.CoherentLatency),
 		regions: map[LoopKey]*RegionState{},
-		stats:   newStatCounters(obs.NewRegistry()),
 		obs:     o,
 		engine:  prefetchEngine{},
 	}

@@ -67,16 +67,15 @@ func layoutSmokeConfig() cobra.Config {
 	cfg.MinDelinquentSamples = 1
 	cfg.Sampling.CyclePeriod = 400
 	cfg.Sampling.DEARMinLatency = 50
-	cfg.Obs = obs.New(obs.Config{Decisions: true})
 	return cfg
 }
 
-// launchBranchy builds the full stack (machine, openmp, cobra under cfg)
-// and launches the kernel `launches` times — dispatch into
+// launchBranchy builds the full stack (machine observed by o, openmp,
+// cobra under cfg) and launches the kernel `launches` times — dispatch into
 // a deployed copy happens at the region entry, so the reordered code only
 // runs when the kernel is re-entered, exactly like a workload calling its
 // parallel region once per repetition.
-func launchBranchy(t *testing.T, reps int64, launches int, cfg cobra.Config) (cobra.Config, *cobra.Runtime, *machine.Machine, uint64) {
+func launchBranchy(t *testing.T, reps int64, launches int, cfg cobra.Config, o *obs.Observer) (*cobra.Runtime, *machine.Machine, uint64) {
 	t.Helper()
 	const threads = 4
 	img := ia64.NewImage()
@@ -88,6 +87,7 @@ func launchBranchy(t *testing.T, reps int64, launches int, cfg cobra.Config) (co
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.SetObserver(o)
 	base, err := m.Memory().Alloc("shared.line", 128, 128)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func launchBranchy(t *testing.T, reps int64, launches int, cfg cobra.Config) (co
 			t.Fatal(err)
 		}
 	}
-	return cfg, cb, m, base
+	return cb, m, base
 }
 
 // TestLayoutDeploysOnBranchyKernel is the layout engine's smoke run: the
@@ -116,12 +116,13 @@ func launchBranchy(t *testing.T, reps int64, launches int, cfg cobra.Config) (co
 // evidence attached, keep the decision lifecycle legal, pass self-check,
 // and preserve the kernel's architectural result.
 func TestLayoutDeploysOnBranchyKernel(t *testing.T) {
-	cfg, cb, m, base := launchBranchy(t, 400, 60, layoutSmokeConfig())
+	o := obs.New(obs.Config{Decisions: true})
+	cb, m, base := launchBranchy(t, 400, 60, layoutSmokeConfig(), o)
 
 	if got := cb.Stats().PatchesApplied; got == 0 {
 		t.Fatal("layout engine never deployed on the branchy kernel")
 	}
-	dl := cfg.Obs.Decisions()
+	dl := o.Decisions()
 	if v := dl.Violations(); len(v) != 0 {
 		t.Fatalf("lifecycle violations: %v", v)
 	}
@@ -161,7 +162,8 @@ func TestLayoutDeploysOnBranchyKernel(t *testing.T) {
 // code cache must hold exactly one layout copy — re-engagement is a
 // dispatch switch, never a redeploy.
 func TestLayoutJudgesAndKeepsDispatchStable(t *testing.T) {
-	cfg, cb, m, _ := launchBranchy(t, 400, 120, layoutSmokeConfig())
+	o := obs.New(obs.Config{Decisions: true})
+	cb, m, _ := launchBranchy(t, 400, 120, layoutSmokeConfig(), o)
 	img := m.Image()
 
 	layouts := 0
@@ -175,7 +177,7 @@ func TestLayoutJudgesAndKeepsDispatchStable(t *testing.T) {
 	}
 	// Judgement must have concluded at least once (kept or rolled back).
 	var judged bool
-	for _, d := range cfg.Obs.Decisions().Decisions() {
+	for _, d := range o.Decisions().Decisions() {
 		if d.To == obs.StateKept || d.To == obs.StateRolledBack {
 			judged = true
 		}
@@ -183,7 +185,7 @@ func TestLayoutJudgesAndKeepsDispatchStable(t *testing.T) {
 	if cb.Stats().PatchesApplied > 0 && !judged {
 		t.Fatal("deployed layout was never judged")
 	}
-	if v := cfg.Obs.Decisions().Violations(); len(v) != 0 {
+	if v := o.Decisions().Violations(); len(v) != 0 {
 		t.Fatalf("lifecycle violations: %v", v)
 	}
 }

@@ -73,13 +73,13 @@ func (r *Runtime) judge(win Window, now int64) {
 		// A switch that cannot land falls back to restoring the original.
 		if act.To >= 0 && r.patcher.Switch(st.Deployment, act.To) == nil {
 			r.engage(st, win, now)
-			r.stats.variantSwitches.Inc()
+			r.stats.VariantSwitches++
 			r.engine.Decorate(k, st, &ev)
 			r.record(k, st, obs.StateSwitched, act.Reason, ev, now)
 			continue
 		}
 		if r.patcher.Switch(st.Deployment, -1) == nil {
-			r.stats.patchesRolledBack.Inc()
+			r.stats.PatchesRolledBack++
 		}
 		st.Cooldown = evaluateWindows
 		ev.CooldownUntil = now + int64(st.Cooldown)*r.cfg.OptimizeInterval
@@ -132,7 +132,7 @@ func (r *Runtime) deploy(p Proposal, agg Window, now int64) bool {
 			return false
 		}
 		r.engage(st, agg, now)
-		r.stats.variantSwitches.Inc()
+		r.stats.VariantSwitches++
 		ev.Rewrite, ev.BaselineIPC, ev.GlobalBaselineIPC = st.Rewrite.String(), st.Baseline, st.GlobalBase
 		r.engine.Decorate(k, st, &ev)
 		r.record(k, st, obs.StateSwitched, "reengage", ev, now)
@@ -184,19 +184,19 @@ func (r *Runtime) engage(st *RegionState, win Window, now int64) {
 // copy it emitted is a trace, and the dispatched variant's rewritten
 // instructions count under its rewrite.
 func (r *Runtime) countDeploy(vs *VariantSet) {
-	r.stats.patchesApplied.Inc()
+	r.stats.PatchesApplied++
 	v := vs.ActiveVariant()
 	if v.TraceEntry >= 0 {
-		r.stats.tracesEmitted.Add(int64(len(vs.Variants)))
+		r.stats.TracesEmitted += int64(len(vs.Variants))
 	}
 	n := int64(v.RewrittenPrefetches)
 	switch v.Rewrite {
 	case RewriteNop:
-		r.stats.prefetchesNopped.Add(n)
+		r.stats.PrefetchesNopped += n
 	case RewriteExcl:
-		r.stats.prefetchesExcl.Add(n)
+		r.stats.PrefetchesExcl += n
 	case RewriteBias:
-		r.stats.loadsBiased.Add(n)
+		r.stats.LoadsBiased += n
 	}
 }
 

@@ -31,7 +31,6 @@ func TestOneLifecyclePerLoopHead(t *testing.T) {
 		patcher:  NewPatcher(img, false),
 		analyzer: NewAnalyzer(img, nil),
 		regions:  map[LoopKey]*RegionState{},
-		stats:    newStatCounters(obs.NewRegistry()),
 		obs:      o,
 		engine: stubEngine{props: []Proposal{
 			{Key: a, Reason: "trigger", Specs: spec},

@@ -3,7 +3,6 @@ package cobra
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/machine"
 	"repro/internal/mem"
@@ -25,51 +24,29 @@ type Stats struct {
 	VariantSwitches   int64
 }
 
-// statCounters backs the Stats counters with the metrics registry, so a
+// mirrorStats writes the Stats counters into the metrics registry, so a
 // run with metrics enabled exports them under "cobra.*" alongside the
-// window gauges while Stats() keeps its value-snapshot contract. With
-// observability disabled the counters live in a private registry; either
-// way the individual *obs.Counter handles are nil-safe.
-type statCounters struct {
-	samplesSeen       *obs.Counter
-	optimizerPasses   *obs.Counter
-	triggers          *obs.Counter
-	patchesApplied    *obs.Counter
-	patchesRolledBack *obs.Counter
-	prefetchesNopped  *obs.Counter
-	prefetchesExcl    *obs.Counter
-	loadsBiased       *obs.Counter
-	tracesEmitted     *obs.Counter
-	variantSwitches   *obs.Counter
-}
-
-func newStatCounters(reg *obs.Registry) statCounters {
-	return statCounters{
-		samplesSeen:       reg.Counter("cobra.samples_seen"),
-		optimizerPasses:   reg.Counter("cobra.optimizer_passes"),
-		triggers:          reg.Counter("cobra.triggers"),
-		patchesApplied:    reg.Counter("cobra.patches_applied"),
-		patchesRolledBack: reg.Counter("cobra.patches_rolled_back"),
-		prefetchesNopped:  reg.Counter("cobra.prefetches_nopped"),
-		prefetchesExcl:    reg.Counter("cobra.prefetches_excl"),
-		loadsBiased:       reg.Counter("cobra.loads_biased"),
-		tracesEmitted:     reg.Counter("cobra.traces_emitted"),
-		variantSwitches:   reg.Counter("cobra.variant_switches"),
+// window gauges. No-op without a registry.
+func (r *Runtime) mirrorStats() {
+	reg := r.obs.Metrics()
+	if reg == nil {
+		return
 	}
-}
-
-func (c statCounters) snapshot() Stats {
-	return Stats{
-		SamplesSeen:       c.samplesSeen.Value(),
-		OptimizerPasses:   c.optimizerPasses.Value(),
-		Triggers:          c.triggers.Value(),
-		PatchesApplied:    c.patchesApplied.Value(),
-		PatchesRolledBack: c.patchesRolledBack.Value(),
-		PrefetchesNopped:  c.prefetchesNopped.Value(),
-		PrefetchesExcl:    c.prefetchesExcl.Value(),
-		LoadsBiased:       c.loadsBiased.Value(),
-		TracesEmitted:     c.tracesEmitted.Value(),
-		VariantSwitches:   c.variantSwitches.Value(),
+	s := r.stats
+	for name, v := range map[string]int64{
+		"cobra.samples_seen":        s.SamplesSeen,
+		"cobra.optimizer_passes":    s.OptimizerPasses,
+		"cobra.triggers":            s.Triggers,
+		"cobra.patches_applied":     s.PatchesApplied,
+		"cobra.patches_rolled_back": s.PatchesRolledBack,
+		"cobra.prefetches_nopped":   s.PrefetchesNopped,
+		"cobra.prefetches_excl":     s.PrefetchesExcl,
+		"cobra.loads_biased":        s.LoadsBiased,
+		"cobra.traces_emitted":      s.TracesEmitted,
+		"cobra.variant_switches":    s.VariantSwitches,
+	} {
+		c := reg.Counter(name)
+		c.Add(v - c.Value())
 	}
 }
 
@@ -133,9 +110,9 @@ type Runtime struct {
 	regions   map[LoopKey]*RegionState
 	horizon   []Window
 	globalEMA float64 // smoothed whole-program IPC
-	stats     statCounters
+	stats     Stats
 
-	// obs is the observability sink (nil-safe: a zero Runtime records
+	// obs is the machine's observer (nil-safe: a zero Runtime records
 	// nothing). windows is the ordinal of the next profiling window and
 	// lastPass the cycle of the previous optimizer pass — together they
 	// anchor window spans and metric snapshots in the cycle domain.
@@ -153,20 +130,11 @@ const triggerHorizon = 3
 
 // New attaches COBRA to a machine. The instance starts monitoring as
 // working threads fork (call MonitorThread from the OpenMP runtime's
-// OnFork hook) and optimizes on its own simulated-time schedule.
+// OnFork hook) and optimizes on its own simulated-time schedule. It
+// records into the observer the machine has when New runs.
 func New(m *machine.Machine, cfg Config) *Runtime {
 	if cfg.OptimizeInterval <= 0 {
 		cfg.OptimizeInterval = DefaultConfig(cfg.Strategy).OptimizeInterval
-	}
-	if cfg.Obs == nil {
-		cfg.Obs = m.Observer()
-	}
-	// The Stats counters always live in a registry: the observer's when
-	// metrics are enabled (so they export with everything else), a private
-	// one otherwise.
-	reg := cfg.Obs.Metrics()
-	if reg == nil {
-		reg = obs.NewRegistry()
 	}
 	r := &Runtime{
 		cfg:      cfg,
@@ -177,11 +145,12 @@ func New(m *machine.Machine, cfg Config) *Runtime {
 		analyzer: NewAnalyzer(m.Image(), m.Memory()),
 		patcher:  NewPatcher(m.Image(), cfg.UseTraceCache),
 		regions:  map[LoopKey]*RegionState{},
-		stats:    newStatCounters(reg),
-		obs:      cfg.Obs,
+		obs:      m.Observer(),
 		engine:   newEngine(cfg),
 	}
-	r.driver.SetObserver(cfg.Obs)
+	// Registered at zero, so a run that never reaches a pass still dumps
+	// the counters.
+	r.mirrorStats()
 	m.AddTimer(&machine.Timer{
 		NextAt: cfg.OptimizeInterval,
 		Fn: func(now int64) int64 {
@@ -205,20 +174,7 @@ func (r *Runtime) Driver() *perfmon.Driver { return r.driver }
 func (r *Runtime) USB(cpu int) *USB { return r.usbs[cpu] }
 
 // Stats returns a snapshot of the runtime's activity counters.
-func (r *Runtime) Stats() Stats { return r.stats.snapshot() }
-
-// Observer returns the observability sink (nil when disabled).
-func (r *Runtime) Observer() *obs.Observer { return r.obs }
-
-// Explain writes the patch-decision audit report. Without an observer
-// with decisions enabled it reports that nothing was recorded.
-func (r *Runtime) Explain() string {
-	var b strings.Builder
-	if err := r.obs.Decisions().Explain(&b); err != nil {
-		return err.Error()
-	}
-	return b.String()
-}
+func (r *Runtime) Stats() Stats { return r.stats }
 
 // ActiveDeployments returns the deployments with a dispatched variant,
 // in region order.
@@ -268,7 +224,7 @@ func (r *Runtime) MonitorThread(tid, cpu int) {
 // aggregate the system-wide profile, evaluate outstanding patches, and
 // deploy new optimizations when coherent pressure warrants.
 func (r *Runtime) optimizePass(now int64) {
-	r.stats.optimizerPasses.Inc()
+	r.stats.OptimizerPasses++
 	tr := r.obs.Trace()
 
 	// Age region cooldowns at the top of the pass, before this pass's
@@ -292,7 +248,7 @@ func (r *Runtime) optimizePass(now int64) {
 		for _, s := range drained {
 			r.prof.Add(s)
 		}
-		r.stats.samplesSeen.Add(int64(len(drained)))
+		r.stats.SamplesSeen += int64(len(drained))
 		if tr != nil && len(drained) > 0 {
 			tr.Instant("monitor", "usb drain", obs.TIDOptimizer, now, map[string]any{
 				"cpu": u.CPU, "samples": len(drained),
@@ -360,7 +316,7 @@ func (r *Runtime) optimizePass(now int64) {
 		})
 	}
 	if fired {
-		r.stats.triggers.Inc()
+		r.stats.Triggers++
 		if r.cfg.Strategy != StrategyOff {
 			r.propose(agg, now)
 		}
@@ -380,6 +336,7 @@ func (r *Runtime) optimizePass(now int64) {
 		reg.Gauge("cobra.global_ipc_ema").Set(r.globalEMA)
 		reg.Histogram("cobra.window_samples").Observe(float64(win.Samples))
 		reg.Histogram("cobra.pass_cycles").Observe(float64(now - r.lastPass))
+		r.mirrorStats()
 		reg.Snapshot(r.windows, now)
 	}
 	// Live telemetry: every pass publishes its rolling window view to

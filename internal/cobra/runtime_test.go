@@ -29,6 +29,7 @@ func (c *fakeContext) SamplePC(cpu int) int          { return 0 }
 func (c *fakeContext) SampleThreadID(cpu int) int    { return cpu }
 func (c *fakeContext) SampleCycle(cpu int) int64     { return 0 }
 func (c *fakeContext) ChargeCycles(cpu int, n int64) {}
+func (c *fakeContext) Observer() *obs.Observer       { return nil }
 
 func TestChooseRewriteEscalation(t *testing.T) {
 	r := &Runtime{cfg: DefaultConfig(StrategyAdaptive)}
@@ -101,7 +102,6 @@ func TestTriggerHorizonSuppressesClusters(t *testing.T) {
 		usbs:    make([]*USB, 1),
 		prof:    NewProfiler(180),
 		regions: map[LoopKey]*RegionState{},
-		stats:   newStatCounters(obs.NewRegistry()),
 		engine:  prefetchEngine{},
 	}
 	r.usbs[0] = &USB{CPU: 0}
@@ -147,8 +147,8 @@ func TestTriggerHorizonSuppressesClusters(t *testing.T) {
 }
 
 func TestStatsSnapshot(t *testing.T) {
-	r := &Runtime{stats: newStatCounters(obs.NewRegistry())}
-	r.stats.patchesApplied.Add(3)
+	r := &Runtime{}
+	r.stats.PatchesApplied = 3
 	s := r.Stats()
 	s.PatchesApplied = 99
 	if r.Stats().PatchesApplied != 3 {

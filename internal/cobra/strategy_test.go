@@ -23,7 +23,7 @@ var phasedParams = workload.PhasedDaxpyParams{
 
 // runPhased executes the phased workload under strategy s with
 // decisions, self-check and metrics attached.
-func runPhased(t *testing.T, s cobra.Strategy) (*obs.Observer, workload.Measurement, *cobra.Runtime) {
+func runPhased(t *testing.T, s cobra.Strategy) (*obs.Observer, workload.Measurement) {
 	t.Helper()
 	bc := workload.SMPConfig(4)
 	cfg := cobra.DefaultConfig(s)
@@ -41,7 +41,7 @@ func runPhased(t *testing.T, s cobra.Strategy) (*obs.Observer, workload.Measurem
 	if v := o.Decisions().Violations(); len(v) != 0 {
 		t.Fatalf("lifecycle violations under %s: %v", s, v)
 	}
-	return o, m, inst.Cobra
+	return o, m
 }
 
 // TestMultiVersionSwitchesOnPhaseChange is the tentpole acceptance run:
@@ -49,7 +49,7 @@ func runPhased(t *testing.T, s cobra.Strategy) (*obs.Observer, workload.Measurem
 // variant table and flip the dispatch branch at least once (nop rejected
 // by phase 2 → switch to the resident excl variant, no redeploy).
 func TestMultiVersionSwitchesOnPhaseChange(t *testing.T) {
-	o, m, _ := runPhased(t, cobra.StrategyMultiVersion)
+	o, m := runPhased(t, cobra.StrategyMultiVersion)
 	if m.Cobra.PatchesApplied == 0 {
 		t.Fatal("multiversion never deployed")
 	}
@@ -94,9 +94,9 @@ func TestMultiVersionSwitchesOnPhaseChange(t *testing.T) {
 
 // TestCausalRecordsPredictedVsActual: the causal engine must deploy with
 // a what-if prediction attached and carry it through judgement so
-// Explain() reports predicted-vs-actual IPC.
+// the decision log's Explain reports predicted-vs-actual IPC.
 func TestCausalRecordsPredictedVsActual(t *testing.T) {
-	o, m, rt := runPhased(t, cobra.StrategyCausal)
+	o, m := runPhased(t, cobra.StrategyCausal)
 	if m.Cobra.PatchesApplied == 0 {
 		t.Fatal("causal never deployed")
 	}
@@ -119,7 +119,11 @@ func TestCausalRecordsPredictedVsActual(t *testing.T) {
 	if !sawJudgedPrediction {
 		t.Fatal("no judged decision pairs prediction with realized IPC")
 	}
-	report := rt.Explain()
+	var b strings.Builder
+	if err := o.Decisions().Explain(&b); err != nil {
+		t.Fatal(err)
+	}
+	report := b.String()
 	if !strings.Contains(report, "what-if: predicted=") {
 		t.Fatalf("Explain does not show the prediction:\n%s", report)
 	}
@@ -133,7 +137,7 @@ func TestCausalRecordsPredictedVsActual(t *testing.T) {
 // run the whole matrix.
 func TestEnginesPreserveWorkloadResults(t *testing.T) {
 	for _, s := range []cobra.Strategy{cobra.StrategyAdaptive, cobra.StrategyMultiVersion, cobra.StrategyCausal, cobra.StrategyLayout} {
-		_, m, _ := runPhased(t, s)
+		_, m := runPhased(t, s)
 		if m.Cycles <= 0 {
 			t.Errorf("%s: no cycles measured", s)
 		}

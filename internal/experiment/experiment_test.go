@@ -128,7 +128,6 @@ func TestServedNUMASessionMatchesFigure5b(t *testing.T) {
 			t.Fatal(err)
 		}
 		served := inst.Cobra.Config()
-		served.Obs = nil
 		if want := *cobraFor(tc.cell, Altix8); !reflect.DeepEqual(served, want) {
 			t.Errorf("%s: served session runs %+v, Figure 5(b) cell runs %+v", tc.strategy, served, want)
 		}

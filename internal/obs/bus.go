@@ -20,23 +20,26 @@ import (
 //   - Nil safety: a nil *EventBus is the disabled state; Publish on it
 //     is a no-op and allocates nothing, so instrumented code can hold a
 //     bus handle unconditionally and a disabled run stays zero-cost.
-//   - Publishers never block. Every subscriber owns a bounded ring
-//     buffer; a stalled reader overwrites its own oldest events (each
-//     overwrite counted in Dropped) and can never back-pressure the
-//     simulator.
+//   - Publishers never block. Each event is stored once, in the bus's
+//     bounded history; a subscriber is a cursor into that history with a
+//     lag bound. A stalled reader that falls more than its bound behind
+//     skips its oldest unread events (each skip counted in Dropped) and
+//     can never back-pressure the simulator.
 //   - Monotonic sequence numbers. Every published event gets the next
-//     seq (from 1), kept in a bounded history ring so a reconnecting
-//     subscriber can resume from the last seq it saw (SSE
-//     Last-Event-ID); gaps are visible as seq jumps and counted.
+//     seq (from 1), so a reconnecting subscriber can resume from the
+//     last seq it saw (SSE Last-Event-ID); gaps are visible as seq jumps
+//     and counted.
 type EventBus struct {
 	mu      sync.Mutex
-	nextSeq int64
+	nextSeq int64 // seq of the newest event (0 before the first)
 	closed  bool
 
-	// history is a ring of the most recent events, for resume/backfill.
+	// history holds the most recent events, oldest first around a ring:
+	// it grows by append up to hCap, then each event overwrites the
+	// oldest, at hStart.
 	history []BusEvent
-	hStart  int // index of the oldest retained event
-	hLen    int
+	hCap    int
+	hStart  int
 
 	subs    map[*Subscription]struct{}
 	maxSubs int
@@ -101,17 +104,18 @@ type WindowEvent struct {
 
 // Bus sizing defaults.
 const (
-	// DefaultBusHistory bounds the retained-event ring used for resume.
+	// DefaultBusHistory bounds the retained-event history.
 	DefaultBusHistory = 1 << 13
 	// DefaultBusSubscribers bounds concurrent subscriptions per bus.
 	DefaultBusSubscribers = 32
-	// DefaultSubscriberBuffer is the per-subscriber ring capacity.
+	// DefaultSubscriberBuffer is the default lag bound: how many unread
+	// events a subscriber may fall behind before it skips its oldest.
 	DefaultSubscriberBuffer = 1 << 10
 )
 
 var (
 	// ErrBusClosed is returned by Subscription.Next once the bus is
-	// closed and every buffered event has been drained.
+	// closed and every retained unread event has been drained.
 	ErrBusClosed = errors.New("obs: event bus closed")
 	// ErrBusDisabled is returned by Subscribe on a nil bus.
 	ErrBusDisabled = errors.New("obs: event bus disabled")
@@ -130,16 +134,16 @@ func NewEventBus(historyCap, maxSubs int) *EventBus {
 		maxSubs = DefaultBusSubscribers
 	}
 	return &EventBus{
-		history: make([]BusEvent, historyCap),
+		hCap:    historyCap,
 		subs:    map[*Subscription]struct{}{},
 		maxSubs: maxSubs,
 	}
 }
 
-// Publish assigns the next sequence number to one event and fans it out
-// to every subscriber ring. It never blocks on slow consumers, is a
-// no-op on a nil or closed bus, and returns the assigned seq (0 when
-// disabled or closed).
+// Publish assigns the next sequence number to one event, stores it in
+// the history and wakes every subscriber. It never blocks on slow
+// consumers, is a no-op on a nil or closed bus, and returns the assigned
+// seq (0 when disabled or closed).
 func (b *EventBus) Publish(kind string, cycle int64, data any) int64 {
 	if b == nil {
 		return 0
@@ -151,28 +155,36 @@ func (b *EventBus) Publish(kind string, cycle int64, data any) int64 {
 	}
 	b.nextSeq++
 	ev := BusEvent{Seq: b.nextSeq, Kind: kind, Cycle: cycle, Data: data}
-	// Retain in the history ring, overwriting the oldest entry once full.
-	if b.hLen < len(b.history) {
-		b.history[(b.hStart+b.hLen)%len(b.history)] = ev
-		b.hLen++
+	if len(b.history) < b.hCap {
+		b.history = append(b.history, ev)
 	} else {
 		b.history[b.hStart] = ev
-		b.hStart = (b.hStart + 1) % len(b.history)
+		b.hStart = (b.hStart + 1) % b.hCap
 	}
 	for sub := range b.subs {
-		sub.push(ev)
+		sub.wakeup()
 	}
 	return ev.Seq
 }
 
-// Subscribe registers a subscriber whose ring buffers at most buf
-// events (0 = DefaultSubscriberBuffer), backfilled with every retained
-// event with seq > fromSeq (0 = from the beginning); when the backfill
-// alone exceeds buf the ring is sized to hold it (bounded by the
-// history capacity), so a resume never truncates retained history.
-// Events older than the history ring retains are counted in Dropped —
-// the seq of the first delivered event exposes the gap. Subscribing to a closed bus
-// succeeds and drains the retained history before Next reports
+// oldest returns the seq of the oldest retained event (nextSeq+1 when
+// the history is empty). Caller holds b.mu.
+func (b *EventBus) oldest() int64 { return b.nextSeq - int64(len(b.history)) + 1 }
+
+// Subscribe registers a cursor that delivers every retained event with
+// seq > fromSeq (0 = from the beginning), then every later one. A
+// fromSeq past the newest event is clamped to it, so a client resuming
+// against a younger bus (a restarted server) hears every event from now
+// on. Events between fromSeq and the oldest retained one are counted in
+// Dropped; the seq of the first delivered event exposes the gap.
+//
+// buf is the lag bound (0 = DefaultSubscriberBuffer): a reader more than
+// buf events behind skips its oldest unread ones, counting each in
+// Dropped. The bound grows to cover the backfill, so a resume never
+// truncates retained history. It is capped at the history capacity,
+// since no older event is retained; every caller passes 0 on a
+// DefaultBusHistory bus, so none asks for more. Subscribing to a closed
+// bus succeeds and drains the retained history before Next reports
 // ErrBusClosed, so a completed session's stream remains replayable.
 func (b *EventBus) Subscribe(fromSeq int64, buf int) (*Subscription, error) {
 	if b == nil {
@@ -186,48 +198,23 @@ func (b *EventBus) Subscribe(fromSeq int64, buf int) (*Subscription, error) {
 	if len(b.subs) >= b.maxSubs {
 		return nil, ErrTooManySubscribers
 	}
+	from := min(fromSeq, b.nextSeq)
+	bound := max(int64(buf), min(b.nextSeq-from, int64(len(b.history))))
 	s := &Subscription{
-		bus:  b,
-		ring: make([]BusEvent, buf),
-		wake: make(chan struct{}, 1),
+		bus:   b,
+		wake:  make(chan struct{}, 1),
+		next:  max(from+1, b.oldest()),
+		bound: min(bound, int64(b.hCap)),
 	}
-	// Backfill from history. The oldest retained seq is
-	// nextSeq - hLen + 1; anything between fromSeq and it was evicted.
-	if b.hLen > 0 {
-		oldest := b.nextSeq - int64(b.hLen) + 1
-		if fromSeq+1 < oldest {
-			s.dropped += oldest - fromSeq - 1
-		}
-		// A resume must replay every retained event after fromSeq, so
-		// grow the ring to fit the backfill (bounded by the history cap)
-		// rather than letting the replay overwrite its own head.
-		if n := b.nextSeq - fromSeq; n > int64(buf) {
-			if n > int64(b.hLen) {
-				n = int64(b.hLen)
-			}
-			if n > int64(buf) {
-				s.ring = make([]BusEvent, n)
-			}
-		}
-		for i := 0; i < b.hLen; i++ {
-			ev := b.history[(b.hStart+i)%len(b.history)]
-			if ev.Seq > fromSeq {
-				s.push(ev)
-			}
-		}
-	} else if fromSeq < b.nextSeq {
-		s.dropped += b.nextSeq - fromSeq
-	}
+	s.dropped = s.next - from - 1
 	if !b.closed {
 		b.subs[s] = struct{}{}
-	} else {
-		s.busClosed = true
 	}
 	return s, nil
 }
 
 // Close marks the bus complete: no further events are accepted, and
-// every subscriber's Next reports ErrBusClosed once its ring drains.
+// every subscriber's Next reports ErrBusClosed once it has drained.
 // Safe to call on a nil bus and idempotent.
 func (b *EventBus) Close() {
 	if b == nil {
@@ -240,41 +227,23 @@ func (b *EventBus) Close() {
 	}
 	b.closed = true
 	for sub := range b.subs {
-		sub.busClosed = true
 		sub.wakeup()
 		delete(b.subs, sub)
 	}
 }
 
-// Subscription is one subscriber's bounded view of the bus. All methods
-// are safe to call from a single consumer goroutine concurrently with
-// publishers.
+// Subscription is one subscriber's cursor into the bus history. All
+// methods are safe to call from a single consumer goroutine concurrently
+// with publishers.
 type Subscription struct {
 	bus  *EventBus
 	wake chan struct{}
 
-	// Guarded by bus.mu (push side) — the consumer side re-acquires it.
-	ring      []BusEvent
-	head, n   int
-	dropped   int64
-	busClosed bool
-	closed    bool
-}
-
-// push appends one event, overwriting the oldest when full. Caller
-// holds bus.mu.
-func (s *Subscription) push(ev BusEvent) {
-	if s.closed {
-		return
-	}
-	if s.n == len(s.ring) {
-		s.head = (s.head + 1) % len(s.ring)
-		s.n--
-		s.dropped++
-	}
-	s.ring[(s.head+s.n)%len(s.ring)] = ev
-	s.n++
-	s.wakeup()
+	// Guarded by bus.mu.
+	next    int64 // seq of the next event to deliver
+	bound   int64 // lag bound
+	dropped int64
+	closed  bool
 }
 
 func (s *Subscription) wakeup() {
@@ -284,33 +253,45 @@ func (s *Subscription) wakeup() {
 	}
 }
 
-// TryNext pops the next buffered event without blocking.
-func (s *Subscription) TryNext() (BusEvent, bool) {
-	s.bus.mu.Lock()
-	defer s.bus.mu.Unlock()
-	if s.n == 0 {
+// catchUp skips the oldest unread events beyond the lag bound, counting
+// each as dropped. Caller holds bus.mu.
+func (s *Subscription) catchUp() {
+	if lag := s.bus.nextSeq - s.next + 1; lag > s.bound && !s.closed {
+		s.dropped += lag - s.bound
+		s.next += lag - s.bound
+	}
+}
+
+// pop returns the next unread event, if any. Caller holds bus.mu.
+func (s *Subscription) pop() (BusEvent, bool) {
+	s.catchUp()
+	if s.closed || s.next > s.bus.nextSeq {
 		return BusEvent{}, false
 	}
-	ev := s.ring[s.head]
-	s.head = (s.head + 1) % len(s.ring)
-	s.n--
+	b := s.bus
+	ev := b.history[(b.hStart+int(s.next-b.oldest()))%len(b.history)]
+	s.next++
 	return ev, true
 }
 
+// TryNext returns the next unread event without blocking.
+func (s *Subscription) TryNext() (BusEvent, bool) {
+	s.bus.mu.Lock()
+	defer s.bus.mu.Unlock()
+	return s.pop()
+}
+
 // Next blocks until an event is available, the bus closes (ErrBusClosed,
-// after the ring drains) or ctx is done (its error).
+// after the cursor drains) or ctx is done (its error).
 func (s *Subscription) Next(ctx context.Context) (BusEvent, error) {
 	for {
 		s.bus.mu.Lock()
-		if s.n > 0 {
-			ev := s.ring[s.head]
-			s.head = (s.head + 1) % len(s.ring)
-			s.n--
-			s.bus.mu.Unlock()
+		ev, ok := s.pop()
+		done := s.bus.closed || s.closed
+		s.bus.mu.Unlock()
+		if ok {
 			return ev, nil
 		}
-		done := s.busClosed || s.closed
-		s.bus.mu.Unlock()
 		if done {
 			return BusEvent{}, ErrBusClosed
 		}
@@ -322,18 +303,20 @@ func (s *Subscription) Next(ctx context.Context) (BusEvent, error) {
 	}
 }
 
-// Dropped returns how many events this subscriber lost to ring
-// overwrites plus any resume gap beyond the bus history.
+// Dropped returns how many events this subscriber skipped for lagging
+// past its bound, plus any resume gap beyond the bus history.
 func (s *Subscription) Dropped() int64 {
 	s.bus.mu.Lock()
 	defer s.bus.mu.Unlock()
+	s.catchUp()
 	return s.dropped
 }
 
-// Close unregisters the subscription; pending events are discarded.
+// Close unregisters the subscription; unread events are discarded.
 func (s *Subscription) Close() {
 	s.bus.mu.Lock()
 	defer s.bus.mu.Unlock()
+	s.catchUp()
 	s.closed = true
 	delete(s.bus.subs, s)
 }

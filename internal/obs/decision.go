@@ -135,7 +135,7 @@ type DecisionLog struct {
 	last       map[uint64]PatchState
 	violations []string
 
-	// bus, when attached, receives every recorded decision as a live
+	// bus, when set by New, receives every recorded decision as a live
 	// KindDecision event at the instant Record runs — the streaming
 	// counterpart of the post-run audit trail.
 	bus *EventBus
@@ -144,14 +144,6 @@ type DecisionLog struct {
 // NewDecisionLog returns an empty enabled log.
 func NewDecisionLog() *DecisionLog {
 	return &DecisionLog{last: make(map[uint64]PatchState)}
-}
-
-// AttachBus routes every future Record to b as a live KindDecision
-// event (nil-safe on both sides; attaching nil detaches).
-func (l *DecisionLog) AttachBus(b *EventBus) {
-	if l != nil {
-		l.bus = b
-	}
 }
 
 // Record appends a decision. From is filled in from the region's last

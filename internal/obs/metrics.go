@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strconv"
 )
 
 // Registry holds named counters, gauges, and histograms, and per-window
@@ -17,7 +18,7 @@ type Registry struct {
 	histograms map[string]*Histogram
 	snapshots  []WindowSnapshot
 
-	// bus, when attached, receives one KindWindow event per Snapshot —
+	// bus, when set by New, receives one KindWindow event per Snapshot —
 	// the live counterpart of the Windows time series in the dump.
 	bus *EventBus
 }
@@ -28,14 +29,6 @@ func NewRegistry() *Registry {
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
-	}
-}
-
-// AttachBus routes every future Snapshot to b as a live KindWindow
-// event (nil-safe on both sides; attaching nil detaches).
-func (r *Registry) AttachBus(b *EventBus) {
-	if r != nil {
-		r.bus = b
 	}
 }
 
@@ -269,22 +262,7 @@ func bucketLabel(k int) string {
 		return "le_0"
 	}
 	// label by the inclusive upper bound 2^k
-	v := int64(1) << uint(k)
-	return "le_" + itoa(v)
-}
-
-func itoa(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+	return "le_" + strconv.FormatInt(int64(1)<<uint(k), 10)
 }
 
 // WindowSnapshot freezes every metric value at the end of one profiling

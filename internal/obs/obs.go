@@ -63,19 +63,19 @@ type Observer struct {
 // nil — equivalent to a nil observer, occasionally convenient for tests.
 func New(cfg Config) *Observer {
 	o := &Observer{sampleEvents: cfg.SampleEvents}
+	if cfg.Events {
+		o.bus = NewEventBus(DefaultBusHistory, cfg.EventSubscribers)
+	}
 	if cfg.Trace {
 		o.trace = NewTracer(DefaultTraceCap)
 	}
 	if cfg.Metrics {
 		o.metrics = NewRegistry()
+		o.metrics.bus = o.bus
 	}
 	if cfg.Decisions {
 		o.decisions = NewDecisionLog()
-	}
-	if cfg.Events {
-		o.bus = NewEventBus(DefaultBusHistory, cfg.EventSubscribers)
-		o.metrics.AttachBus(o.bus)
-		o.decisions.AttachBus(o.bus)
+		o.decisions.bus = o.bus
 	}
 	return o
 }

@@ -37,7 +37,9 @@ type RegionStat struct {
 	Retired  int64
 }
 
-// Runtime is the OpenMP runtime bound to one machine.
+// Runtime is the OpenMP runtime bound to one machine. Each executed
+// region records one cycle-domain span on the regions track of the
+// machine's observer, if it traces.
 type Runtime struct {
 	m        *machine.Machine
 	nthreads int
@@ -48,10 +50,6 @@ type Runtime struct {
 	// thread (paper §3: "A monitoring thread is created when a working
 	// thread is forked").
 	OnFork func(tid, cpu int)
-
-	// Obs, if set, records one cycle-domain span per executed region on
-	// the regions track (nil disables).
-	Obs *obs.Observer
 
 	forked []bool
 
@@ -170,7 +168,7 @@ func (rt *Runtime) ParallelFor(fn ia64.Func, trip int64, bind Binder) error {
 		Name: fn.Name, Parallel: true, Threads: len(active),
 		Cycles: end - start, Retired: retired,
 	})
-	if t := rt.Obs.Trace(); t != nil {
+	if t := rt.m.Observer().Trace(); t != nil {
 		t.Span("region", fn.Name, obs.TIDRegions, start, end, map[string]any{
 			"threads": len(active), "retired": retired, "parallel": true,
 		})
@@ -200,7 +198,7 @@ func (rt *Runtime) Serial(fn ia64.Func, bind Binder) error {
 		Name: fn.Name, Parallel: false, Threads: 1,
 		Cycles: end - start, Retired: retired,
 	})
-	if t := rt.Obs.Trace(); t != nil {
+	if t := rt.m.Observer().Trace(); t != nil {
 		t.Span("region", fn.Name, obs.TIDRegions, start, end, map[string]any{
 			"threads": 1, "retired": retired, "parallel": false,
 		})

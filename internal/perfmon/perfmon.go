@@ -38,8 +38,9 @@ type Sample struct {
 }
 
 // Context is the view of the machine the driver needs: the architectural
-// state it snapshots into samples and the clock it charges overhead to.
-// *machine.Machine satisfies it.
+// state it snapshots into samples, the clock it charges overhead to, and
+// the machine's observer (nil when disabled). *machine.Machine satisfies
+// it.
 type Context interface {
 	NumCPUs() int
 	PMU(cpu int) *hpm.PMU
@@ -47,6 +48,7 @@ type Context interface {
 	SampleThreadID(cpu int) int
 	SampleCycle(cpu int) int64
 	ChargeCycles(cpu int, n int64)
+	Observer() *obs.Observer
 }
 
 // Handler receives samples for one monitored CPU — COBRA attaches one
@@ -84,8 +86,8 @@ type Driver struct {
 	nextIdx  int64
 	dropped  int64 // samples captured with no monitoring thread attached
 
-	// Observability: sampleTrace is non-nil only when per-sample instants
-	// were explicitly enabled (they are dense — one event per delivered
+	// Observability, from the context's observer: sampleTrace is non-nil
+	// only when per-sample instants were enabled (dense: one per delivered
 	// sample); the counters are nil-safe and track captures and drops.
 	sampleTrace *obs.Tracer
 	cSamples    *obs.Counter
@@ -101,7 +103,14 @@ func NewDriver(cfg Config, ctx Context) *Driver {
 	if cfg.CyclePeriod <= 0 {
 		cfg.CyclePeriod = DefaultConfig().CyclePeriod
 	}
-	d := &Driver{cfg: cfg, ctx: ctx}
+	o := ctx.Observer()
+	d := &Driver{
+		cfg:         cfg,
+		ctx:         ctx,
+		sampleTrace: o.SampleTrace(),
+		cSamples:    o.Metrics().Counter("perfmon.samples"),
+		cDropped:    o.Metrics().Counter("perfmon.dropped"),
+	}
 	d.handlers = make([]Handler, ctx.NumCPUs())
 	for cpu := 0; cpu < ctx.NumCPUs(); cpu++ {
 		pmu := ctx.PMU(cpu)
@@ -118,17 +127,6 @@ func NewDriver(cfg Config, ctx Context) *Driver {
 		})
 	}
 	return d
-}
-
-// SetObserver attaches an observability sink (nil detaches): captured
-// and dropped sample counts go to the metrics registry, and — only when
-// the observer was built with SampleEvents — one instant event per
-// delivered sample goes to the tracer, on the sampled CPU's track.
-func (d *Driver) SetObserver(o *obs.Observer) {
-	d.sampleTrace = o.SampleTrace()
-	reg := o.Metrics()
-	d.cSamples = reg.Counter("perfmon.samples")
-	d.cDropped = reg.Counter("perfmon.dropped")
 }
 
 // Attach registers the monitoring-thread handler for cpu (one monitoring

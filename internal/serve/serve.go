@@ -274,6 +274,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		observer: req.Artifacts.observer(s.cfg.StreamSubscribers),
 		ctx:      ctx,
 		cancel:   cancel,
+		admitted: make(chan struct{}),
 		created:  time.Now(),
 		state:    StateQueued,
 	}
@@ -316,6 +317,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	})
 	s.metric(func(m *obs.Registry) { m.Counter("serve.submitted").Inc() })
 	s.publishSession(sess, StateQueued)
+	close(sess.admitted)
 	writeJSON(w, http.StatusAccepted, sess.info())
 }
 
@@ -389,8 +391,10 @@ func (s *Server) sessionJob(sess *session) sched.Job[workload.Measurement] {
 		Key:  sess.key,
 		Name: sess.name,
 		Run: func(ctx context.Context) (workload.Measurement, error) {
-			sess.setRunning(time.Now())
-			s.publishSession(sess, StateRunning)
+			<-sess.admitted
+			if sess.setRunning(time.Now()) {
+				s.publishSession(sess, StateRunning)
+			}
 			inst, err := sess.spec.Instantiate(s.cache, sess.observer)
 			if err != nil {
 				return workload.Measurement{}, err
@@ -416,6 +420,7 @@ func (s *Server) sessionJob(sess *session) sched.Job[workload.Measurement] {
 
 // finishSession maps a scheduler result onto the session record.
 func (s *Server) finishSession(sess *session, res sched.Result[workload.Measurement]) {
+	<-sess.admitted
 	defer sess.cancel()
 	now := time.Now()
 	var pe *sched.PanicError

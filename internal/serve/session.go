@@ -85,6 +85,10 @@ type session struct {
 	observer *obs.Observer // non-nil iff artifacts requested; safe to read once terminal
 	ctx      context.Context
 	cancel   context.CancelFunc
+	// admitted closes right after handleSubmit puts the queued event on
+	// the server bus; the job and finishSession wait for it, so /eventsz
+	// shows each session's states in the order they changed.
+	admitted chan struct{}
 
 	created time.Time
 
@@ -151,13 +155,16 @@ func (s *session) info() SessionInfo {
 	}
 }
 
-func (s *session) setRunning(now time.Time) {
+// setRunning moves a queued session to running, reporting whether it did.
+func (s *session) setRunning(now time.Time) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.state == StateQueued {
-		s.state = StateRunning
-		s.started = now
+	if s.state != StateQueued {
+		return false
 	}
+	s.state = StateRunning
+	s.started = now
+	return true
 }
 
 // stateNow returns the current state.

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -418,6 +419,96 @@ func TestEventszStream(t *testing.T) {
 	}
 	if serveDeltas == 0 {
 		t.Fatal("no serve.* counter deltas streamed")
+	}
+}
+
+// legalSessionStep is the session state machine as /eventsz may show
+// it: queued first, then optionally running, then one terminal state.
+func legalSessionStep(from, to State) bool {
+	switch from {
+	case "":
+		return to == StateQueued
+	case StateQueued:
+		return to == StateRunning || to.Terminal()
+	case StateRunning:
+		return to.Terminal()
+	}
+	return false
+}
+
+// TestEventszSessionOrder: concurrent clients submitting ledger hits,
+// which a worker may finish before handleSubmit returns, must still see
+// every session's walk on the server bus in the order its state changed:
+// queued first, then legal steps to exactly one terminal state.
+func TestEventszSessionOrder(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 1024, LedgerDir: t.TempDir()})
+	waitTerminal(t, ts.URL, submit(t, ts.URL, shortSpec()).ID) // seed the ledger
+	sub, err := srv.bus.Subscribe(0, obs.DefaultBusHistory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+
+	body, err := json.Marshal(shortSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clients, perClient = 8, 50
+	ids := make(chan string, clients*perClient) // one send per session
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				resp, err := http.Post(ts.URL+"/sessions", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var info SessionInfo
+				err = json.NewDecoder(resp.Body).Decode(&info)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusAccepted {
+					t.Errorf("submit: status %d, %v", resp.StatusCode, err)
+					return
+				}
+				ids <- info.ID
+			}
+		}()
+	}
+	wg.Wait()
+	close(ids)
+	walks := map[string][]State{}
+	for id := range ids {
+		walks[id] = nil
+	}
+
+	ctx := contextWithTimeout(t, 60*time.Second)
+	for pending := len(walks); pending > 0; {
+		ev, err := sub.Next(ctx)
+		if err != nil {
+			t.Fatalf("%d sessions never finished on the bus: %v", pending, err)
+		}
+		se, ok := ev.Data.(SessionEvent)
+		walk, want := walks[se.ID]
+		if !ok || !want {
+			continue
+		}
+		var prev State
+		if len(walk) > 0 {
+			prev = walk[len(walk)-1]
+		}
+		if !legalSessionStep(prev, se.State) {
+			t.Fatalf("session %s: %v then %s", se.ID, walk, se.State)
+		}
+		walks[se.ID] = append(walk, se.State)
+		if se.State.Terminal() {
+			pending--
+		}
+	}
+	if d := sub.Dropped(); d != 0 {
+		t.Fatalf("subscriber dropped %d events", d)
 	}
 }
 

@@ -155,7 +155,6 @@ func faultControlConfig(ctl FaultControl) cobra.Config {
 	cfg.MinDelinquentSamples = 1
 	cfg.Sampling.CyclePeriod = 400
 	cfg.Sampling.DEARMinLatency = 50
-	cfg.Obs = obs.New(obs.Config{Decisions: true})
 	return cfg
 }
 
@@ -238,6 +237,9 @@ func RunFault(p *Program, baseline *archState, kind FaultKind, ctl FaultControl)
 		res.Err = err.Error()
 		return res
 	}
+	// A decisions-only observer on the machine: the lifecycle audit.
+	o := obs.New(obs.Config{Decisions: true})
+	env.m.SetObserver(o)
 	cb := cobra.New(env.m, faultControlConfig(ctl))
 	env.rt.OnFork = func(tid, cpu int) {
 		cb.MonitorThread(tid, cpu)
@@ -253,7 +255,7 @@ func RunFault(p *Program, baseline *archState, kind FaultKind, ctl FaultControl)
 
 	res.Cycles = env.m.GlobalCycle()
 	res.Patches = cb.Stats().PatchesApplied
-	res.LifecycleViolations = cb.Observer().Decisions().Violations()
+	res.LifecycleViolations = o.Decisions().Violations()
 	res.InvariantViolations = env.m.Domain().InvariantViolations()
 	if baseline != nil {
 		res.Mismatches = diffStates(baseline, snapshotState(env.m), diffLimit)

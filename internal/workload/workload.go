@@ -166,15 +166,10 @@ func assemble(w *Workload, bc BuildConfig, m *machine.Machine, res *compiler.Res
 	}
 	if bc.Obs != nil {
 		m.SetObserver(bc.Obs)
-		rt.Obs = bc.Obs
 		bc.Obs.LabelTracks(m.NumCPUs())
 	}
 	if bc.Cobra != nil {
-		cc := *bc.Cobra
-		if cc.Obs == nil {
-			cc.Obs = bc.Obs
-		}
-		cb := cobra.New(m, cc)
+		cb := cobra.New(m, *bc.Cobra)
 		rt.OnFork = cb.MonitorThread
 		inst.Cobra = cb
 	}
