@@ -25,7 +25,7 @@ build:
 	$(GO) build ./...
 
 # Whole module under the race detector. -short keeps the corpus small
-# (the golden figure sweep already skips itself under -short), so this
+# (of the committed outputs, only Table 1 is rerun under -short), so this
 # is minutes, not hours, while still covering the concurrent layers:
 # sched pool, serve sessions, experiment sweeps.
 race:
@@ -92,16 +92,19 @@ fuzz-smoke:
 # entry for its key is a hit, anything else is quarantined and then a
 # plain miss), the event bus's resume and drop accounting (seqs strictly
 # increase past the resume point, every skipped event is counted, and
-# delivered plus dropped covers the stream), and decision-log replay
-# (exactly the violations LegalTransition predicts). A crasher is written
-# to the target's testdata/fuzz/ directory, where plain `go test`
-# replays it.
+# delivered plus dropped covers the stream), decision-log replay (exactly
+# the violations LegalTransition predicts), and the instruction encoding
+# (a word pair either fails to decode or re-encodes to itself; Append and
+# Patch store exactly the given instruction or refuse it and leave the
+# image as it was). A crasher is written to the target's testdata/fuzz/
+# directory, where plain `go test` replays it.
 fuzz-native:
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecKey$$' -fuzztime 20s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioFlags$$' -fuzztime 20s ./cmd/cobra-run/
 	$(GO) test -run '^$$' -fuzz '^FuzzLedgerGet$$' -fuzztime 20s ./internal/sched/
 	$(GO) test -run '^$$' -fuzz '^FuzzBusResume$$' -fuzztime 20s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecisionReplay$$' -fuzztime 20s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzInstrWords$$' -fuzztime 20s ./internal/ia64/
 
 # Live-telemetry gate: a phased adaptive session runs against an
 # in-process cobrad with its SSE stream followed to completion under the
@@ -121,8 +124,8 @@ stream-smoke:
 # legality, the multiversion engine required to switch a resident
 # variant, and the causal engine required to pair its what-if prediction
 # with the realized IPC. The digest test pins cycles, Stats, decision log
-# and non-patch trace of 13 (workload, engine) cells and demands one
-# patch trace instant per decision.
+# and non-patch trace of 13 (workload, engine) cells in
+# results/digests.json and demands one patch trace instant per decision.
 strategy-smoke:
 	$(GO) test -count=1 ./internal/cobra/
 
@@ -141,7 +144,8 @@ layout-smoke:
 # irregular workloads, every cell running the adaptive COBRA loop
 # through the scheduler under the race detector with the decision-log
 # lifecycle audited, all metrics required finite, and each cell's cycles,
-# memory counters, COBRA counters and decision log pinned; then one
+# memory counters, COBRA counters and decision log pinned in
+# results/digests.json; then one
 # asymmetric-NUMA pointer-chase cell end to end through cobra-run with
 # its cycle-domain trace structurally validated.
 matrix-smoke:
@@ -152,11 +156,18 @@ matrix-smoke:
 	$(GO) run ./cmd/tracecheck results/matrix-smoke.json
 	rm -f results/matrix-smoke.json
 
-# Regenerate the committed experiment outputs through the scheduler.
+# Regenerate every committed output under results/ through the tests that
+# check it: with REGEN_GOLDEN=1 each writes what it would compare. First
+# the root package: TestResults runs each command that prints a results/
+# file, then the phased golden trace, the scenario-matrix digests and the
+# ledger keys. Then the engine digests in internal/cobra. The two run in
+# sequence because both packages write results/digests.json, and with
+# -count=1 because a cached test result would skip its write. A moved
+# engine or matrix measurement then fails TestModelVersion until
+# model_version is bumped.
 results:
-	$(GO) run ./cmd/cobra-npb -table 1 -progress=false > results/table1.txt
-	$(GO) run ./cmd/cobra-npb -figure all -progress=false > results/figures567.txt
-	REGEN_GOLDEN=1 $(GO) test -run TestGoldenPhasedTrace .
+	REGEN_GOLDEN=1 $(GO) test -count=1 -run '^(TestResults|TestGoldenPhasedTrace|TestScenarioMatrix|TestLedgerKeys)$$' .
+	REGEN_GOLDEN=1 $(GO) test -count=1 -run '^TestEngineDigests$$' ./internal/cobra/
 
 # Non-test Go lines outside perfbench/ (the benchmark's own module): the
 # program's size, tracked from change to change.

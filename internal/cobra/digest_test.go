@@ -5,8 +5,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"os"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cobra"
@@ -222,89 +224,6 @@ func checkPatchInstants(t *testing.T, dl *obs.DecisionLog, tr *obs.Tracer) {
 	}
 }
 
-// wantDigests pins every cell at the behaviour of the engines before the
-// patch lifecycle was shared between them.
-var wantDigests = map[string]digest{
-	"phased/prefetch-adaptive-trace": {
-		Cycles:    2746945,
-		Stats:     cobra.Stats{SamplesSeen: 17772, OptimizerPasses: 547, Triggers: 267, PatchesApplied: 2, PatchesRolledBack: 1, PrefetchesNopped: 10, PrefetchesExcl: 10, TracesEmitted: 2},
-		Decisions: "ffd1e560991a7e2192450512eeb965f277ad92c618af2d96ab4f41fa368b9d0c",
-		Trace:     "25f13d1fa3561bc9b09f84dcc709f54f8bfb75cc129723eec6f24c44d3e01d88",
-	},
-	"phased/prefetch-adaptive-inplace": {
-		Cycles:    2325728,
-		Stats:     cobra.Stats{SamplesSeen: 14767, OptimizerPasses: 464, Triggers: 211, PatchesApplied: 2, PatchesRolledBack: 2, PrefetchesNopped: 10, PrefetchesExcl: 10},
-		Decisions: "b6af44c68218f6c9fe486af2e6d31cd90024898bda20c071059c68285561c9fd",
-		Trace:     "c7bc47d1da0952519ffb2a8d7bd55070768b6f50985b0da59b00ab40a6f8717b",
-	},
-	"phased/prefetch-noprefetch": {
-		Cycles:    2760041,
-		Stats:     cobra.Stats{SamplesSeen: 17876, OptimizerPasses: 550, Triggers: 267, PatchesApplied: 1, PatchesRolledBack: 1, PrefetchesNopped: 10, TracesEmitted: 1},
-		Decisions: "9cab74aa5562271f79f8ab5d67a9a0afcb3b10af56490e5083f84e9fcdf4261a",
-		Trace:     "19132fe833ab718358b0f3ef9d56512da2cadd4c4fe04689db948c527d7ffebe",
-	},
-	"phased/multiversion": {
-		Cycles:    2764949,
-		Stats:     cobra.Stats{SamplesSeen: 17882, OptimizerPasses: 551, Triggers: 273, PatchesApplied: 1, PatchesRolledBack: 1, PrefetchesNopped: 10, TracesEmitted: 1, VariantSwitches: 1},
-		Decisions: "13ded4abd7e2d2c143c642d152aaa119db67a7a30e6fdfb6872fcc85f7cfeb1c",
-		Trace:     "1fede9da4c0031f30a946f3ecb322d808e5f9c883906f3923f24b9b9d2c395a5",
-	},
-	"phased/causal": {
-		Cycles:    2746559,
-		Stats:     cobra.Stats{SamplesSeen: 17779, OptimizerPasses: 547, Triggers: 237, PatchesApplied: 2, PatchesRolledBack: 1, PrefetchesNopped: 30, TracesEmitted: 2},
-		Decisions: "0d5b9013b9e587f80c7a3341688e9aae3cabcef9e9fb3caa89543843a12280c0",
-		Trace:     "df18beb6c2de3fe07cc3b76e3dd63b5db3d2cfb0c5b40eb38ee8eb54859b0c34",
-	},
-	"pointerchase/prefetch-adaptive-trace": {
-		Cycles:    17456627,
-		Stats:     cobra.Stats{SamplesSeen: 104881, OptimizerPasses: 3420, Triggers: 3418, PatchesApplied: 1, PatchesRolledBack: 1, PrefetchesNopped: 10, TracesEmitted: 1},
-		Decisions: "91edcaea84c50b6da966a5274b9f7fc162f655738dfac11e689f0af33eafd2b6",
-		Trace:     "2db064d1c3bb1552d4edfd48ef8233351ba5733f19833e2f2fc86e654890ddbd",
-	},
-	"pointerchase/prefetch-adaptive-inplace": {
-		Cycles:    17515246,
-		Stats:     cobra.Stats{SamplesSeen: 105097, OptimizerPasses: 3434, Triggers: 3432, PatchesApplied: 1, PatchesRolledBack: 1, PrefetchesNopped: 10},
-		Decisions: "113b8ae5370e2418d7c751f11bad4155b190a7c3656f278ade51e2633217b5db",
-		Trace:     "079f1f5a2f90cf6185780d28e4395950fcf18c8322973138a78a0cf4de522d55",
-	},
-	"pointerchase/prefetch-noprefetch": {
-		Cycles:    17456627,
-		Stats:     cobra.Stats{SamplesSeen: 104881, OptimizerPasses: 3420, Triggers: 3418, PatchesApplied: 1, PatchesRolledBack: 1, PrefetchesNopped: 10, TracesEmitted: 1},
-		Decisions: "86adcce5b00b2aecc1ef50c6e9c172680ff9f290b084b020a4c59485a61be877",
-		Trace:     "2db064d1c3bb1552d4edfd48ef8233351ba5733f19833e2f2fc86e654890ddbd",
-	},
-	"pointerchase/multiversion": {
-		Cycles:    12846957,
-		Stats:     cobra.Stats{SamplesSeen: 78631, OptimizerPasses: 2512, Triggers: 2510, PatchesApplied: 1, PrefetchesNopped: 10, TracesEmitted: 2, VariantSwitches: 1},
-		Decisions: "05a4e4db349b948e95fd2f162b0047d3f49b8b999fafd56204032174ecc1d378",
-		Trace:     "4eda21603ad8322bdb67b997a55a2c0e2387706387190d612b8f45cdc9eaa4b4",
-	},
-	"pointerchase/causal": {
-		Cycles:    17473439,
-		Stats:     cobra.Stats{SamplesSeen: 105011, OptimizerPasses: 3421, Triggers: 3419, PatchesApplied: 11, PatchesRolledBack: 11, PrefetchesNopped: 110, TracesEmitted: 11},
-		Decisions: "80ec2151459fb8dcf38c03ea673ca5eacd29ca3201663eb194ec74628cbce3d1",
-		Trace:     "e5f884fe75fe47c0989f1ba586d7db2b877406f64fb2a02fc3c5cd3810ddae47",
-	},
-	"pointerchase/prefetch-bias": {
-		Cycles:    12246626,
-		Stats:     cobra.Stats{SamplesSeen: 75195, OptimizerPasses: 2393, Triggers: 2391, PatchesApplied: 1, LoadsBiased: 1, TracesEmitted: 1},
-		Decisions: "db097b21a38f1e83ac975959ea6bc7820d6744bd9afa2c4f48713937f54e7471",
-		Trace:     "a32221c8c872792a90c9e8c5224577bbb56f195053fa624e9cfd521a52f18fa7",
-	},
-	"branchy/layout-240": {
-		Cycles:    27857799,
-		Stats:     cobra.Stats{SamplesSeen: 182444, OptimizerPasses: 25838, Triggers: 25836, PatchesApplied: 1, TracesEmitted: 1},
-		Decisions: "95fb7a856b7beacfd26ae8e8933f78c0878640889d5e9c0c45fc9c7694ccd924",
-		Trace:     "0e8c9fb90ed14ecc7deb9f666a26c07714bef4d804ae9310c8c337772692fef1",
-	},
-	"branchy/layout-60-tol-0.5": {
-		Cycles:    6963538,
-		Stats:     cobra.Stats{SamplesSeen: 45505, OptimizerPasses: 6467, Triggers: 6465, PatchesApplied: 1, PatchesRolledBack: 30, TracesEmitted: 1, VariantSwitches: 29},
-		Decisions: "043836b431efdaeec1d030a2b8f909f51586290370441a4e3f19929a47dfa47a",
-		Trace:     "d2a78666ab11aa585a544295cf4acf0f5bc1140de0518fb08fef1ae32c041425",
-	},
-}
-
 // wantReasons is every (engine, state, reason) the matrix records: every
 // reason string each engine can record, except "escalate" under
 // multiversion and layout (their resident tables re-engage instead).
@@ -338,19 +257,29 @@ var wantReasons = []string{
 	"prefetch rolled_back regressed",
 }
 
-// TestEngineDigests runs the digest matrix and compares every cell with
-// its pinned digest. On a mismatch it prints the cell's new digest in Go
-// syntax, but a change here means simulated behaviour moved.
+// TestEngineDigests runs the digest matrix, one parallel subtest per
+// cell, and compares every cell with its digest in the "engine" section
+// of results/digests.json; under REGEN_GOLDEN=1 it rewrites that section
+// instead. On a mismatch it prints the cell's new digest, but a change
+// here means simulated behaviour moved. The reasons-set check runs once
+// every cell has finished.
 func TestEngineDigests(t *testing.T) {
+	regen := os.Getenv("REGEN_GOLDEN") != ""
+	var want map[string]digest
+	if !regen {
+		readPins(t, "engine", &want)
+	}
+	var mu sync.Mutex
 	reasons := map[string]bool{}
-	skipped := false
-	for _, c := range digestCells() {
+	digests := map[string]digest{}
+	cells := digestCells()
+	for _, c := range cells {
 		c := c
 		if c.slow && testing.Short() {
-			skipped = true
 			continue
 		}
 		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
 			got, o, engine := c.run(t)
 			dl, tr := o.Decisions(), o.Trace()
 			if v := dl.Violations(); len(v) != 0 {
@@ -362,23 +291,81 @@ func TestEngineDigests(t *testing.T) {
 			got.Decisions = hashDecisions(t, dl)
 			got.Trace = hashNonPatchTrace(t, tr)
 			checkPatchInstants(t, dl, tr)
+			mu.Lock()
+			defer mu.Unlock()
 			for _, d := range dl.Decisions() {
 				reasons[fmt.Sprintf("%s %s %s", engine, d.To, d.Reason)] = true
 			}
-			if want, ok := wantDigests[c.name]; !ok || got != want {
-				t.Errorf("digest drifted:\n got: %q: %#v,\nwant: %#v", c.name, got, want)
+			digests[c.name] = got
+			if w, ok := want[c.name]; !regen && (!ok || got != w) {
+				t.Errorf("digest drifted:\n got: %q: %+v,\nwant: %+v", c.name, got, w)
 			}
 		})
 	}
-	if skipped {
-		return
+	t.Cleanup(func() {
+		if len(digests) < len(cells) { // -short or a -run filter skipped cells
+			return
+		}
+		if regen && !t.Failed() {
+			writePins(t, "engine", digests)
+		}
+		var got []string
+		for r := range reasons {
+			got = append(got, r)
+		}
+		sort.Strings(got)
+		if strings.Join(got, "\n") != strings.Join(wantReasons, "\n") {
+			t.Errorf("recorded (engine, state, reason) set drifted:\n got: %q\nwant: %q", got, wantReasons)
+		}
+	})
+}
+
+// pinsPath is the repository's pins file; see the root package's
+// pins_test.go for its sections.
+const pinsPath = "../../results/digests.json"
+
+// readPins decodes one section of the pins file into v.
+func readPins(t *testing.T, section string, v any) {
+	t.Helper()
+	file := loadPins(t)
+	raw, ok := file[section]
+	if !ok {
+		t.Fatalf("%s has no %q section", pinsPath, section)
 	}
-	var got []string
-	for r := range reasons {
-		got = append(got, r)
+	if err := json.Unmarshal(raw, v); err != nil {
+		t.Fatalf("%s section %q: %v", pinsPath, section, err)
 	}
-	sort.Strings(got)
-	if strings.Join(got, "\n") != strings.Join(wantReasons, "\n") {
-		t.Errorf("recorded (engine, state, reason) set drifted:\n got: %q\nwant: %q", got, wantReasons)
+}
+
+// writePins replaces one section of the pins file with v and keeps the
+// others.
+func writePins(t *testing.T, section string, v any) {
+	t.Helper()
+	file := loadPins(t)
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
 	}
+	file[section] = raw
+	out, err := json.MarshalIndent(file, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(pinsPath, append(out, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("regenerated section %q of %s", section, pinsPath)
+}
+
+func loadPins(t *testing.T) map[string]json.RawMessage {
+	t.Helper()
+	b, err := os.ReadFile(pinsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file map[string]json.RawMessage
+	if err := json.Unmarshal(b, &file); err != nil {
+		t.Fatalf("%s: %v", pinsPath, err)
+	}
+	return file
 }

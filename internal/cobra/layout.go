@@ -350,10 +350,11 @@ func (p *Patcher) emitLayout(r Region, spec LayoutSpec) (Variant, error) {
 		return Variant{}, fmt.Errorf("cobra: layout of region [%d,%d]: latch %d outside the partition", r.Start, r.End, r.Key.BranchPC)
 	}
 
+	if _, err := p.img.Append(trace...); err != nil {
+		return Variant{}, err
+	}
 	p.nLayouts++
-	name := fmt.Sprintf("cobra.layout%d", p.nLayouts)
-	p.img.Append(trace...)
-	p.img.AddFunc(name, entry, entry+len(trace))
+	p.img.AddFunc(fmt.Sprintf("cobra.layout%d", p.nLayouts), entry, entry+len(trace))
 	return Variant{
 		Rewrite:    RewriteLayout,
 		TraceEntry: entry,

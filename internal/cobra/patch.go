@@ -149,8 +149,6 @@ func (p *Patcher) emitTrace(r Region, slots []int, rw Rewrite) (Variant, error) 
 		return Variant{}, fmt.Errorf("cobra: no applicable instruction among %d slots: %w", len(slots), ErrNoRewritableSlots)
 	}
 
-	p.nTraces++
-	name := fmt.Sprintf("cobra.trace%d", p.nTraces)
 	entry := p.img.Len()
 	// Relocate intra-region branch targets to the trace copy; targets
 	// outside the region (the guard's skip label, etc.) stay absolute.
@@ -162,8 +160,11 @@ func (p *Patcher) emitTrace(r Region, slots []int, rw Rewrite) (Variant, error) 
 	}
 	// Fall-through continues after the original region.
 	trace = append(trace, ia64.Instr{Op: ia64.OpBr, Br: ia64.BrAlways, Imm: int64(r.End + 1)})
-	p.img.Append(trace...)
-	p.img.AddFunc(name, entry, entry+len(trace))
+	if _, err := p.img.Append(trace...); err != nil {
+		return Variant{}, err
+	}
+	p.nTraces++
+	p.img.AddFunc(fmt.Sprintf("cobra.trace%d", p.nTraces), entry, entry+len(trace))
 	return Variant{
 		Rewrite:    rw,
 		TraceEntry: entry,

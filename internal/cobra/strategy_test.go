@@ -134,12 +134,14 @@ func TestCausalRecordsPredictedVsActual(t *testing.T) {
 
 // TestEnginesPreserveWorkloadResults: whatever the engine does to the
 // code, the workload's own Verify must hold (Measure fails otherwise) —
-// run the whole matrix.
+// run the whole matrix, one parallel subtest per engine.
 func TestEnginesPreserveWorkloadResults(t *testing.T) {
 	for _, s := range []cobra.Strategy{cobra.StrategyAdaptive, cobra.StrategyMultiVersion, cobra.StrategyCausal, cobra.StrategyLayout} {
-		_, m := runPhased(t, s)
-		if m.Cycles <= 0 {
-			t.Errorf("%s: no cycles measured", s)
-		}
+		t.Run(s.String(), func(t *testing.T) {
+			t.Parallel()
+			if _, m := runPhased(t, s); m.Cycles <= 0 {
+				t.Errorf("%s: no cycles measured", s)
+			}
+		})
 	}
 }

@@ -84,7 +84,10 @@ func (a *Asm) Close() (int, error) {
 		}
 		a.instrs[fx.slot].Imm = int64(base + rel)
 	}
-	entry := a.img.Append(a.instrs...)
+	entry, err := a.img.Append(a.instrs...)
+	if err != nil {
+		return 0, fmt.Errorf("ia64: assembling %s: %w", a.name, err)
+	}
 	if entry != base {
 		return 0, fmt.Errorf("ia64: image grew concurrently while assembling %s", a.name)
 	}

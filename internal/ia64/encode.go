@@ -81,6 +81,22 @@ func Decode(w0, w1 Word) (Instr, error) {
 	return in, nil
 }
 
+// encodeExact encodes in and refuses it unless the words decode back to
+// exactly in. Encode keeps only the low 6 bits of P1 and P2 and the low 4
+// bits of Hint, Br and Rel, so a wider field would otherwise change
+// silently, and the slot a CPU executes would disagree with its words.
+func encodeExact(in Instr) (Word, Word, error) {
+	w0, w1 := Encode(in)
+	got, err := Decode(w0, w1)
+	if err != nil {
+		return 0, 0, err
+	}
+	if got != in {
+		return 0, 0, fmt.Errorf("ia64: %+v does not fit its encoding (it decodes to %+v)", in, got)
+	}
+	return w0, w1, nil
+}
+
 // MustDecode decodes a word pair and panics on malformed encodings. It is
 // used on paths where the words were produced by Encode.
 func MustDecode(w0, w1 Word) Instr {

@@ -90,22 +90,23 @@ func (im *Image) Generation() uint64 {
 }
 
 // Append adds encoded instructions at the end of the image and returns the
-// slot index of the first one.
-func (im *Image) Append(instrs ...Instr) int {
+// slot index of the first one. If any instruction does not survive its
+// encoding (see encodeExact), it appends none of them.
+func (im *Image) Append(instrs ...Instr) (int, error) {
 	im.mu.Lock()
 	defer im.mu.Unlock()
-	return im.appendLocked(instrs)
-}
-
-func (im *Image) appendLocked(instrs []Instr) int {
 	start := len(im.dec)
 	for _, in := range instrs {
-		w0, w1 := Encode(in)
+		w0, w1, err := encodeExact(in)
+		if err != nil {
+			im.words = im.words[:2*start]
+			return 0, fmt.Errorf("ia64: refusing to append at slot %d: %w", start, err)
+		}
 		im.words = append(im.words, w0, w1)
-		im.dec = append(im.dec, in)
 	}
+	im.dec = append(im.dec, instrs...)
 	im.gen.Add(1) // executing CPUs must re-read Code: dec may have moved
-	return start
+	return start, nil
 }
 
 // AddFunc registers a function covering [entry, end).
@@ -226,12 +227,12 @@ func (im *Image) Words(pc int) (Word, Word) {
 	return im.words[2*pc], im.words[2*pc+1]
 }
 
-// Patch rewrites slot pc with the encoding of in. The write is validated by
-// decoding the new words, the generation counter is bumped, and the previous
+// Patch rewrites slot pc with the encoding of in. An instruction that does
+// not survive its encoding (see encodeExact) is refused and the slot left
+// as it was; otherwise the generation counter is bumped and the previous
 // instruction is returned so the caller can undo the patch.
 func (im *Image) Patch(pc int, in Instr) (Instr, error) {
-	w0, w1 := Encode(in)
-	chk, err := Decode(w0, w1)
+	w0, w1, err := encodeExact(in)
 	if err != nil {
 		return Instr{}, fmt.Errorf("ia64: refusing unencodable patch at slot %d: %w", pc, err)
 	}
@@ -242,7 +243,7 @@ func (im *Image) Patch(pc int, in Instr) (Instr, error) {
 	}
 	old := im.dec[pc]
 	im.words[2*pc], im.words[2*pc+1] = w0, w1
-	im.dec[pc] = chk
+	im.dec[pc] = in
 	im.gen.Add(1)
 	return old, nil
 }

@@ -7,10 +7,13 @@ import (
 
 func TestImageAppendFetch(t *testing.T) {
 	img := NewImage()
-	start := img.Append(
+	start, err := img.Append(
 		Instr{Op: OpMovI, R1: 4, Imm: 10},
 		Instr{Op: OpLfetch, R2: 4, Hint: HintNT1},
 	)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if start != 0 {
 		t.Fatalf("first append start = %d, want 0", start)
 	}

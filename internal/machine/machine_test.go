@@ -332,8 +332,8 @@ func TestCPUsExecuteCurrentCode(t *testing.T) {
 		},
 		func() {
 			before, _ := img.Code()
-			if got := img.Append(block(4, blockAt)...); got != blockAt {
-				t.Errorf("block appended at %d, want %d", got, blockAt)
+			if got, err := img.Append(block(4, blockAt)...); err != nil || got != blockAt {
+				t.Errorf("block appended at %d (%v), want %d", got, err, blockAt)
 			}
 			if after, _ := img.Code(); &after[0] == &before[0] {
 				t.Error("the append left the slots in place; the test lost its point")

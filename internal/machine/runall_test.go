@@ -193,12 +193,15 @@ func TestRunAllClockBound(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			img := ia64.NewImage()
-			entry := img.Append(ia64.Instr{Op: ia64.OpHalt})
+			entry, err := img.Append(ia64.Instr{Op: ia64.OpHalt})
+			if err != nil {
+				t.Fatal(err)
+			}
 			m := testMachine(t, img, 2)
 			m.StartThread(0, entry, 1, nil)
 			m.StartThread(1, entry, 2, nil)
 			m.CPU(1).Cycle = tc.clock
-			_, err := m.RunAll([]int{0, 1})
+			_, err = m.RunAll([]int{0, 1})
 			if tc.ok {
 				if err != nil || !m.CPU(1).Halted {
 					t.Fatalf("RunAll = %v, halted %v; want a clean run", err, m.CPU(1).Halted)

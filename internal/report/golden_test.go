@@ -187,23 +187,3 @@ cg         prefetch.excl           9         2         1         0         4
 `
 	checkGolden(t, b.String(), want)
 }
-
-func TestCSVGolden(t *testing.T) {
-	var b bytes.Buffer
-	CSV(&b, npbFixture())
-	want := `machine,threads,bench,strategy,cycles,l3,bus,speedup
-4-way SMP,4,bt,prefetch,1000,100,200,1.0000
-4-way SMP,4,bt,noprefetch,2000,50,100,0.5000
-4-way SMP,4,bt,prefetch.excl,500,80,150,2.0000
-4-way SMP,4,cg,prefetch,900,90,90,1.0000
-4-way SMP,4,cg,noprefetch,450,45,45,2.0000
-4-way SMP,4,cg,prefetch.excl,300,30,30,3.0000
-`
-	checkGolden(t, b.String(), want)
-
-	b.Reset()
-	CSV(&b, &experiment.NPBResult{Machine: experiment.SMP4, Threads: 4})
-	if got := b.String(); got != "machine,threads,bench,strategy,cycles,l3,bus,speedup\n" {
-		t.Errorf("empty CSV = %q, want header only", got)
-	}
-}

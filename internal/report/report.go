@@ -109,15 +109,3 @@ func CobraActivity(w io.Writer, r *experiment.NPBResult) {
 			c.Cobra.PatchesApplied, c.Cobra.PrefetchesNopped, c.Cobra.PrefetchesExcl)
 	}
 }
-
-// CSV writes an NPB sweep as comma-separated rows (bench, strategy,
-// cycles, l3Misses, busTransactions, speedup) for downstream plotting.
-func CSV(w io.Writer, r *experiment.NPBResult) {
-	fmt.Fprintf(w, "machine,threads,bench,strategy,cycles,l3,bus,speedup\n")
-	for _, c := range r.Cells {
-		fmt.Fprintf(w, "%s,%d,%s,%s,%d,%d,%d,%.4f\n",
-			r.Machine, r.Threads, c.Bench, c.Strategy,
-			c.Cycles, c.Mem.L3Misses, c.Mem.BusMemory,
-			r.Speedup(c.Bench, c.Strategy))
-	}
-}

@@ -60,19 +60,3 @@ func TestNPBFigureRendering(t *testing.T) {
 		}
 	}
 }
-
-func TestCSV(t *testing.T) {
-	res, err := experiment.RunNPBSched(experiment.SMP4, npb.ClassT, []string{"ep"}, experiment.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	CSV(&sb, res)
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 1+3 { // header + 3 strategies
-		t.Fatalf("csv lines = %d:\n%s", len(lines), sb.String())
-	}
-	if !strings.HasPrefix(lines[1], "4-way SMP,4,ep,prefetch,") {
-		t.Fatalf("csv row = %q", lines[1])
-	}
-}

@@ -71,8 +71,9 @@ type Config struct {
 	// server-wide /eventsz stream and on each session's event stream
 	// (<= 0 means obs.DefaultBusSubscribers). The bound is what keeps a
 	// subscriber stampede from holding goroutines: excess subscribers
-	// are answered 429, and every admitted one reads from its own
-	// bounded ring, so no reader can back-pressure a simulation.
+	// are answered 429, and every admitted one is a cursor into the
+	// bus's one bounded history with a lag bound, so no reader can
+	// back-pressure a simulation.
 	StreamSubscribers int
 	// Logf receives service diagnostics (nil discards).
 	Logf func(format string, args ...any)

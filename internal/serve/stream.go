@@ -28,11 +28,12 @@ import (
 // connection left off — the bus backfills from its bounded history and
 // any unbridgeable gap shows up as a seq jump plus a `: gap` comment.
 //
-// Slow clients cannot back-pressure a simulation: subscribers read from
-// bounded per-subscriber rings (overflow is dropped and accounted, not
-// blocked on), subscriber counts are bounded (excess answered 429), and
-// each network write runs under a deadline — a stalled reader is
-// evicted, not waited for.
+// Slow clients cannot back-pressure a simulation: each subscriber is a
+// cursor into the bus's one bounded history, and one that falls more
+// than its lag bound behind skips its oldest unread events (dropped and
+// accounted, not blocked on); subscriber counts are bounded (excess
+// answered 429), and each network write runs under a deadline — a
+// stalled reader is evicted, not waited for.
 
 const (
 	// streamHeartbeat paces comment keep-alives on idle streams, so

@@ -10,7 +10,6 @@ package repro_test
 
 import (
 	"bytes"
-	"os"
 	"strings"
 	"testing"
 
@@ -51,10 +50,9 @@ func runPhasedObserved(t *testing.T, oc obs.Config) (*obs.Observer, workload.Mea
 	return o, m
 }
 
-// TestGoldenPhasedTrace pins the exported trace byte-for-byte. Regenerate
-// the fixture after an intentional control-loop or tracer change with:
-//
-//	REGEN_GOLDEN=1 go test -run TestGoldenPhasedTrace .
+// TestGoldenPhasedTrace pins the exported trace byte-for-byte. `make
+// results` regenerates the fixture after an intentional control-loop or
+// tracer change.
 func TestGoldenPhasedTrace(t *testing.T) {
 	o, m := runPhasedObserved(t, obs.Config{Trace: true, Metrics: true, Decisions: true})
 	if m.Cobra.PatchesApplied == 0 || m.Cobra.PatchesRolledBack == 0 {
@@ -65,15 +63,7 @@ func TestGoldenPhasedTrace(t *testing.T) {
 	if err := o.Trace().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	const name = "adaptive-daxpy.trace.json"
-	if os.Getenv("REGEN_GOLDEN") != "" {
-		if err := os.WriteFile("results/"+name, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("regenerated results/%s (%d events)", name, o.Trace().Len())
-		return
-	}
-	diffBytes(t, "results/"+name, buf.Bytes(), mustGolden(t, name))
+	checkGolden(t, "adaptive-daxpy.trace.json", buf.Bytes())
 }
 
 func TestPhasedObservabilityEndToEnd(t *testing.T) {

@@ -35,13 +35,12 @@ func TestHarnessSmoke(t *testing.T) {
 		report.Figure6(&sb, 'a', res)
 		report.Figure7(&sb, 'a', res)
 		report.CobraActivity(&sb, res)
-		report.CSV(&sb, res)
 	}
 
 	out := sb.String()
 	for _, want := range []string{
 		"Figure 3(a)", "Table 1", "Figure 5(a)", "Figure 6(a)", "Figure 7(a)",
-		"mg.S", "COBRA activity", "machine,threads,bench",
+		"mg.S", "COBRA activity",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("harness output missing %q", want)
