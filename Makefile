@@ -84,7 +84,11 @@ fuzz-smoke:
 	$(GO) run ./cmd/cobra-verify -seed 1 -n 1000 -fault-every 5
 
 # Native Go fuzzing of the input boundaries, a fixed budget per target on
-# top of its seed corpus under testdata/fuzz/: the cobrad spec decoder
+# top of its seed corpus under testdata/fuzz/. -fuzzminimizetime 100x
+# bounds the minimization of each new coverage-expanding input to 100
+# executions; at the default (up to 60 s per input) the workers spent
+# most of a 20 s budget minimizing, at 0 execs/s. The targets: the cobrad
+# spec decoder
 # (decode, Normalize, Validate, Key must never panic, and a valid spec
 # must keep its key through a re-encode), cobra-run's -topology,
 # -affinity and -migrate parser (never panics; a spec that validates has
@@ -96,22 +100,23 @@ fuzz-smoke:
 # the violations LegalTransition predicts), and the instruction encoding
 # (a word pair either fails to decode or re-encodes to itself; Append and
 # Patch store exactly the given instruction or refuse it and leave the
-# image as it was). A crasher is written to the target's testdata/fuzz/
-# directory, where plain `go test` replays it.
+# image as it was). A crasher is still written to the target's
+# testdata/fuzz/ directory, where plain `go test` replays it.
 fuzz-native:
-	$(GO) test -run '^$$' -fuzz '^FuzzSpecKey$$' -fuzztime 20s ./internal/serve/
-	$(GO) test -run '^$$' -fuzz '^FuzzScenarioFlags$$' -fuzztime 20s ./cmd/cobra-run/
-	$(GO) test -run '^$$' -fuzz '^FuzzLedgerGet$$' -fuzztime 20s ./internal/sched/
-	$(GO) test -run '^$$' -fuzz '^FuzzBusResume$$' -fuzztime 20s ./internal/obs/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecisionReplay$$' -fuzztime 20s ./internal/obs/
-	$(GO) test -run '^$$' -fuzz '^FuzzInstrWords$$' -fuzztime 20s ./internal/ia64/
+	$(GO) test -run '^$$' -fuzz '^FuzzSpecKey$$' -fuzztime 20s -fuzzminimizetime 100x ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzScenarioFlags$$' -fuzztime 20s -fuzzminimizetime 100x ./cmd/cobra-run/
+	$(GO) test -run '^$$' -fuzz '^FuzzLedgerGet$$' -fuzztime 20s -fuzzminimizetime 100x ./internal/sched/
+	$(GO) test -run '^$$' -fuzz '^FuzzBusResume$$' -fuzztime 20s -fuzzminimizetime 100x ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecisionReplay$$' -fuzztime 20s -fuzzminimizetime 100x ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzInstrWords$$' -fuzztime 20s -fuzzminimizetime 100x ./internal/ia64/
 
 # Live-telemetry gate: a phased adaptive session runs against an
 # in-process cobrad with its SSE stream followed to completion under the
 # race detector; the streamed decision transitions must replay to
-# byte-equality with the final decisions artifact, the streamed window
-# snapshots must equal the metrics artifact's window series, and every
-# event must carry strictly monotone ids and finite numbers
+# byte-equality with the final decisions artifact, the stream must carry
+# one window event per optimizer pass, whose snapshots equal the metrics
+# artifact's window series, and no kinds but window, decision and end,
+# and every event must carry strictly monotone ids and finite numbers
 # (tracecheck-style structural validation of the event JSON). Then 400
 # ledger-hit sessions from 8 concurrent clients must each appear on
 # /eventsz's bus as a legal walk starting at queued.

@@ -7,7 +7,7 @@
 //	    One session: a per-region patch-lifecycle timeline
 //	    (candidate → deployed → kept / rolled_back / switched / blocked)
 //	    with the evidence of the latest decision, plus a rolling-IPC
-//	    sparkline fed by the control loop's per-window pass events.
+//	    sparkline fed by the control loop's per-pass window events.
 //
 //	cobra-top -addr http://host:8321
 //	    The whole server (GET /eventsz): every session's state as it
@@ -44,12 +44,12 @@ type wireEvent struct {
 	Data  json.RawMessage `json:"data,omitempty"`
 }
 
-type passEvent struct {
-	Window        int     `json:"window"`
-	Cycle         int64   `json:"cycle"`
-	IPC           float64 `json:"ipc"`
-	CoherentShare float64 `json:"coherent_share"`
-	Samples       int64   `json:"samples"`
+// windowEvent is the part of a window event the view shows.
+type windowEvent struct {
+	Window        int                `json:"window"`
+	Cycle         int64              `json:"cycle"`
+	Gauges        map[string]float64 `json:"gauges,omitempty"`
+	CounterDeltas map[string]int64   `json:"counter_deltas,omitempty"`
 }
 
 type decisionEvent struct {
@@ -236,17 +236,21 @@ func (v *view) apply(ev wireEvent) bool {
 		v.lastCycle = ev.Cycle
 	}
 	switch ev.Kind {
-	case "pass":
-		var p passEvent
-		if json.Unmarshal(ev.Data, &p) == nil {
-			v.windows = p.Window + 1
-			v.ipc = append(v.ipc, p.IPC)
+	case "window":
+		// Every drained sample is profiled: samples_seen grows by the
+		// window's sample count.
+		var w windowEvent
+		if json.Unmarshal(ev.Data, &w) == nil {
+			ipc := w.Gauges["cobra.window_ipc"]
+			v.windows = w.Window + 1
+			v.ipc = append(v.ipc, ipc)
 			if len(v.ipc) > 60 {
 				v.ipc = v.ipc[1:]
 			}
 			if v.plain {
 				fmt.Printf("[%8d] window %3d  cycle %-12d ipc %.4f  coherent %.3f  samples %d\n",
-					ev.Seq, p.Window, p.Cycle, p.IPC, p.CoherentShare, p.Samples)
+					ev.Seq, w.Window, w.Cycle, ipc, w.Gauges["cobra.window_coherent_share"],
+					w.CounterDeltas["cobra.samples_seen"])
 			}
 		}
 	case "decision":
@@ -269,9 +273,6 @@ func (v *view) apply(ev wireEvent) bool {
 					orDash(d.Ev.Rewrite), d.Ev.BaselineIPC, d.Ev.PatchedIPC)
 			}
 		}
-	case "window":
-		// Metric snapshots ride along for dashboards; the terminal view
-		// derives everything it shows from pass + decision events.
 	case "session":
 		var se sessionEvent
 		if json.Unmarshal(ev.Data, &se) == nil {

@@ -1,10 +1,6 @@
 package cobra
 
-import (
-	"fmt"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // The patch lifecycle, owned by the Runtime and written once for every
 // engine: a trigger makes a region a candidate, a deployment dispatches
@@ -12,9 +8,8 @@ import (
 // variant is judged — kept, switched to another resident variant, or
 // rolled back (and perhaps blocked) — and a rolled-back region either
 // re-enters as a candidate or re-engages its resident table. Each
-// transition is counted and emitted here, as one decision-log record
-// plus one trace instant; engines only answer Propose, OnRegress and
-// Decorate.
+// transition is counted here and reported to the observer as one
+// decision fact; engines only answer Propose, OnRegress and Decorate.
 
 // maxDeploysPerPass bounds how many regions one optimizer pass deploys
 // or re-engages, so a regressing rewrite is caught and abandoned before
@@ -61,21 +56,19 @@ func (r *Runtime) judge(win Window, now int64) {
 				reason = "improved"
 			}
 			r.engine.Decorate(k, st, &ev)
-			r.record(k, st, obs.StateKept, reason, ev, now)
+			r.record(k, st, obs.StateKept, reason, ev, now, 0)
 			continue
 		}
 
 		act := r.engine.OnRegress(r, st)
-		if tr := r.obs.Trace(); tr != nil {
-			tr.Span("patch", fmt.Sprintf("active %s @%#x", ev.Rewrite, k.Head),
-				obs.TIDPatch, st.DeployedAt, now, map[string]any{"region": k.Head})
-		}
+		// The decision below ends the live variant dispatched at since.
+		since := st.DeployedAt
 		// A switch that cannot land falls back to restoring the original.
 		if act.To >= 0 && r.patcher.Switch(st.Deployment, act.To) == nil {
 			r.engage(st, win, now)
 			r.stats.VariantSwitches++
 			r.engine.Decorate(k, st, &ev)
-			r.record(k, st, obs.StateSwitched, act.Reason, ev, now)
+			r.record(k, st, obs.StateSwitched, act.Reason, ev, now, since)
 			continue
 		}
 		if r.patcher.Switch(st.Deployment, -1) == nil {
@@ -84,10 +77,10 @@ func (r *Runtime) judge(win Window, now int64) {
 		st.Cooldown = evaluateWindows
 		ev.CooldownUntil = now + int64(st.Cooldown)*r.cfg.OptimizeInterval
 		r.engine.Decorate(k, st, &ev)
-		r.record(k, st, obs.StateRolledBack, act.Reason, ev, now)
+		r.record(k, st, obs.StateRolledBack, act.Reason, ev, now, since)
 		if act.Block != "" {
 			st.Blocked = true
-			r.record(k, st, obs.StateBlocked, act.Block, ev, now)
+			r.record(k, st, obs.StateBlocked, act.Block, ev, now, 0)
 		}
 	}
 }
@@ -122,7 +115,7 @@ func (r *Runtime) deploy(p Proposal, agg Window, now int64) bool {
 	switch {
 	case p.Block != "":
 		st.Blocked = true
-		r.record(k, st, obs.StateBlocked, p.Block, ev, now)
+		r.record(k, st, obs.StateBlocked, p.Block, ev, now, 0)
 		return false
 	case p.Specs == nil:
 		// Re-engage the resident table: one dispatch switch
@@ -135,7 +128,7 @@ func (r *Runtime) deploy(p Proposal, agg Window, now int64) bool {
 		r.stats.VariantSwitches++
 		ev.Rewrite, ev.BaselineIPC, ev.GlobalBaselineIPC = st.Rewrite.String(), st.Baseline, st.GlobalBase
 		r.engine.Decorate(k, st, &ev)
-		r.record(k, st, obs.StateSwitched, "reengage", ev, now)
+		r.record(k, st, obs.StateSwitched, "reengage", ev, now, 0)
 		return true
 	}
 	// Trigger evidence selected the region: it becomes a candidate even
@@ -145,7 +138,7 @@ func (r *Runtime) deploy(p Proposal, agg Window, now int64) bool {
 	if r.obs.Decisions().State(uint64(k.Head)) == obs.StateRolledBack {
 		reason = "escalate"
 	}
-	r.record(k, st, obs.StateCandidate, reason, ev, now)
+	r.record(k, st, obs.StateCandidate, reason, ev, now, 0)
 	vs, err := r.patcher.DeployVariants(r.analyzer.RegionFor(k), p.Specs)
 	if err != nil || r.patcher.Switch(vs, 0) != nil {
 		return false
@@ -161,7 +154,7 @@ func (r *Runtime) deploy(p Proposal, agg Window, now int64) bool {
 	r.countDeploy(vs)
 	ev.BaselineIPC, ev.GlobalBaselineIPC = st.Baseline, st.GlobalBase
 	r.engine.Decorate(k, st, &ev)
-	r.record(k, st, obs.StateDeployed, "deploy", ev, now)
+	r.record(k, st, obs.StateDeployed, "deploy", ev, now, 0)
 	return true
 }
 
@@ -218,41 +211,20 @@ func (r *Runtime) observeWindow(st *RegionState, win Window) bool {
 	return st.ActiveWindows >= evaluateWindows
 }
 
-// record is the single emission point of the lifecycle: one decision-log
-// record and one trace instant per transition of region k.
-func (r *Runtime) record(k LoopKey, st *RegionState, to obs.PatchState, reason string, ev obs.Evidence, now int64) {
-	r.obs.Decisions().Record(now, uint64(k.Head), r.windows, to, reason, ev)
-	tr := r.obs.Trace()
-	if tr == nil {
-		return
+// record is the single emission point of the lifecycle: it reports one
+// transition of region k to the observer, with a deployment's dispatched
+// variant. since is the dispatch cycle of the live variant the
+// transition ends, 0 if it ends none.
+func (r *Runtime) record(k LoopKey, st *RegionState, to obs.PatchState, reason string, ev obs.Evidence, now, since int64) {
+	f := obs.DecisionFact{
+		Cycle: now, Region: uint64(k.Head), Window: r.windows,
+		To: to, Reason: reason, Evidence: ev, ActiveSince: since,
 	}
-	name := string(to)
-	args := map[string]any{"region": k.Head}
-	switch to {
-	case obs.StateCandidate:
-		name = "candidate " + ev.Rewrite
-		args["coherent_share"] = ev.CoherentShare
-	case obs.StateDeployed:
+	if to == obs.StateDeployed {
 		v := st.Deployment.ActiveVariant()
-		name = "deployed " + ev.Rewrite
-		args["slots"] = len(v.writes)
-		args["rewritten"] = v.RewrittenPrefetches
-		args["trace"] = v.TraceEntry >= 0
-		args["baseline_ipc"] = ev.BaselineIPC
-	case obs.StateBlocked:
-		args["reason"] = reason
-	case obs.StateSwitched:
-		name = "switched " + ev.Variant
-		args["variant"] = ev.Variant
-		fallthrough
-	default: // kept, rolled back, switched: the judgement's numbers
-		if to == obs.StateRolledBack {
-			name = "rolled back"
-		}
-		args["baseline_ipc"] = ev.BaselineIPC
-		args["patched_ipc"] = ev.PatchedIPC
+		f.Slots, f.Rewritten, f.Trace = len(v.writes), v.RewrittenPrefetches, v.TraceEntry >= 0
 	}
-	tr.Instant("patch", fmt.Sprintf("%s @%#x", name, k.Head), obs.TIDPatch, now, args)
+	r.obs.Decided(f)
 }
 
 // liveKeys returns the keys of regions with a dispatched variant, in

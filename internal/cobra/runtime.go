@@ -24,29 +24,22 @@ type Stats struct {
 	VariantSwitches   int64
 }
 
-// mirrorStats writes the Stats counters into the metrics registry, so a
+// counts names the Stats counters as a window fact carries them, so a
 // run with metrics enabled exports them under "cobra.*" alongside the
-// window gauges. No-op without a registry.
-func (r *Runtime) mirrorStats() {
-	reg := r.obs.Metrics()
-	if reg == nil {
-		return
-	}
-	s := r.stats
-	for name, v := range map[string]int64{
-		"cobra.samples_seen":        s.SamplesSeen,
-		"cobra.optimizer_passes":    s.OptimizerPasses,
-		"cobra.triggers":            s.Triggers,
-		"cobra.patches_applied":     s.PatchesApplied,
-		"cobra.patches_rolled_back": s.PatchesRolledBack,
-		"cobra.prefetches_nopped":   s.PrefetchesNopped,
-		"cobra.prefetches_excl":     s.PrefetchesExcl,
-		"cobra.loads_biased":        s.LoadsBiased,
-		"cobra.traces_emitted":      s.TracesEmitted,
-		"cobra.variant_switches":    s.VariantSwitches,
-	} {
-		c := reg.Counter(name)
-		c.Add(v - c.Value())
+// window gauges. An array keeps a pass without an observer from
+// allocating.
+func (s Stats) counts() [10]obs.Count {
+	return [...]obs.Count{
+		{Name: "cobra.samples_seen", Value: s.SamplesSeen},
+		{Name: "cobra.optimizer_passes", Value: s.OptimizerPasses},
+		{Name: "cobra.triggers", Value: s.Triggers},
+		{Name: "cobra.patches_applied", Value: s.PatchesApplied},
+		{Name: "cobra.patches_rolled_back", Value: s.PatchesRolledBack},
+		{Name: "cobra.prefetches_nopped", Value: s.PrefetchesNopped},
+		{Name: "cobra.prefetches_excl", Value: s.PrefetchesExcl},
+		{Name: "cobra.loads_biased", Value: s.LoadsBiased},
+		{Name: "cobra.traces_emitted", Value: s.TracesEmitted},
+		{Name: "cobra.variant_switches", Value: s.VariantSwitches},
 	}
 }
 
@@ -148,9 +141,6 @@ func New(m *machine.Machine, cfg Config) *Runtime {
 		obs:      m.Observer(),
 		engine:   newEngine(cfg),
 	}
-	// Registered at zero, so a run that never reaches a pass still dumps
-	// the counters.
-	r.mirrorStats()
 	m.AddTimer(&machine.Timer{
 		NextAt: cfg.OptimizeInterval,
 		Fn: func(now int64) int64 {
@@ -225,7 +215,6 @@ func (r *Runtime) MonitorThread(tid, cpu int) {
 // deploy new optimizations when coherent pressure warrants.
 func (r *Runtime) optimizePass(now int64) {
 	r.stats.OptimizerPasses++
-	tr := r.obs.Trace()
 
 	// Age region cooldowns at the top of the pass, before this pass's
 	// evaluation can start a new one. Decrementing after the judgement
@@ -249,11 +238,7 @@ func (r *Runtime) optimizePass(now int64) {
 			r.prof.Add(s)
 		}
 		r.stats.SamplesSeen += int64(len(drained))
-		if tr != nil && len(drained) > 0 {
-			tr.Instant("monitor", "usb drain", obs.TIDOptimizer, now, map[string]any{
-				"cpu": u.CPU, "samples": len(drained),
-			})
-		}
+		r.obs.USBDrained(now, u.CPU, len(drained))
 	}
 	win := r.prof.Window()
 
@@ -309,11 +294,8 @@ func (r *Runtime) optimizePass(now int64) {
 	fired := evaluated &&
 		agg.BusHitm >= r.cfg.MinCoherentEvents &&
 		agg.CoherentShare() >= r.cfg.CoherentShareThreshold
-	if tr != nil && evaluated {
-		tr.Instant("trigger", "trigger eval", obs.TIDOptimizer, now, map[string]any{
-			"coherent_share": agg.CoherentShare(), "bus_hitm": agg.BusHitm,
-			"fired": fired,
-		})
+	if evaluated {
+		r.obs.TriggerEvaluated(now, agg.CoherentShare(), agg.BusHitm, fired)
 	}
 	if fired {
 		r.stats.Triggers++
@@ -322,38 +304,13 @@ func (r *Runtime) optimizePass(now int64) {
 		}
 	}
 
-	if tr != nil {
-		tr.Span("window", fmt.Sprintf("window %d", r.windows), obs.TIDOptimizer,
-			r.lastPass, now, map[string]any{
-				"samples": win.Samples, "ipc": win.IPC(),
-				"coherent_share": win.CoherentShare(),
-				"l2_misses":      win.L2Misses, "bus_hitm": win.BusHitm,
-			})
-	}
-	if reg := r.obs.Metrics(); reg != nil {
-		reg.Gauge("cobra.window_ipc").Set(win.IPC())
-		reg.Gauge("cobra.window_coherent_share").Set(win.CoherentShare())
-		reg.Gauge("cobra.global_ipc_ema").Set(r.globalEMA)
-		reg.Histogram("cobra.window_samples").Observe(float64(win.Samples))
-		reg.Histogram("cobra.pass_cycles").Observe(float64(now - r.lastPass))
-		r.mirrorStats()
-		reg.Snapshot(r.windows, now)
-	}
-	// Live telemetry: every pass publishes its rolling window view to
-	// the event bus, independent of whether the full metrics registry is
-	// enabled — the bus is what cobra-top's rolling-IPC display and the
-	// SSE session stream tail while the run executes. Guarded so a
-	// disabled bus costs nothing.
-	if bus := r.obs.Bus(); bus != nil {
-		bus.Publish(obs.KindPass, now, obs.PassEvent{
-			Window:        r.windows,
-			Cycle:         now,
-			IPC:           win.IPC(),
-			CoherentShare: win.CoherentShare(),
-			Samples:       win.Samples,
-			GlobalIPCEMA:  r.globalEMA,
-		})
-	}
+	counts := r.stats.counts()
+	r.obs.WindowClosed(obs.WindowFact{
+		Index: r.windows, Start: r.lastPass, End: now,
+		Samples: win.Samples, IPC: win.IPC(), CoherentShare: win.CoherentShare(),
+		L2Misses: win.L2Misses, BusHitm: win.BusHitm,
+		GlobalIPCEMA: r.globalEMA, Counts: counts[:],
+	})
 	r.windows++
 	r.lastPass = now
 	r.prof.ResetWindow()

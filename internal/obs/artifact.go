@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -41,19 +42,22 @@ func WriteArtifacts(dir, key string, o *Observer) error {
 		}
 	}
 	if d := o.Decisions(); d != nil {
-		f, err := os.Create(filepath.Join(dir, key+".decisions.txt"))
-		if err != nil {
-			return err
-		}
-		if err := d.Explain(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+		return writeFile(filepath.Join(dir, key+".decisions.txt"), d.Explain)
 	}
 	return nil
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // sanitize keeps key usable as a file-name prefix.

@@ -7,10 +7,9 @@ import (
 )
 
 // EventBus is the live telemetry plane of the obs layer: a bounded,
-// drop-accounted publish/subscribe fan-out that lets the decision log,
-// the metrics registry and the control loop publish lifecycle and
-// window events *while the run executes*, instead of only materializing
-// artifacts after it ends.
+// drop-accounted publish/subscribe fan-out onto which the observer
+// projects each window and decision fact *while the run executes*,
+// instead of only materializing artifacts after it ends.
 //
 // The bus is the one obs type that locks: publishers are the single
 // simulation goroutine (or, for a server-wide bus, HTTP handlers), but
@@ -50,7 +49,7 @@ type EventBus struct {
 type BusEvent struct {
 	// Seq is the bus-assigned monotonic sequence number, from 1.
 	Seq int64 `json:"seq"`
-	// Kind tags the payload shape (KindPass, KindWindow, ...).
+	// Kind tags the payload shape (KindWindow, KindDecision, ...).
 	Kind string `json:"kind"`
 	// Cycle anchors simulation-domain events in simulated cycles
 	// (0 for service-domain events).
@@ -61,14 +60,11 @@ type BusEvent struct {
 
 // Event kinds published by this repo's emitters.
 const (
-	// KindPass: one control-loop optimizer pass closed a profiling
-	// window (payload PassEvent) — published by cobra.Runtime.
-	KindPass = "pass"
-	// KindWindow: the metrics registry snapshotted a window (payload
-	// WindowEvent: the WindowSnapshot plus counter deltas).
+	// KindWindow: one optimizer pass closed a profiling window (payload
+	// WindowEvent: the registry's snapshot plus counter deltas).
 	KindWindow = "window"
-	// KindDecision: the decision log recorded a patch-lifecycle
-	// transition (payload Decision).
+	// KindDecision: a patch-lifecycle transition (payload Decision, as
+	// the decision log recorded it).
 	KindDecision = "decision"
 	// KindSession: a cobrad session changed state (payload defined by
 	// internal/serve).
@@ -80,18 +76,6 @@ const (
 	// published (the bus closes right after).
 	KindEnd = "end"
 )
-
-// PassEvent is the KindPass payload: the rolling per-window view of the
-// control loop, published every optimizer pass even when the full
-// metrics registry is disabled.
-type PassEvent struct {
-	Window        int     `json:"window"`
-	Cycle         int64   `json:"cycle"`
-	IPC           float64 `json:"ipc"`
-	CoherentShare float64 `json:"coherent_share"`
-	Samples       int64   `json:"samples"`
-	GlobalIPCEMA  float64 `json:"global_ipc_ema"`
-}
 
 // WindowEvent is the KindWindow payload: the registry's WindowSnapshot
 // for the window that just closed, plus the counter deltas against the

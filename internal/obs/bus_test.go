@@ -10,7 +10,7 @@ import (
 
 func TestBusNilSafety(t *testing.T) {
 	var b *EventBus
-	if seq := b.Publish(KindPass, 1, nil); seq != 0 {
+	if seq := b.Publish(KindWindow, 1, nil); seq != 0 {
 		t.Fatalf("nil Publish returned seq %d", seq)
 	}
 	if _, err := b.Subscribe(0, 0); !errors.Is(err, ErrBusDisabled) {
@@ -34,7 +34,7 @@ func TestBusNilSafety(t *testing.T) {
 func TestBusNilPublishZeroAlloc(t *testing.T) {
 	var b *EventBus
 	if n := testing.AllocsPerRun(100, func() {
-		b.Publish(KindPass, 1, nil)
+		b.Publish(KindWindow, 1, nil)
 	}); n != 0 {
 		t.Fatalf("disabled-bus Publish allocates %.1f/op, want 0", n)
 	}
@@ -47,7 +47,7 @@ func TestBusPublishSubscribe(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 5; i++ {
-		if seq := b.Publish(KindPass, int64(i*10), i); seq != int64(i) {
+		if seq := b.Publish(KindWindow, int64(i*10), i); seq != int64(i) {
 			t.Fatalf("publish %d assigned seq %d", i, seq)
 		}
 	}
@@ -78,7 +78,7 @@ func TestBusSlowSubscriberDrops(t *testing.T) {
 	go func() { // publisher must not block regardless of the reader
 		defer close(done)
 		for i := 0; i < 100; i++ {
-			b.Publish(KindPass, int64(i), i)
+			b.Publish(KindWindow, int64(i), i)
 		}
 	}()
 	select {
@@ -102,7 +102,7 @@ func TestBusZeroDropsBelowBound(t *testing.T) {
 	sub, _ := b.Subscribe(0, 256)
 	const n = 256
 	for i := 0; i < n; i++ {
-		b.Publish(KindPass, int64(i), nil)
+		b.Publish(KindWindow, int64(i), nil)
 	}
 	for want := int64(1); want <= n; want++ {
 		ev, ok := sub.TryNext()
@@ -118,7 +118,7 @@ func TestBusZeroDropsBelowBound(t *testing.T) {
 func TestBusResumeFromHistory(t *testing.T) {
 	b := NewEventBus(64, 0)
 	for i := 0; i < 10; i++ {
-		b.Publish(KindPass, int64(i), i)
+		b.Publish(KindWindow, int64(i), i)
 	}
 	// Resume after seq 6: events 7..10 replay.
 	sub, err := b.Subscribe(6, 0)
@@ -135,7 +135,7 @@ func TestBusResumeFromHistory(t *testing.T) {
 		t.Fatalf("resume within history dropped %d", sub.Dropped())
 	}
 	// New events keep flowing to the resumed subscriber.
-	b.Publish(KindPass, 11, nil)
+	b.Publish(KindWindow, 11, nil)
 	if ev, ok := sub.TryNext(); !ok || ev.Seq != 11 {
 		t.Fatalf("live after resume: %v %v", ev, ok)
 	}
@@ -144,7 +144,7 @@ func TestBusResumeFromHistory(t *testing.T) {
 func TestBusResumeGapBeyondHistory(t *testing.T) {
 	b := NewEventBus(8, 0)
 	for i := 0; i < 20; i++ { // history retains seqs 13..20
-		b.Publish(KindPass, int64(i), nil)
+		b.Publish(KindWindow, int64(i), nil)
 	}
 	sub, _ := b.Subscribe(2, 0)
 	if d := sub.Dropped(); d != 10 { // 3..12 evicted
@@ -164,7 +164,7 @@ func TestBusReplayExceedsBuffer(t *testing.T) {
 	b := NewEventBus(4096, 0)
 	const n = 3000 // > DefaultSubscriberBuffer, < history cap
 	for i := 1; i <= n; i++ {
-		b.Publish(KindPass, int64(i), nil)
+		b.Publish(KindWindow, int64(i), nil)
 	}
 	b.Close()
 	sub, err := b.Subscribe(0, 0)
@@ -188,7 +188,7 @@ func TestBusReplayExceedsBuffer(t *testing.T) {
 	// backfill, and further live events still obey the requested bound.
 	b2 := NewEventBus(0, 0)
 	for i := 1; i <= 50; i++ {
-		b2.Publish(KindPass, int64(i), nil)
+		b2.Publish(KindWindow, int64(i), nil)
 	}
 	sub2, _ := b2.Subscribe(0, 8) // 50-event backfill > 8-slot ring
 	for want := int64(1); want <= 50; want++ {
@@ -258,7 +258,7 @@ func TestBusNextBlocksAndWakes(t *testing.T) {
 		}
 	}()
 	time.Sleep(10 * time.Millisecond)
-	b.Publish(KindPass, 42, nil)
+	b.Publish(KindWindow, 42, nil)
 	select {
 	case ev := <-got:
 		if ev.Cycle != 42 {
@@ -322,7 +322,7 @@ func TestBusConcurrent(t *testing.T) {
 		go func(p int) {
 			defer pwg.Done()
 			for i := 0; i < perPub; i++ {
-				b.Publish(KindPass, int64(i), p)
+				b.Publish(KindWindow, int64(i), p)
 			}
 		}(p)
 	}
@@ -343,20 +343,16 @@ func TestBusConcurrent(t *testing.T) {
 	}
 }
 
-// TestRegistrySnapshotPublishes pins the Registry → bus contract: one
-// KindWindow event per snapshot, carrying the snapshot plus counter
-// deltas against the previous window.
+// TestRegistrySnapshotPublishes pins the window fact's projection onto
+// the bus: one KindWindow event per closed window, carrying the
+// registry's snapshot plus counter deltas against the previous window.
 func TestRegistrySnapshotPublishes(t *testing.T) {
-	o := New(Config{Metrics: true, Events: true})
-	reg, bus := o.Metrics(), o.Bus()
-	sub, _ := bus.Subscribe(0, 0)
+	o := New(Config{Events: true})
+	sub, _ := o.Bus().Subscribe(0, 0)
 
-	reg.Counter("x").Add(3)
-	reg.Gauge("g").Set(1.5)
-	reg.Snapshot(0, 100)
-	reg.Counter("x").Add(2)
-	reg.Snapshot(1, 200)
-	reg.Snapshot(2, 300) // no change: no deltas
+	o.WindowClosed(WindowFact{Index: 0, End: 100, IPC: 1.5, Counts: []Count{{"x", 3}}})
+	o.WindowClosed(WindowFact{Index: 1, Start: 100, End: 200, IPC: 1.5, Counts: []Count{{"x", 5}}})
+	o.WindowClosed(WindowFact{Index: 2, Start: 200, End: 300, IPC: 1.5, Counts: []Count{{"x", 5}}}) // no change: no deltas
 
 	want := []struct {
 		window int
@@ -367,9 +363,13 @@ func TestRegistrySnapshotPublishes(t *testing.T) {
 		{1, 200, map[string]int64{"x": 2}},
 		{2, 300, nil},
 	}
+	snaps := o.Metrics().Dump().Windows
+	if len(snaps) != len(want) {
+		t.Fatalf("%d snapshots, want %d", len(snaps), len(want))
+	}
 	for i, w := range want {
 		ev, ok := sub.TryNext()
-		if !ok || ev.Kind != KindWindow {
+		if !ok || ev.Kind != KindWindow || ev.Cycle != w.cycle {
 			t.Fatalf("event %d: %+v ok=%v", i, ev, ok)
 		}
 		we := ev.Data.(WindowEvent)
@@ -384,23 +384,32 @@ func TestRegistrySnapshotPublishes(t *testing.T) {
 				t.Fatalf("event %d delta %s = %d, want %d", i, k, we.CounterDeltas[k], v)
 			}
 		}
-		if we.Gauges["g"] != 1.5 {
+		if we.Gauges["cobra.window_ipc"] != 1.5 {
 			t.Fatalf("event %d gauge missing: %v", i, we.Gauges)
 		}
+		if we.Counters["x"] != snaps[i].Counters["x"] {
+			t.Fatalf("event %d counters %v differ from snapshot %v", i, we.Counters, snaps[i].Counters)
+		}
+	}
+	if ev, ok := sub.TryNext(); ok {
+		t.Fatalf("extra event after the windows: %+v", ev)
 	}
 }
 
-// TestDecisionLogPublishes pins the DecisionLog → bus contract: every
-// Record publishes the exact Decision it appended.
+// TestDecisionLogPublishes pins the decision fact's projection onto the
+// bus: every decision publishes exactly the Decision the log appended.
 func TestDecisionLogPublishes(t *testing.T) {
-	o := New(Config{Decisions: true, Events: true})
-	dl, bus := o.Decisions(), o.Bus()
-	sub, _ := bus.Subscribe(0, 0)
+	o := New(Config{Events: true})
+	sub, _ := o.Bus().Subscribe(0, 0)
 
-	dl.Record(100, 0x40, 1, StateCandidate, "trigger", Evidence{BusHitm: 7})
-	dl.Record(110, 0x40, 1, StateDeployed, "deploy", Evidence{Rewrite: "nop"})
+	o.Decided(DecisionFact{Cycle: 100, Region: 0x40, Window: 1, To: StateCandidate, Reason: "trigger", Evidence: Evidence{BusHitm: 7}})
+	o.Decided(DecisionFact{Cycle: 110, Region: 0x40, Window: 1, To: StateDeployed, Reason: "deploy", Evidence: Evidence{Rewrite: "nop"}, Slots: 2})
 
-	for i, want := range dl.Decisions() {
+	ds := o.Decisions().Decisions()
+	if len(ds) != 2 {
+		t.Fatalf("%d decisions recorded, want 2", len(ds))
+	}
+	for i, want := range ds {
 		ev, ok := sub.TryNext()
 		if !ok || ev.Kind != KindDecision {
 			t.Fatalf("event %d: %+v ok=%v", i, ev, ok)

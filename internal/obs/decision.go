@@ -134,11 +134,6 @@ type DecisionLog struct {
 	decisions  []Decision
 	last       map[uint64]PatchState
 	violations []string
-
-	// bus, when set by New, receives every recorded decision as a live
-	// KindDecision event at the instant Record runs — the streaming
-	// counterpart of the post-run audit trail.
-	bus *EventBus
 }
 
 // NewDecisionLog returns an empty enabled log.
@@ -146,12 +141,12 @@ func NewDecisionLog() *DecisionLog {
 	return &DecisionLog{last: make(map[uint64]PatchState)}
 }
 
-// Record appends a decision. From is filled in from the region's last
-// recorded state so callers only name the destination; an illegal
-// transition is still recorded, and also noted as a violation.
-func (l *DecisionLog) Record(cycle int64, region uint64, window int, to PatchState, reason string, ev Evidence) {
+// Record appends a decision and returns it. From is filled in from the
+// region's last recorded state so callers only name the destination; an
+// illegal transition is still recorded, and also noted as a violation.
+func (l *DecisionLog) Record(cycle int64, region uint64, window int, to PatchState, reason string, ev Evidence) Decision {
 	if l == nil {
-		return
+		return Decision{}
 	}
 	d := Decision{
 		Seq:      len(l.decisions),
@@ -168,9 +163,7 @@ func (l *DecisionLog) Record(cycle int64, region uint64, window int, to PatchSta
 	}
 	l.decisions = append(l.decisions, d)
 	l.last[region] = to
-	if l.bus != nil {
-		l.bus.Publish(KindDecision, cycle, d)
-	}
+	return d
 }
 
 // Decisions returns the full audit trail in record order.

@@ -69,7 +69,7 @@ func FuzzBusResume(f *testing.F) {
 			switch op {
 			case 0:
 				for n := 0; n < 1+arg%16; n++ {
-					if seq := b.Publish(KindPass, newest+1, newest+1); seq != 0 {
+					if seq := b.Publish(KindWindow, newest+1, newest+1); seq != 0 {
 						newest = seq
 					}
 				}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"math"
-	"os"
 	"sort"
 	"strconv"
 )
@@ -17,10 +16,6 @@ type Registry struct {
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 	snapshots  []WindowSnapshot
-
-	// bus, when set by New, receives one KindWindow event per Snapshot —
-	// the live counterpart of the Windows time series in the dump.
-	bus *EventBus
 }
 
 // NewRegistry returns an empty enabled registry.
@@ -100,14 +95,6 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
-// Value returns the last set value (0 for a nil or never-set gauge).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
 // Histogram accumulates float64 observations, keeping count/sum/min/max
 // and power-of-two buckets over the observation magnitude. Buckets are
 // enough to see the shape of cycle-domain latencies without configuring
@@ -160,14 +147,6 @@ func bucketOf(v float64) int {
 		b = 0
 	}
 	return b
-}
-
-// Count returns the number of observations (0 for nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
 }
 
 // Mean returns the mean observation (0 when empty or nil).
@@ -285,24 +264,28 @@ func (r *Registry) Snapshot(window int, cycle int64) {
 	s := WindowSnapshot{Window: window, Cycle: cycle}
 	s.Counters, s.Gauges, s.Histograms = r.values()
 	r.snapshots = append(r.snapshots, s)
-	if r.bus != nil {
-		ev := WindowEvent{WindowSnapshot: s}
-		if n := len(r.snapshots); n >= 2 && len(s.Counters) > 0 {
-			prev := r.snapshots[n-2].Counters
-			ev.CounterDeltas = make(map[string]int64, len(s.Counters))
-			for name, v := range s.Counters {
-				if d := v - prev[name]; d != 0 {
-					ev.CounterDeltas[name] = d
-				}
-			}
-			if len(ev.CounterDeltas) == 0 {
-				ev.CounterDeltas = nil
-			}
-		} else if len(s.Counters) > 0 {
-			ev.CounterDeltas = s.Counters
-		}
-		r.bus.Publish(KindWindow, cycle, ev)
+}
+
+// windowEvent returns the newest snapshot as a KindWindow payload: the
+// live counterpart of the Windows time series in the dump, with the
+// counter deltas against the snapshot before it (all of them, for the
+// first).
+func (r *Registry) windowEvent() WindowEvent {
+	n := len(r.snapshots)
+	ev := WindowEvent{WindowSnapshot: r.snapshots[n-1]}
+	if n == 1 {
+		ev.CounterDeltas = ev.Counters
+		return ev
 	}
+	for name, v := range ev.Counters {
+		if d := v - r.snapshots[n-2].Counters[name]; d != 0 {
+			if ev.CounterDeltas == nil {
+				ev.CounterDeltas = make(map[string]int64, len(ev.Counters))
+			}
+			ev.CounterDeltas[name] = d
+		}
+	}
+	return ev
 }
 
 // Dump is the exported JSON shape of a registry: final values plus the
@@ -312,12 +295,6 @@ type Dump struct {
 	Gauges     map[string]float64       `json:"gauges,omitempty"`
 	Histograms map[string]HistogramStat `json:"histograms,omitempty"`
 	Windows    []WindowSnapshot         `json:"windows,omitempty"`
-}
-
-func (r *Registry) dump() Dump {
-	d := Dump{Windows: r.snapshots}
-	d.Counters, d.Gauges, d.Histograms = r.values()
-	return d
 }
 
 // values copies the current value of every counter, every set gauge and
@@ -359,33 +336,21 @@ func (r *Registry) Dump() Dump {
 	if r == nil {
 		return Dump{}
 	}
-	return r.dump()
+	d := Dump{Windows: r.snapshots}
+	d.Counters, d.Gauges, d.Histograms = r.values()
+	return d
 }
 
 // WriteJSON writes the registry dump as indented JSON. encoding/json
 // serializes maps with sorted keys, so output is deterministic.
 func (r *Registry) WriteJSON(w io.Writer) error {
-	var d Dump
-	if r != nil {
-		d = r.dump()
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(d)
+	return enc.Encode(r.Dump())
 }
 
 // WriteFile writes the registry dump to path.
-func (r *Registry) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := r.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
+func (r *Registry) WriteFile(path string) error { return writeFile(path, r.WriteJSON) }
 
 // CounterNames returns the sorted names of all registered counters.
 func (r *Registry) CounterNames() []string {

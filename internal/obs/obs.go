@@ -21,6 +21,11 @@
 //     artifact types here lock. The one exception is the EventBus — the
 //     live telemetry plane — whose subscribers drain from other
 //     goroutines; it locks internally and its publishers never block.
+//
+// The control loop writes no surface itself. internal/cobra and
+// internal/perfmon report each fact once, through one nil-safe Observer
+// method (fact.go), and the observer projects it into every enabled
+// surface: tracer, registry, decision log and bus, in that order.
 package obs
 
 import "fmt"
@@ -29,7 +34,7 @@ import "fmt"
 type Config struct {
 	// Trace enables the cycle-domain event tracer.
 	Trace bool
-	// SampleEvents additionally records one instant event per delivered
+	// SampleEvents additionally records one instant event per captured
 	// perfmon sample — dense; useful for inspecting sampling behaviour,
 	// too noisy for routine patch-lifecycle traces.
 	SampleEvents bool
@@ -37,11 +42,11 @@ type Config struct {
 	Metrics bool
 	// Decisions enables the patch-decision audit log.
 	Decisions bool
-	// Events enables the live event bus: decision transitions, window
-	// snapshots and control-loop pass summaries publish to subscribers
-	// during the run instead of only materializing as artifacts at the
-	// end. The bus feeds off the metrics and decisions surfaces, so
-	// enable those too for the full stream.
+	// Events enables the live event bus: each window snapshot and each
+	// decision transition is published to subscribers during the run
+	// instead of only materializing as an artifact at the end. The
+	// stream carries the metrics and decisions surfaces' records, so
+	// Events implies Metrics and Decisions.
 	Events bool
 	// EventSubscribers bounds concurrent bus subscriptions
 	// (0 = DefaultBusSubscribers).
@@ -65,17 +70,16 @@ func New(cfg Config) *Observer {
 	o := &Observer{sampleEvents: cfg.SampleEvents}
 	if cfg.Events {
 		o.bus = NewEventBus(DefaultBusHistory, cfg.EventSubscribers)
+		cfg.Metrics, cfg.Decisions = true, true
 	}
 	if cfg.Trace {
 		o.trace = NewTracer(DefaultTraceCap)
 	}
 	if cfg.Metrics {
 		o.metrics = NewRegistry()
-		o.metrics.bus = o.bus
 	}
 	if cfg.Decisions {
 		o.decisions = NewDecisionLog()
-		o.decisions.bus = o.bus
 	}
 	return o
 }
@@ -83,16 +87,6 @@ func New(cfg Config) *Observer {
 // Trace returns the event tracer, or nil when tracing is disabled.
 func (o *Observer) Trace() *Tracer {
 	if o == nil {
-		return nil
-	}
-	return o.trace
-}
-
-// SampleTrace returns the tracer only when per-sample instants were
-// requested — the perfmon driver reads this so dense sample events stay
-// opt-in.
-func (o *Observer) SampleTrace() *Tracer {
-	if o == nil || !o.sampleEvents {
 		return nil
 	}
 	return o.trace

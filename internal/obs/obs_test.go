@@ -14,9 +14,14 @@ import (
 // the disabled state must be inert, not a panic.
 func TestNilSafety(t *testing.T) {
 	var o *Observer
-	if o.Trace() != nil || o.SampleTrace() != nil || o.Metrics() != nil || o.Decisions() != nil {
+	if o.Trace() != nil || o.Metrics() != nil || o.Decisions() != nil || o.Bus() != nil {
 		t.Fatal("nil observer must return nil surfaces")
 	}
+	o.WindowClosed(WindowFact{Index: 0, End: 100, Counts: []Count{{"c", 1}}})
+	o.USBDrained(100, 0, 3)
+	o.TriggerEvaluated(100, 0.5, 7, true)
+	o.Sampled(0, 50, 0x40, 1, false)
+	o.Decided(DecisionFact{Cycle: 100, Region: 0x100, To: StateCandidate, ActiveSince: 10})
 
 	var tr *Tracer
 	tr.Instant("c", "n", 1, 10, nil)
@@ -41,8 +46,8 @@ func TestNilSafety(t *testing.T) {
 	reg.Gauge("g").Set(1.5)
 	reg.Histogram("h").Observe(3)
 	reg.Snapshot(0, 100)
-	if reg.Counter("c").Value() != 0 || reg.Gauge("g").Value() != 0 ||
-		reg.Histogram("h").Count() != 0 || reg.Dump().Windows != nil || reg.CounterNames() != nil {
+	if reg.Counter("c").Value() != 0 || reg.Gauge("g") != nil ||
+		reg.Histogram("h") != nil || reg.Dump().Windows != nil || reg.CounterNames() != nil {
 		t.Fatal("nil registry must report disabled/zero")
 	}
 	buf.Reset()
@@ -70,16 +75,25 @@ func TestObserverConfig(t *testing.T) {
 	if o.Trace() == nil || o.Metrics() == nil || o.Decisions() == nil {
 		t.Fatal("enabled surfaces must be non-nil")
 	}
-	if o.SampleTrace() != nil {
-		t.Fatal("SampleTrace must be nil unless SampleEvents is set")
+	o.Sampled(0, 50, 0x40, 1, true)
+	if o.Trace().Len() != 0 {
+		t.Fatal("a sample must not be traced unless SampleEvents is set")
+	}
+	if got := o.Metrics().Dump().Counters; got["perfmon.samples"] != 1 || got["perfmon.dropped"] != 0 || len(got) != 2 {
+		t.Fatalf("one delivered sample: counters = %v", got)
 	}
 	o2 := New(Config{Trace: true, SampleEvents: true})
-	if o2.SampleTrace() != o2.Trace() {
-		t.Fatal("SampleTrace must alias the tracer when SampleEvents is set")
+	o2.Sampled(0, 50, 0x40, 1, false)
+	if o2.Trace().Len() != 1 {
+		t.Fatal("SampleEvents must trace each sample")
 	}
 	o3 := New(Config{})
-	if o3.Trace() != nil || o3.Metrics() != nil || o3.Decisions() != nil {
+	if o3.Trace() != nil || o3.Metrics() != nil || o3.Decisions() != nil || o3.Bus() != nil {
 		t.Fatal("empty config must enable nothing")
+	}
+	o4 := New(Config{Events: true})
+	if o4.Bus() == nil || o4.Metrics() == nil || o4.Decisions() == nil || o4.Trace() != nil {
+		t.Fatal("Events must imply Metrics and Decisions, and nothing else")
 	}
 }
 
@@ -168,15 +182,15 @@ func TestRegistryMetrics(t *testing.T) {
 		t.Fatal("Counter must return the same instance per name")
 	}
 	r.Gauge("ipc").Set(1.25)
-	if got := r.Gauge("ipc").Value(); got != 1.25 {
+	if got := r.Dump().Gauges["ipc"]; got != 1.25 {
 		t.Fatalf("gauge = %v, want 1.25", got)
 	}
 	h := r.Histogram("window_cycles")
 	for _, v := range []float64{10, 100, 1000} {
 		h.Observe(v)
 	}
-	if h.Count() != 3 {
-		t.Fatalf("hist count = %d, want 3", h.Count())
+	if got := r.Dump().Histograms["window_cycles"].Count; got != 3 {
+		t.Fatalf("hist count = %d, want 3", got)
 	}
 	if got, want := h.Mean(), 370.0; got != want {
 		t.Fatalf("hist mean = %v, want %v", got, want)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 )
 
 // Event is one Chrome trace_event record. TS and Dur are simulated
@@ -164,14 +163,4 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 }
 
 // WriteFile writes the trace JSON to path.
-func (t *Tracer) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
+func (t *Tracer) WriteFile(path string) error { return writeFile(path, t.WriteJSON) }

@@ -85,13 +85,6 @@ type Driver struct {
 	handlers []Handler
 	nextIdx  int64
 	dropped  int64 // samples captured with no monitoring thread attached
-
-	// Observability, from the context's observer: sampleTrace is non-nil
-	// only when per-sample instants were enabled (dense: one per delivered
-	// sample); the counters are nil-safe and track captures and drops.
-	sampleTrace *obs.Tracer
-	cSamples    *obs.Counter
-	cDropped    *obs.Counter
 }
 
 // NewDriver initializes sampling on every CPU of ctx. The four counters
@@ -103,14 +96,7 @@ func NewDriver(cfg Config, ctx Context) *Driver {
 	if cfg.CyclePeriod <= 0 {
 		cfg.CyclePeriod = DefaultConfig().CyclePeriod
 	}
-	o := ctx.Observer()
-	d := &Driver{
-		cfg:         cfg,
-		ctx:         ctx,
-		sampleTrace: o.SampleTrace(),
-		cSamples:    o.Metrics().Counter("perfmon.samples"),
-		cDropped:    o.Metrics().Counter("perfmon.dropped"),
-	}
+	d := &Driver{cfg: cfg, ctx: ctx}
 	d.handlers = make([]Handler, ctx.NumCPUs())
 	for cpu := 0; cpu < ctx.NumCPUs(); cpu++ {
 		pmu := ctx.PMU(cpu)
@@ -136,7 +122,8 @@ func (d *Driver) Attach(cpu int, h Handler) {
 }
 
 // capture snapshots the PMU state of cpu and delivers it to the
-// monitoring thread; with none attached the sample is dropped.
+// monitoring thread; with none attached the sample is dropped. Either
+// way the machine's observer is told of the capture.
 func (d *Driver) capture(cpu int) {
 	pmu := d.ctx.PMU(cpu)
 	s := Sample{
@@ -150,18 +137,13 @@ func (d *Driver) capture(cpu int) {
 		DEAR:     pmu.ReadDEAR(),
 	}
 	d.nextIdx++
-	d.cSamples.Inc()
-	if d.sampleTrace != nil {
-		d.sampleTrace.Instant("perfmon", "sample", cpu, s.Cycle, map[string]any{
-			"pc": s.PC, "thread": s.ThreadID,
-		})
-	}
 	d.ctx.ChargeCycles(cpu, d.cfg.SampleOverhead)
-	if h := d.handlers[cpu]; h != nil {
+	h := d.handlers[cpu]
+	d.ctx.Observer().Sampled(cpu, s.Cycle, s.PC, s.ThreadID, h != nil)
+	if h != nil {
 		h(s)
 	} else {
 		d.dropped++
-		d.cDropped.Inc()
 	}
 }
 

@@ -39,10 +39,10 @@ type ArtifactConfig struct {
 	Metrics      bool `json:"metrics,omitempty"`
 	Decisions    bool `json:"decisions,omitempty"`
 	// Events enables the live SSE stream (GET /sessions/{id}/events):
-	// window snapshots, optimizer-pass summaries and patch-lifecycle
-	// transitions published while the session runs. The stream is fed by
-	// the metrics and decisions surfaces, so requesting it implies both
-	// (their artifacts become available too).
+	// one window snapshot per optimizer pass and every patch-lifecycle
+	// transition, published while the session runs. The stream carries
+	// the metrics and decisions surfaces' records, so requesting it
+	// implies both (their artifacts become available too).
 	Events bool `json:"events,omitempty"`
 }
 
@@ -57,8 +57,8 @@ func (a ArtifactConfig) observer(subscribers int) *obs.Observer {
 	return obs.New(obs.Config{
 		Trace:            a.Trace,
 		SampleEvents:     a.TraceSamples,
-		Metrics:          a.Metrics || a.Events,
-		Decisions:        a.Decisions || a.Events,
+		Metrics:          a.Metrics,
+		Decisions:        a.Decisions,
 		Events:           a.Events,
 		EventSubscribers: subscribers,
 	})

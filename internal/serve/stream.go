@@ -16,8 +16,8 @@ import (
 //
 // Two endpoints expose live telemetry as text/event-stream:
 //
-//	GET /sessions/{id}/events   one session's bus: pass summaries,
-//	                            window snapshots (+ counter deltas),
+//	GET /sessions/{id}/events   one session's bus: one window snapshot
+//	                            (+ counter deltas) per optimizer pass,
 //	                            patch-lifecycle decisions, end marker
 //	GET /eventsz                the server-wide bus: session state
 //	                            changes, serve.* counter deltas

@@ -117,6 +117,7 @@ func TestPhasedObservabilityEndToEnd(t *testing.T) {
 	}
 	sawData := false
 	var windowEnd int64
+	windowSpans := 0
 	lastInstant := map[int]int64{}
 	lifecycle := []string{}
 	for i, e := range tr.Events() {
@@ -135,6 +136,7 @@ func TestPhasedObservabilityEndToEnd(t *testing.T) {
 					t.Fatalf("window span %q starts at %d inside previous window (ends %d)", e.Name, e.TS, windowEnd)
 				}
 				windowEnd = e.TS + e.Dur
+				windowSpans++
 			}
 		case "i":
 			sawData = true
@@ -180,6 +182,46 @@ func TestPhasedObservabilityEndToEnd(t *testing.T) {
 	}
 	if len(reg.Dump().Windows) == 0 {
 		t.Error("no per-window metric snapshots were taken")
+	}
+
+	// Each sink is a projection of the same facts: one window span and
+	// one registry snapshot per optimizer pass, and one patch-track
+	// instant per recorded decision.
+	if passes := m.Cobra.OptimizerPasses; int64(windowSpans) != passes || int64(len(reg.Dump().Windows)) != passes {
+		t.Errorf("%d window spans and %d snapshots for %d optimizer passes", windowSpans, len(reg.Dump().Windows), passes)
+	}
+	if len(lifecycle) != len(dl.Decisions()) {
+		t.Errorf("%d patch instants for %d decisions", len(lifecycle), len(dl.Decisions()))
+	}
+}
+
+// TestSampleEventsMatchCounts runs the phased workload with per-sample
+// events on. The sample instants, the perfmon.samples counter and
+// COBRA's drained count project the same captures, so they agree: in
+// total, and up to the last optimizer pass, which drains every sample
+// captured before it (those captured after it are never drained).
+func TestSampleEventsMatchCounts(t *testing.T) {
+	o, m := runPhasedObserved(t, obs.Config{Trace: true, SampleEvents: true, Metrics: true})
+	instants, beforeLastPass := int64(0), int64(0)
+	for _, e := range o.Trace().Events() {
+		switch {
+		case e.Cat == "perfmon" && e.Name == "sample":
+			instants++
+		case e.TID == obs.TIDOptimizer && e.Ph == "X": // a window span
+			beforeLastPass = instants
+		}
+	}
+	dump := o.Metrics().Dump()
+	last := dump.Windows[len(dump.Windows)-1].Counters
+	if instants == 0 || instants != dump.Counters["perfmon.samples"] {
+		t.Errorf("%d sample instants, perfmon.samples = %d", instants, dump.Counters["perfmon.samples"])
+	}
+	if beforeLastPass != last["perfmon.samples"] || beforeLastPass != m.Cobra.SamplesSeen {
+		t.Errorf("up to the last pass: %d sample instants, perfmon.samples = %d, Stats.SamplesSeen = %d",
+			beforeLastPass, last["perfmon.samples"], m.Cobra.SamplesSeen)
+	}
+	if dropped, ok := dump.Counters["perfmon.dropped"]; !ok || dropped != 0 {
+		t.Errorf("perfmon.dropped = %d (present %v), want a registered 0", dropped, ok)
 	}
 }
 
